@@ -12,7 +12,7 @@ use pyx_lang::compile;
 use pyx_partition::Placement;
 use pyx_pyxil::CompiledPartition;
 use pyx_runtime::ArgVal;
-use pyx_server::{Deployment, Dispatcher, DispatcherConfig, InstantEnv, TxnRequest, VmMode};
+use pyx_server::{Deployment, Dispatcher, DispatcherConfig, InstantEnv, TxnRequest};
 
 /// A chatty read-modify-write transaction: 4 point queries + 2 updates.
 /// Keeps table sizes constant, so iterations are comparable.
@@ -67,21 +67,8 @@ fn bench_server_throughput(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("server_throughput");
 
-    // The main matrix runs the default (bytecode) tier; the `_interp`
-    // rows pin the tree-walker for the EXPERIMENTS.md before/after table.
-    let configs = [
-        ("jdbc", &jdbc, VmMode::Bytecode),
-        ("jdbc_interp", &jdbc, VmMode::Interp),
-        ("manual", &manual, VmMode::Bytecode),
-        ("manual_interp", &manual, VmMode::Interp),
-    ];
-    for (pname, part, vm) in configs {
+    for (pname, part) in [("jdbc", &jdbc), ("manual", &manual)] {
         for clients in [1usize, 8, 64, 256] {
-            if vm == VmMode::Interp && clients != 64 {
-                // One representative point per partition keeps the interp
-                // comparison cheap.
-                continue;
-            }
             let mut engine = mk_engine();
             let mut disp = Dispatcher::new(
                 Deployment::Fixed(part),
@@ -89,7 +76,6 @@ fn bench_server_throughput(c: &mut Criterion) {
                 DispatcherConfig {
                     max_sessions: clients,
                     queue_cap: usize::MAX,
-                    vm,
                     ..DispatcherConfig::default()
                 },
             );

@@ -1,12 +1,11 @@
 //! Criterion bench for microbenchmark 1 (§7.3): wall-clock cost of the
-//! Pyxis execution-block VM — both dispatch tiers — versus the direct
-//! interpreter versus native Rust on the linked-list program, single-host
-//! placement.
+//! Pyxis execution-block VM versus the direct NIR interpreter versus
+//! native Rust on the linked-list program, single-host placement.
 //!
-//! `pyxis_vm` tree-walks the block program; `pyxis_vm_bytecode` runs the
-//! same partition through the register-bytecode tier (pre-resolved flat
-//! ops, slab frames, bitmask dirty tracking, per-block CPU batching). The
-//! interp/bytecode ratio is the headline number in `EXPERIMENTS.md`.
+//! `pyxis_vm_bytecode` runs the partition's register bytecode
+//! (pre-resolved flat ops, slab frames, bitmask dirty tracking, per-block
+//! CPU batching), recycling its frame slab across iterations as the
+//! dispatcher does across transactions.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pyx_db::Engine;
@@ -37,38 +36,20 @@ fn bench_vm_overhead(c: &mut Criterion) {
             assert_eq!(r, Value::Int(expect));
         })
     });
-    g.bench_function("pyxis_vm", |b| {
-        b.iter(|| {
-            let mut db = Engine::new();
-            let mut sess = Session::new(
-                &jdbc.il,
-                &jdbc.bp,
-                entry,
-                &[ArgVal::Int(N)],
-                RtCosts::default(),
-                &mut db,
-            )
-            .unwrap();
-            run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
-            assert_eq!(sess.result, Some(Value::Int(expect)));
-        })
-    });
     g.bench_function("pyxis_vm_bytecode", |b| {
-        // The frame slab recycles across iterations exactly as the
-        // dispatcher's scratch pool recycles it across transactions.
-        let mut scratch = Some(VmScratch::default());
+        let mut scratch = VmScratch::default();
         b.iter(|| {
             let mut db = Engine::new();
-            let mut sess = Session::new(
-                &jdbc.il,
-                &jdbc.bp,
+            let sites = Session::prepare_sites(&jdbc.bp, &mut db);
+            let mut sess = Session::with_prepared(
+                &jdbc,
                 entry,
                 &[ArgVal::Int(N)],
                 RtCosts::default(),
-                &mut db,
+                sites,
+                std::mem::take(&mut scratch),
             )
             .unwrap();
-            sess.set_bytecode(&jdbc.bc, scratch.take().unwrap());
             run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
             assert_eq!(sess.result, Some(Value::Int(expect)));
             scratch = sess.take_scratch();

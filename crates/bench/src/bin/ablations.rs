@@ -117,8 +117,7 @@ fn main() {
             let part = CompiledPartition { il, bp, bc };
             let mut db = pyx_workloads::micro::micro2_db();
             let mut sess = Session::new(
-                &part.il,
-                &part.bp,
+                &part,
                 m2entry,
                 &[
                     pyx_runtime::ArgVal::Int(40),
@@ -240,15 +239,7 @@ fn main() {
         .with_lines(8, 8)
         .with_rollback_pct(0.0);
     let req = gen.next_txn(0);
-    let mut sess = Session::new(
-        &part.il,
-        &part.bp,
-        req.entry,
-        &req.args,
-        RtCosts::default(),
-        &mut db,
-    )
-    .unwrap();
+    let mut sess = Session::new(&part, req.entry, &req.args, RtCosts::default(), &mut db).unwrap();
     run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
     let st = &sess.stats;
     let sync_ops: usize = part.il.sync.values().map(|v| v.len()).sum();

@@ -7,7 +7,7 @@
 //! killed on a fixed schedule — each shard once while its replica is
 //! alive (promotion path) and once after it has been consumed (respawn
 //! path) — while the closed loop keeps submitting through
-//! [`ShardedServer::submit_with_retry`].
+//! [`ShardedServer::submit_by_deadline`].
 //!
 //! Reports per-recovery MTTR (detection → shard accepting writes) for
 //! both paths, then proves the run honest: every admitted transaction
@@ -23,7 +23,7 @@ use pyx_db::{shard_of, Engine, MemSink, Scalar};
 use pyx_server::{Admit, ShardedConfig, ShardedServer, Workload};
 use pyx_workloads::tpcc;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
 
@@ -124,7 +124,8 @@ fn main() {
             let wid = wh(submitted as usize % SHARDS);
             req.args[0] = pyx_runtime::ArgVal::Int(wid);
             req.route = Some(wid);
-            match srv.submit_with_retry(req, submitted, 20) {
+            let deadline = Instant::now() + Duration::from_millis(600);
+            match srv.submit_by_deadline(req, submitted, deadline) {
                 Admit::Started | Admit::Queued { .. } => submitted += 1,
                 Admit::Rejected => break,
                 Admit::Unavailable => panic!("shard stayed unavailable after retries"),

@@ -51,15 +51,8 @@ fn main() {
     let mut transfers = 0;
     for _ in 0..REPS {
         let mut db = Engine::new();
-        let mut sess = Session::new(
-            &jdbc.il,
-            &jdbc.bp,
-            entry,
-            &[ArgVal::Int(N)],
-            RtCosts::default(),
-            &mut db,
-        )
-        .unwrap();
+        let mut sess =
+            Session::new(&jdbc, entry, &[ArgVal::Int(N)], RtCosts::default(), &mut db).unwrap();
         run_to_completion(&mut sess, &mut db, 100_000_000).unwrap();
         assert_eq!(sess.result, Some(Value::Int(expect)));
         transfers = sess.stats.control_transfers;

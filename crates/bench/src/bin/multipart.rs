@@ -1,22 +1,22 @@
-//! Multi-partition fraction vs throughput: 2PC vs the quiesce-all lane
-//! (EXPERIMENTS.md table).
+//! Multi-partition fraction vs throughput through 2PC (EXPERIMENTS.md
+//! table).
 //!
 //! Sweeps the fraction of cross-shard transactions in a TPC-C
 //! remote-warehouse mix (remote-supplier new-orders + remote-customer
-//! payments) over {0, 5, 10, 15, 25}% and runs the identical request
-//! stream through a 4-shard [`ShardedServer`] twice: once with the
-//! serialized quiesce-all lane ([`CrossShardMode::Quiesce`]) and once
-//! with the per-statement 2PC coordinator pool
-//! ([`CrossShardMode::TwoPhase`]). Requests are submitted concurrently
-//! (a full admission window, refilled as transactions retire), so the
-//! quiesce lane pays its real cost: every cross-shard transaction stalls
-//! all four workers, while 2PC stalls only the participants.
+//! payments) over {0, 5, 10, 15, 25}% and runs each request stream
+//! through a 4-shard [`ShardedServer`], whose coordinator pool runs the
+//! cross-shard transactions under per-statement 2PC. Requests are
+//! submitted concurrently (a full admission window, refilled as
+//! transactions retire), so cross-shard work competes with single-shard
+//! traffic the way it does in serving. Each sweep point asserts that
+//! every generated cross-shard request ran as one and that nothing
+//! failed.
 //!
 //! ```sh
 //! cargo run --release -p pyx-bench --bin multipart [txns]
 //! ```
 
-use pyx_server::{Admit, CrossShardMode, ShardedConfig, ShardedServer, TxnRequest, Workload};
+use pyx_server::{Admit, ShardedConfig, ShardedServer, TxnRequest, Workload};
 use pyx_workloads::tpcc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,18 +50,13 @@ struct RunStats {
     errors: u64,
 }
 
-fn run(
-    part: &Arc<pyx_pyxil::CompiledPartition>,
-    reqs: &[TxnRequest],
-    mode: CrossShardMode,
-) -> RunStats {
+fn run(part: &Arc<pyx_pyxil::CompiledPartition>, reqs: &[TxnRequest]) -> RunStats {
     let engines = fresh_shards(5);
     let mut srv = ShardedServer::new(
         Arc::clone(part),
         engines,
         ShardedConfig {
             shards: SHARDS,
-            cross_shard: mode,
             ..ShardedConfig::default()
         },
     );
@@ -77,13 +72,7 @@ fn run(
                         errors += u64::from(d.error.is_some());
                     }
                 }
-                // A worker death surfaces here; the bounded-retry
-                // path reaps the corpse and, when healing is
-                // configured, rides out the failover window.
-                Admit::Unavailable => match srv.submit_with_retry(req.clone(), i as u64, 8) {
-                    Admit::Started | Admit::Queued { .. } => break,
-                    other => panic!("shard stayed unavailable after retries: {other:?}"),
-                },
+                Admit::Unavailable => panic!("no worker dies in this sweep"),
             }
         }
     }
@@ -117,32 +106,25 @@ fn main() {
     let order = pyxis.entry("RemoteOrder", "remoteOrder").expect("order");
     let pay = pyxis.entry("RemoteOrder", "pay").expect("pay");
 
-    println!("# multi-partition fraction sweep: {txns} txns, {SHARDS} shards");
-    println!("remote%\tmode\ttxn/s\tmulti\tmean_parts\tprepares\terrors\tspeedup");
+    println!("# multi-partition fraction sweep: {txns} txns, {SHARDS} shards, 2PC");
+    println!("remote%\ttxn/s\tmulti\tmean_parts\tprepares\terrors");
     for pct in [0.0, 0.05, 0.10, 0.15, 0.25] {
-        // The identical stream for both modes (same seed, same knobs).
-        let mk = || {
-            let mut g = tpcc::RemoteMixGen::new(order, pay, scale(), 17)
-                .with_remote_pct(pct)
-                .with_lines(2, 5);
-            (0..txns).map(|i| g.next_txn(i)).collect::<Vec<_>>()
-        };
-        let reqs = mk();
-        let quiesce = run(&part, &reqs, CrossShardMode::Quiesce);
-        let twopc = run(&part, &reqs, CrossShardMode::TwoPhase);
-        for (name, s) in [("quiesce", &quiesce), ("2pc", &twopc)] {
-            println!(
-                "{:.0}\t{name}\t{:.0}\t{}\t{:.2}\t{}\t{}\t{:.2}x",
-                pct * 100.0,
-                txns as f64 / s.secs,
-                s.multi,
-                s.mean_participants,
-                s.prepares,
-                s.errors,
-                quiesce.secs / s.secs,
-            );
-        }
-        assert_eq!(quiesce.multi, twopc.multi, "same stream, same lane count");
-        assert_eq!(quiesce.errors + twopc.errors, 0, "healthy sweep");
+        let mut g = tpcc::RemoteMixGen::new(order, pay, scale(), 17)
+            .with_remote_pct(pct)
+            .with_lines(2, 5);
+        let reqs: Vec<TxnRequest> = (0..txns).map(|i| g.next_txn(i)).collect();
+        let remote = reqs.iter().filter(|r| r.route.is_none()).count() as u64;
+        let s = run(&part, &reqs);
+        println!(
+            "{:.0}\t{:.0}\t{}\t{:.2}\t{}\t{}",
+            pct * 100.0,
+            txns as f64 / s.secs,
+            s.multi,
+            s.mean_participants,
+            s.prepares,
+            s.errors,
+        );
+        assert_eq!(s.multi, remote, "every cross-shard request ran as one");
+        assert_eq!(s.errors, 0, "healthy sweep");
     }
 }

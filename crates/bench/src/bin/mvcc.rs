@@ -11,25 +11,16 @@
 
 use pyx_bench::scenarios::TpcwReadMostlyEnv;
 use pyx_bench::{print_table, run_point};
-use pyx_runtime::VmMode;
 use pyx_sim::SimConfig;
 
 fn main() {
-    // Optional arg selects the VM dispatch tier (default: bytecode, the
-    // production fast path; `interp` pins the reference tree-walker).
-    let vm = match std::env::args().nth(1).as_deref() {
-        Some("interp") => VmMode::Interp,
-        Some("bytecode") | None => VmMode::Bytecode,
-        Some(other) => panic!("unknown vm tier `{other}` (expected interp|bytecode)"),
-    };
+    if let Some(a) = std::env::args().nth(1) {
+        panic!("unexpected argument `{a}` (usage: mvcc)");
+    }
     let env = TpcwReadMostlyEnv::build(2.0, 10);
     println!(
-        "# read-mostly TPC-W: {}% admin writes over hot items, 40 clients, 3-core DB, {} tier",
-        env.write_pct,
-        match vm {
-            VmMode::Interp => "interp",
-            VmMode::Bytecode => "bytecode",
-        }
+        "# read-mostly TPC-W: {}% admin writes over hot items, 40 clients, 3-core DB",
+        env.write_pct
     );
 
     // A small DB server (the paper's 3-core loaded regime) makes lock
@@ -40,7 +31,6 @@ fn main() {
         let run = |snapshot_reads: bool| {
             let cfg = SimConfig {
                 target_tps: w,
-                vm,
                 ..env.cfg(3, snapshot_reads)
             };
             run_point(

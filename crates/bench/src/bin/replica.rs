@@ -28,7 +28,7 @@ use pyx_server::{
 };
 use pyx_workloads::{tpcc, tpcw};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn fresh_tpcw(seed: u64) -> Engine {
     let mut e = Engine::new();
@@ -88,13 +88,16 @@ fn run_server(
                         errors += u64::from(d.error.is_some());
                     }
                 }
-                // A worker death surfaces here; the bounded-retry
-                // path reaps the corpse and, when healing is
+                // A worker death surfaces here; the deadline-bounded
+                // retry reaps the corpse and, when healing is
                 // configured, rides out the failover window.
-                Admit::Unavailable => match srv.submit_with_retry(req.clone(), i as u64, 8) {
-                    Admit::Started | Admit::Queued { .. } => break,
-                    other => panic!("shard stayed unavailable after retries: {other:?}"),
-                },
+                Admit::Unavailable => {
+                    let deadline = Instant::now() + Duration::from_millis(13);
+                    match srv.submit_by_deadline(req.clone(), i as u64, deadline) {
+                        Admit::Started | Admit::Queued { .. } => break,
+                        other => panic!("shard stayed unavailable after retries: {other:?}"),
+                    }
+                }
             }
         }
         if i % 64 == 0 {

@@ -2,19 +2,25 @@
 //!
 //! One binary per table/figure in §7 (see `src/bin/`): each regenerates
 //! the corresponding series — same axes, same deployments — on the
-//! virtual-time testbed. `EXPERIMENTS.md` records paper-vs-measured for
-//! each.
+//! virtual-time testbed. `EXPERIMENTS.md` records the serving, storage
+//! and VM measurements; it holds no fig9–14 results yet.
 //!
-//! | binary   | paper artifact                                        |
-//! |----------|-------------------------------------------------------|
-//! | `fig9`   | TPC-C, 16-core DB: latency / CPU / network vs tput    |
-//! | `fig10`  | TPC-C, 3-core DB: same                                |
-//! | `fig11`  | TPC-C dynamic partition switching time series         |
-//! | `fig12`  | TPC-W, 16-core DB: latency vs WIPS                    |
-//! | `fig13`  | TPC-W, 3-core DB: latency vs WIPS                     |
-//! | `fig14`  | Microbenchmark 2: completion time, 3 budgets × 3 loads|
-//! | `micro1` | §7.3: Pyxis VM overhead vs native                     |
-//! | `ablations` | solver / reorder / points-to / sync design studies |
+//! | binary      | what it measures                                      |
+//! |-------------|-------------------------------------------------------|
+//! | `fig9`      | TPC-C, 16-core DB: latency / CPU / network vs tput    |
+//! | `fig10`     | TPC-C, 3-core DB: same                                |
+//! | `fig11`     | TPC-C dynamic partition switching time series         |
+//! | `fig12`     | TPC-W, 16-core DB: latency vs WIPS                    |
+//! | `fig13`     | TPC-W, 3-core DB: latency vs WIPS                     |
+//! | `fig14`     | Microbenchmark 2: completion time, 3 budgets × 3 loads|
+//! | `micro1`    | §7.3: Pyxis VM overhead vs native                     |
+//! | `ablations` | solver / reorder / points-to / sync design studies    |
+//! | `mvcc`      | read-mostly TPC-W: 2PL reads vs MVCC snapshot reads   |
+//! | `recovery`  | WAL group-commit latency + crash-recovery time        |
+//! | `replica`   | log-shipping replicas: read scale-out, lag            |
+//! | `failover`  | shard failover MTTR under routed TPC-C                |
+//! | `multipart` | throughput vs cross-shard fraction through 2PC        |
+//! | `netlat`    | socket round trips (UDS + TCP) vs the `NetModel`      |
 //!
 //! The Criterion benches (`benches/`) cover wall-clock costs of the
 //! pipeline itself: VM dispatch overhead, solver comparison, and

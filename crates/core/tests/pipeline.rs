@@ -64,8 +64,7 @@ fn full_pipeline_produces_runnable_deployments() {
     for part in [&set.jdbc, &set.manual, &set.pyxis[0].2, &set.pyxis[1].2] {
         let mut engine = db();
         let mut sess = pyx_runtime::Session::new(
-            &part.il,
-            &part.bp,
+            part,
             entry,
             &[ArgVal::Int(20)],
             pyx_runtime::cost::RtCosts::default(),
@@ -145,8 +144,7 @@ fn reorder_flag_is_respected() {
         let part = pyxis.deploy(pyxis.partition(&graph, 2.0));
         let mut engine = db();
         let mut sess = pyx_runtime::Session::new(
-            &part.il,
-            &part.bp,
+            &part,
             entry,
             &[ArgVal::Int(10)],
             pyx_runtime::cost::RtCosts::default(),

@@ -2,11 +2,11 @@
 //! pre-resolved straight-line code the runtime can dispatch in a tight
 //! indexed loop.
 //!
-//! The execution-block VM in `pyx-runtime` historically *tree-walked* the
-//! block program: every step re-matched `BInstr`/`Rvalue`/`Operand` nodes,
-//! hashed `FieldId`s to find heap slots, looked method entries up in a
-//! `HashMap`, and materialized constants on each read. This pass pays all
-//! of that exactly once, at compile time:
+//! Walking the block program directly would re-match
+//! `BInstr`/`Rvalue`/`Operand` nodes at every step, hash `FieldId`s to
+//! find heap slots, look method entries up in a `HashMap`, and
+//! materialize constants on each read. This pass pays all of that exactly
+//! once, at compile time:
 //!
 //! * **Register form.** An operand is a [`Src`]: a frame slot index
 //!   (`Reg`), a constant-pool index (`Const`), or the VM accumulator
@@ -40,12 +40,13 @@
 //!   segment with three multiplies. Costs stay *counts* here so one
 //!   compiled program serves any `RtCosts` configuration.
 //!
-//! Semantics are bit-for-bit those of the tree-walker: the same heap
-//! operations in the same order, the same dirty-slot sets (and therefore
-//! the same wire frames), the same prepared-statement sites keyed by
-//! `(block, instr)`. `crates/runtime/tests/vm_differential.rs` holds both
-//! tiers to identical results, engine state, transfer counts, and wire
-//! bytes.
+//! The lowering keeps the block program's semantics: heap operations in
+//! statement order, a dirty bit for every stored local (so a wire frame
+//! ships exactly the slots written on the sending host), and
+//! prepared-statement sites keyed by the db call's `(block, instr)` in
+//! the block program. `crates/runtime/tests/differential.rs` and
+//! `vm_differential.rs` hold the runtime to what the unpartitioned
+//! program computes under the NIR interpreter.
 
 use crate::blocks::{BInstr, Block, BlockId, BlockProgram, Term};
 use crate::il::{PyxilProgram, SyncOp};
@@ -175,8 +176,8 @@ pub enum Op {
         dst: u16,
         a: Src,
     },
-    /// Database call. `site` keys the shared prepared-plan table exactly
-    /// like the tree-walker: `(block id, instruction index)`.
+    /// Database call. `site` keys the shared prepared-plan table: the
+    /// call's `(block id, instruction index)` in the block program.
     Db {
         update: bool,
         dst: u16,
@@ -256,14 +257,15 @@ pub struct BytecodeProgram {
     /// Program counter of each block's `Enter` op, indexed by [`BlockId`].
     pub block_pc: Vec<u32>,
     /// Per-op source statement (`u32::MAX` = none), parallel to `ops`.
-    /// Used only on error paths, so failing assigns report the same
-    /// `stmt StmtId(n): …` context as the tree-walker.
+    /// Used only on error paths, so a failing assign reports its source
+    /// statement as `stmt StmtId(n): …`.
     pub stmt_of: Vec<u32>,
 }
 
 impl BytecodeProgram {
     /// Entry pc for a session starting at block `entry` (the *unresolved*
-    /// entry block, mirroring the tree-walker's start-of-session state).
+    /// entry block: unlike jump and call targets, a session's first block is not
+    /// skipped when it is a neutral `Goto`).
     pub fn pc_of(&self, entry: BlockId) -> u32 {
         self.block_pc[entry.index()]
     }
@@ -840,7 +842,7 @@ mod tests {
             })
             .expect("db op");
         assert!(!db.1, "query, not update");
-        // Site key matches the (block, instr) the tree-walker would use.
+        // The site key names the db call's (block, instr).
         let (bi, ii) = db.0;
         let block = &bp.blocks[bi as usize];
         assert!(matches!(

@@ -41,5 +41,5 @@ pub mod wire;
 pub use heap::DistHeap;
 pub use monitor::{LoadMonitor, MonitorError, PartitionChoice};
 pub use net::NetModel;
-pub use session::{Advance, ArgVal, PreparedSites, Session, SessionStats, VmMode, VmScratch};
+pub use session::{Advance, ArgVal, PreparedSites, Session, SessionStats, VmScratch};
 pub use wire::{Frame, FrameKind, StackSlot, SyncEntry};

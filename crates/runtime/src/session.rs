@@ -1,7 +1,7 @@
 //! The execution-block VM (§5.1, §6).
 //!
 //! A [`Session`] executes one entry-point invocation (= one transaction)
-//! over a compiled [`BlockProgram`]. It is driven by repeatedly calling
+//! over a [`CompiledPartition`]. It is driven by repeatedly calling
 //! [`Session::advance`], which yields fine-grained virtual-time events:
 //!
 //! * [`Advance::Cpu`] — instructions consumed on the current host,
@@ -17,45 +17,34 @@
 //! The session never blocks the calling thread and owns no clock: the
 //! simulator decides what the events cost.
 //!
-//! # Two dispatch tiers
+//! # Dispatch
 //!
-//! The session runs in one of two modes ([`VmMode`]):
+//! A session runs the partition's pre-compiled
+//! [`BytecodeProgram`](pyx_pyxil::BytecodeProgram) as flat register code:
+//! constants are pool-index copies, field slots / entry pcs are
+//! pre-resolved, frames draw their locals from a session-owned slab
+//! (reusable across transactions via [`VmScratch`]), dirty-stack tracking
+//! is a per-frame `u64` bitmask merged into the wire frame only at flush
+//! time, and CPU accounting is batched per basic-block segment.
 //!
-//! * **Interp** — the original tree-walker over [`BInstr`]/`Rvalue` nodes.
-//! * **Bytecode** — attach a pre-compiled
-//!   [`BytecodeProgram`](pyx_pyxil::BytecodeProgram) with
-//!   [`Session::set_bytecode`] and the same program runs as flat register
-//!   code: constants are pool-index copies, field slots / entry pcs are
-//!   pre-resolved, frames draw their locals from a session-owned slab
-//!   (reusable across transactions via [`VmScratch`]), dirty-stack
-//!   tracking is a per-frame `u64` bitmask merged into the wire frame only
-//!   at flush time, and CPU accounting is batched per basic-block segment.
-//!
-//! Both tiers produce identical results, heap/engine state, control
-//! transfers, and wire bytes — `tests/vm_differential.rs` enforces it.
+//! A partitioned run must compute what the unpartitioned program
+//! computes: `tests/differential.rs` and `tests/vm_differential.rs` hold
+//! results, printed output, rollbacks, and final engine state to the
+//! NIR interpreter (`pyx_profile::Interp`), and check every wire frame
+//! round-trips byte for byte.
 
 use crate::cost::RtCosts;
 use crate::heap::{DistHeap, SyncKey};
 use crate::wire::{Frame as WireFrame, FrameKind, StackSlot};
 use pyx_db::{Database, DbError, PreparedId, TxnId};
 use pyx_lang::{
-    eval_binop, eval_unop, sha1_i64, Builtin, FieldId, LocalId, MethodId, Oid, Operand, Place,
-    RowGetKind, RtError, Rvalue, Scalar, Value,
+    eval_binop, eval_unop, sha1_i64, Builtin, MethodId, Oid, Operand, RowGetKind, RtError, Scalar,
+    Value,
 };
 use pyx_partition::Side;
 use pyx_pyxil::bytecode::{Op, Src, DST_ACC, DST_NONE};
-use pyx_pyxil::{BInstr, BlockId, BlockProgram, BytecodeProgram, PyxilProgram, SyncOp, Term};
-use std::collections::{BTreeSet, HashMap};
-
-/// Which dispatch tier a session (or a whole dispatcher) runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VmMode {
-    /// Tree-walk the block program (the reference tier).
-    Interp,
-    /// Dispatch pre-compiled register bytecode (the fast tier).
-    #[default]
-    Bytecode,
-}
+use pyx_pyxil::{BInstr, BlockProgram, BytecodeProgram, CompiledPartition};
+use std::collections::HashMap;
 
 /// Entry-point argument values (heap-free, so a session can be restarted
 /// after a deadlock by rebuilding the arguments).
@@ -119,12 +108,6 @@ enum State {
     Failed(RtError),
 }
 
-struct Frame {
-    locals: Vec<Value>,
-    ret_to: Option<BlockId>,
-    ret_dst: Option<LocalId>,
-}
-
 /// One bytecode frame: a window into the session's locals slab plus its
 /// dirty-bitmask window. `ret_pc == u32::MAX` marks the entry frame.
 #[derive(Debug, Clone, Copy)]
@@ -162,14 +145,9 @@ impl VmScratch {
 
 /// One transaction's execution over the partitioned program.
 pub struct Session<'a> {
-    il: &'a PyxilProgram,
-    bp: &'a BlockProgram,
+    bc: &'a BytecodeProgram,
     costs: RtCosts,
     pub heap: DistHeap,
-    frames: Vec<Frame>,
-    cur: BlockId,
-    iidx: usize,
-    entered: bool,
     pub loc: Side,
     txn: Option<TxnId>,
     /// Wait-die age of this logical transaction: the id of its first
@@ -186,21 +164,12 @@ pub struct Session<'a> {
     snapshot_reads: bool,
     pending_cpu: u64,
     state: State,
-    /// Per-side dirty stack slots: (frame depth, slot). The slot's current
-    /// value is read at flush time and shipped inside the wire frame.
-    /// (Interp tier only; the bytecode tier tracks dirtiness in
-    /// [`VmScratch::dirty`] bitmasks.)
-    dirty_stack: [BTreeSet<(u32, u32)>; 2],
-    field_slot: HashMap<FieldId, usize>,
     /// Per-call-site prepared statements, keyed by (block, instr index):
     /// every constant-SQL db call in the program is prepared once, so the
     /// hot loop issues handles, not strings. The value carries the SQL
     /// byte length for the wire model. Shared (`Rc`) so a dispatcher can
     /// prepare a partition once and reuse the table across sessions.
     prepared: PreparedSites,
-    /// Bytecode tier: the compiled program and its execution state. When
-    /// set, `advance` dispatches bytecode instead of tree-walking.
-    bc: Option<&'a BytecodeProgram>,
     pc: u32,
     acc: Value,
     vm: VmScratch,
@@ -262,43 +231,39 @@ impl<'a> Session<'a> {
         std::rc::Rc::new(prepared)
     }
 
+    /// Prepare `part`'s db-call sites on `engine` and start a session on
+    /// its bytecode.
     pub fn new(
-        il: &'a PyxilProgram,
-        bp: &'a BlockProgram,
+        part: &'a CompiledPartition,
         entry: MethodId,
         args: &[ArgVal],
         costs: RtCosts,
         engine: &mut dyn Database,
     ) -> Result<Session<'a>, RtError> {
-        let sites = Session::prepare_sites(bp, engine);
-        Session::with_prepared(il, bp, entry, args, costs, sites)
+        let sites = Session::prepare_sites(&part.bp, engine);
+        Session::with_prepared(part, entry, args, costs, sites, VmScratch::default())
     }
 
-    /// Construct a session around a pre-built prepared-plan table
-    /// (dispatcher fast path: no per-session string hashing or prepares).
+    /// Construct a session around a pre-built prepared-plan table and a
+    /// (possibly recycled) frame slab — the dispatcher fast path: no
+    /// per-session string hashing, prepares, or frame allocation.
     pub fn with_prepared(
-        il: &'a PyxilProgram,
-        bp: &'a BlockProgram,
+        part: &'a CompiledPartition,
         entry: MethodId,
         args: &[ArgVal],
         costs: RtCosts,
         prepared: PreparedSites,
+        mut vm: VmScratch,
     ) -> Result<Session<'a>, RtError> {
-        let prog = &il.prog;
-        let mut field_slot = HashMap::new();
-        for c in &prog.classes {
-            for (i, &f) in c.fields.iter().enumerate() {
-                field_slot.insert(f, i);
-            }
-        }
-
+        let prog = &part.il.prog;
         let mut heap = DistHeap::new();
         let m = prog.method(entry);
-        let mut locals = vec![Value::Null; m.locals.len()];
+        vm.clear();
+        vm.locals.resize(m.locals.len(), Value::Null);
         let mut slot = 0usize;
         if !m.is_static {
             let nf = prog.class(m.class).fields.len();
-            locals[0] = Value::Obj(heap.alloc_object(m.class, nf));
+            vm.locals[0] = Value::Obj(heap.alloc_object(m.class, nf));
             slot = 1;
         }
         if slot + args.len() != m.num_params {
@@ -310,7 +275,7 @@ impl<'a> Session<'a> {
             )));
         }
         for a in args {
-            locals[slot] = match a {
+            vm.locals[slot] = match a {
                 ArgVal::Int(v) => Value::Int(*v),
                 ArgVal::Double(v) => Value::Double(*v),
                 ArgVal::Bool(v) => Value::Bool(*v),
@@ -329,48 +294,49 @@ impl<'a> Session<'a> {
         // contents) rides the first control transfer off the APP server:
         // the argument slots are marked dirty, and array arguments enqueue
         // a native sync so their contents travel inside the entry frame.
-        let mut entry_dirty: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let len = vm.locals.len();
+        let words = len.div_ceil(64);
+        vm.dirty[0].resize(words, 0);
+        vm.dirty[1].resize(words, 0);
         let first_arg_slot = if m.is_static { 0 } else { 1 };
         for (i, a) in args.iter().enumerate() {
-            entry_dirty.insert((0, (i + first_arg_slot) as u32));
+            let s = i + first_arg_slot;
+            vm.dirty[side_idx(Side::App)][s / 64] |= 1 << (s % 64);
             if matches!(a, ArgVal::IntArray(_) | ArgVal::DoubleArray(_)) {
-                if let Value::Arr(oid) = locals[i + first_arg_slot] {
+                if let Value::Arr(oid) = vm.locals[s] {
                     heap.enqueue(Side::App, SyncKey::Native(oid));
                 }
             }
         }
+        vm.frames.push(BcFrame {
+            base: 0,
+            len: len as u32,
+            word_base: 0,
+            words: words as u32,
+            ret_pc: u32::MAX,
+            ret_dst: DST_NONE,
+        });
 
-        let entry_block = *bp
+        let entry_block = *part
+            .bp
             .entry
             .get(&entry)
             .ok_or_else(|| RtError::new("entry method has no compiled blocks"))?;
         Ok(Session {
-            il,
-            bp,
+            bc: &part.bc,
             costs,
             heap,
-            frames: vec![Frame {
-                locals,
-                ret_to: None,
-                ret_dst: None,
-            }],
-            cur: entry_block,
-            iidx: 0,
-            entered: false,
             loc: Side::App, // execution starts on the application server
             txn: None,
             txn_age: None,
-            read_only: bp.entry_read_only(entry),
+            read_only: part.bp.entry_read_only(entry),
             snapshot_reads: true,
             pending_cpu: 0,
             state: State::Running,
-            dirty_stack: [entry_dirty, BTreeSet::new()],
-            field_slot,
             prepared,
-            bc: None,
-            pc: 0,
+            pc: part.bc.pc_of(entry_block),
             acc: Value::Null,
-            vm: VmScratch::default(),
+            vm,
             fbase: 0,
             fword: 0,
             stats: SessionStats::default(),
@@ -406,15 +372,6 @@ impl<'a> Session<'a> {
         self.read_only
     }
 
-    /// Which dispatch tier this session runs.
-    pub fn vm_mode(&self) -> VmMode {
-        if self.bc.is_some() {
-            VmMode::Bytecode
-        } else {
-            VmMode::Interp
-        }
-    }
-
     /// Force read-only entries through the legacy locking read path
     /// instead of MVCC snapshots (differential tests, before/after
     /// benchmarks). Call before the first statement executes.
@@ -422,52 +379,13 @@ impl<'a> Session<'a> {
         self.snapshot_reads = on;
     }
 
-    /// Switch this session to the bytecode tier. `bc` must be compiled
-    /// from the same `BlockProgram` this session was built over; `scratch`
-    /// is the (possibly recycled) frame storage. Call before the first
-    /// `advance` — the entry frame and its dirty argument slots migrate
-    /// into the slab here.
-    pub fn set_bytecode(&mut self, bc: &'a BytecodeProgram, mut scratch: VmScratch) {
-        assert!(
-            self.stats.blocks_executed == 0 && matches!(self.state, State::Running),
-            "set_bytecode must precede the first advance"
-        );
-        scratch.clear();
-        let entry = &mut self.frames[0];
-        let len = entry.locals.len();
-        scratch.locals.append(&mut entry.locals);
-        let words = len.div_ceil(64) as u32;
-        for side in 0..2 {
-            scratch.dirty[side].resize(words as usize, 0);
-            for &(depth, slot) in &self.dirty_stack[side] {
-                debug_assert_eq!(depth, 0, "only the entry frame exists");
-                scratch.dirty[side][(slot / 64) as usize] |= 1 << (slot % 64);
-            }
-            self.dirty_stack[side].clear();
-        }
-        scratch.frames.push(BcFrame {
-            base: 0,
-            len: len as u32,
-            word_base: 0,
-            words,
-            ret_pc: u32::MAX,
-            ret_dst: DST_NONE,
-        });
-        self.pc = bc.pc_of(self.cur);
-        self.fbase = 0;
-        self.fword = 0;
-        self.vm = scratch;
-        self.bc = Some(bc);
-    }
-
-    /// Reclaim the bytecode frame storage from a retired (or about to be
-    /// restarted) session so the next one allocates nothing. Returns
-    /// `None` for interp-tier sessions.
-    pub fn take_scratch(&mut self) -> Option<VmScratch> {
-        self.bc?;
+    /// Reclaim the frame slab from a retired (or about to be restarted)
+    /// session so the next one allocates nothing. The slab comes back
+    /// empty: a pooled slab pins none of its last transaction's values.
+    pub fn take_scratch(&mut self) -> VmScratch {
         let mut s = std::mem::take(&mut self.vm);
         s.clear();
-        Some(s)
+        s
     }
 
     fn fail(&mut self, engine: &mut dyn Database, e: RtError) -> Advance {
@@ -481,14 +399,11 @@ impl<'a> Session<'a> {
     }
 
     /// [`Session::fail`] for bytecode ops lowered from an `Assign`: wraps
-    /// the error with the same `stmt StmtId(n): …` context the
-    /// tree-walker adds, so error strings stay identical across tiers.
+    /// the error with its source statement as `stmt StmtId(n): …`.
     fn fail_at(&mut self, engine: &mut dyn Database, pc: usize, e: RtError) -> Advance {
-        let e = match self.bc.map(|bc| bc.stmt_of[pc]) {
-            Some(id) if id != u32::MAX => {
-                RtError::new(format!("stmt {:?}: {}", pyx_lang::StmtId(id), e.msg))
-            }
-            _ => e,
+        let e = match self.bc.stmt_of[pc] {
+            u32::MAX => e,
+            id => RtError::new(format!("stmt {:?}: {}", pyx_lang::StmtId(id), e.msg)),
         };
         self.fail(engine, e)
     }
@@ -540,11 +455,7 @@ impl<'a> Session<'a> {
             }
             State::Running => {}
         }
-        if self.bc.is_some() {
-            self.run_bytecode(engine)
-        } else {
-            self.run_interp(engine)
-        }
+        self.run_bytecode(engine)
     }
 
     /// Entry-method return: commit, then hand off to the Returning state
@@ -603,168 +514,6 @@ impl<'a> Session<'a> {
             Err(e) => self.fail(engine, e),
         }
     }
-
-    /// Tree-walking tier: run until the next virtual-time event.
-    fn run_interp(&mut self, engine: &mut dyn Database) -> Advance {
-        loop {
-            // Control transfer needed?
-            let host = self.bp.block(self.cur).host;
-            if self.iidx == 0 && host != self.loc {
-                if let Some(cpu) = self.take_cpu() {
-                    return cpu;
-                }
-                return self.transfer_to(engine, host);
-            }
-
-            if self.iidx == 0 && !self.entered {
-                self.pending_cpu += self.costs.block_entry;
-                self.stats.blocks_executed += 1;
-                self.entered = true;
-            }
-
-            if self.pending_cpu >= CPU_YIELD {
-                return self.take_cpu().expect("pending cpu");
-            }
-
-            // Execute the next instruction, or the terminator. The block
-            // reference borrows the program (`'a`), not `self`, so no
-            // instruction or terminator needs to be cloned per step.
-            let bp: &'a BlockProgram = self.bp;
-            let block = bp.block(self.cur);
-            if self.iidx < block.instrs.len() {
-                match &block.instrs[self.iidx] {
-                    BInstr::Assign { dst, rv, stmt } => {
-                        let stmt = *stmt;
-                        self.pending_cpu += self.costs.instr;
-                        self.stats.instrs_executed += 1;
-                        let ctx = |e: RtError| RtError::new(format!("stmt {stmt:?}: {}", e.msg));
-                        match self.eval_rvalue(rv) {
-                            Ok(v) => {
-                                if let Err(e) = self.store(dst, v) {
-                                    let e = ctx(e);
-                                    return self.fail(engine, e);
-                                }
-                            }
-                            Err(e) => {
-                                let e = ctx(e);
-                                return self.fail(engine, e);
-                            }
-                        }
-                        self.iidx += 1;
-                    }
-                    BInstr::Sync(op) => {
-                        self.pending_cpu += self.costs.sync;
-                        if let Err(e) = self.enqueue_sync(op) {
-                            return self.fail(engine, e);
-                        }
-                        self.iidx += 1;
-                    }
-                    BInstr::Builtin { dst, f, args, .. } => {
-                        let (dst, f) = (*dst, *f);
-                        if f.is_db_call() {
-                            // Yield accumulated CPU before the round trip
-                            // so the simulator sequences it correctly.
-                            if let Some(cpu) = self.take_cpu() {
-                                return cpu;
-                            }
-                            return self.exec_db(engine, dst, f, args);
-                        }
-                        self.pending_cpu += self.costs.instr;
-                        self.stats.instrs_executed += 1;
-                        match self.exec_local_builtin(f, args) {
-                            Ok(v) => {
-                                if let Some(d) = dst {
-                                    let v = match v {
-                                        Some(v) => v,
-                                        None => {
-                                            return self.fail(
-                                                engine,
-                                                RtError::new("void builtin used as value"),
-                                            )
-                                        }
-                                    };
-                                    self.set_local(d, v);
-                                }
-                            }
-                            Err(e) => return self.fail(engine, e),
-                        }
-                        self.iidx += 1;
-                    }
-                }
-                continue;
-            }
-
-            // Terminator.
-            self.pending_cpu += self.costs.term;
-            match &block.term {
-                Term::Goto(b) => self.jump(*b),
-                Term::Branch {
-                    cond,
-                    then_b,
-                    else_b,
-                } => {
-                    let c = match self.operand(cond).truthy() {
-                        Ok(c) => c,
-                        Err(e) => return self.fail(engine, e),
-                    };
-                    self.jump(if c { *then_b } else { *else_b });
-                }
-                Term::Call {
-                    method,
-                    args,
-                    dst,
-                    ret_to,
-                    ..
-                } => {
-                    let callee = self.il.prog.method(*method);
-                    let mut locals = vec![Value::Null; callee.locals.len()];
-                    for (i, a) in args.iter().enumerate() {
-                        locals[i] = self.operand(a);
-                    }
-                    // Arguments are fresh stack state on the current host.
-                    let depth = self.frames.len() as u32;
-                    for i in 0..args.len() {
-                        self.mark_stack_dirty(depth, i as u32);
-                    }
-                    self.frames.push(Frame {
-                        locals,
-                        ret_to: Some(*ret_to),
-                        ret_dst: *dst,
-                    });
-                    let entry = *bp
-                        .entry
-                        .get(method)
-                        .expect("compiled method has an entry block");
-                    self.jump(entry);
-                }
-                Term::Ret { value } => {
-                    let v = value.as_ref().map(|o| self.operand(o));
-                    let frame = self.frames.pop().expect("frame underflow");
-                    let live = self.frames.len() as u32;
-                    for side in 0..2 {
-                        self.dirty_stack[side].retain(|&(d, _)| d < live);
-                    }
-                    match frame.ret_to {
-                        Some(ret_to) => {
-                            if let (Some(d), Some(v)) = (frame.ret_dst, v) {
-                                self.set_local(d, v);
-                            }
-                            self.jump(ret_to);
-                        }
-                        None => return self.finish_entry(engine, v),
-                    }
-                }
-            }
-        }
-    }
-
-    fn jump(&mut self, to: BlockId) {
-        self.cur = self.bp.resolve(to);
-        self.iidx = 0;
-        self.entered = false;
-    }
-
-    // ---- bytecode tier ----
 
     /// Read a bytecode operand by reference — no `Value` is cloned unless
     /// the consumer needs ownership. Local reads index the cached top
@@ -826,9 +575,8 @@ impl<'a> Session<'a> {
     /// Charge one basic-block segment's batched CPU and stats. Charged at
     /// segment *entry*: a transaction that hits a runtime error mid-segment
     /// has already been billed for the whole segment (its virtual-time and
-    /// instruction books are abandoned with the failed session; successful
-    /// runs — the only ones the differential suite compares — account
-    /// identically to the per-instruction tree-walker).
+    /// instruction books are abandoned with the failed session; a
+    /// successful run is billed exactly one charge per instruction).
     #[inline]
     fn charge(&mut self, seg: &pyx_pyxil::bytecode::SegCost) {
         let c = &self.costs;
@@ -844,11 +592,12 @@ impl<'a> Session<'a> {
         self.stats.instrs_executed += seg.instrs as u64;
     }
 
-    /// Bytecode tier: dispatch flat register code in a tight indexed loop.
+    /// Dispatch flat register code in a tight indexed loop until the next
+    /// virtual-time event.
     fn run_bytecode(&mut self, engine: &mut dyn Database) -> Advance {
         // `bc` borrows the program (`'a`), not `self`: ops never need
         // cloning and every arm has full mutable access to the session.
-        let bc = self.bc.expect("bytecode attached");
+        let bc = self.bc;
         let consts = &bc.consts[..];
         let ops = &bc.ops[..];
         // The program counter lives in a register for the whole dispatch
@@ -1075,11 +824,11 @@ impl<'a> Session<'a> {
                     if let Some(cpu) = self.take_cpu() {
                         yield_now!(cpu);
                     }
-                    // `exec_db_bc` advances `self.pc` itself on success and
+                    // `exec_db` advances `self.pc` itself on success and
                     // leaves it in place on lock waits (the retry re-runs
                     // this op).
                     self.pc = pc as u32;
-                    return self.exec_db_bc(engine, *update, *dst, *site, *sql, params, consts);
+                    return self.exec_db(engine, *update, *dst, *site, *sql, params, consts);
                 }
                 Op::Jump { to } => pc = *to as usize,
                 Op::Goto { to, seg } => {
@@ -1145,8 +894,8 @@ impl<'a> Session<'a> {
                 } => {
                     // The loop-edge superinstruction: compare, store the
                     // condition local, charge the chosen target block, and
-                    // land inside it — one dispatch for what the
-                    // tree-walker does in four steps.
+                    // land inside it — one dispatch for four block-level
+                    // steps.
                     let v = match self.eval_bin(*op, *a, *b, consts) {
                         Ok(v) => v,
                         Err(e) => yield_now!(self.fail_at(engine, pc, e)),
@@ -1234,11 +983,12 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Bytecode db call: mirrors [`Session::exec_db`] exactly — same
-    /// prepared-site keying, transaction begin, wire-cost model, and error
-    /// paths — with the parameter buffer recycled across calls.
+    /// Execute one db call: issue the prepared handle for `site` (or the
+    /// ad-hoc SQL text), begin the transaction on first use, and price the
+    /// round trip for the wire model. The parameter buffer is recycled
+    /// across calls.
     #[allow(clippy::too_many_arguments)]
-    fn exec_db_bc(
+    fn exec_db(
         &mut self,
         engine: &mut dyn Database,
         update: bool,
@@ -1337,7 +1087,7 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Non-db builtin over one already-evaluated argument (bytecode tier).
+    /// Non-db builtin over one already-evaluated argument.
     fn exec_builtin1(&mut self, f: Builtin, v: Value) -> Result<Option<Value>, RtError> {
         match f {
             Builtin::Print => {
@@ -1377,247 +1127,7 @@ impl<'a> Session<'a> {
                 other => Err(RtError::new(format!("strLen on {other:?}"))),
             },
             Builtin::DbQuery | Builtin::DbUpdate | Builtin::Rollback => {
-                unreachable!("db calls take the db paths (exec_db / Op::Db / Op::Rollback)")
-            }
-        }
-    }
-
-    // ---- interp tier ----
-
-    fn exec_db(
-        &mut self,
-        engine: &mut dyn Database,
-        dst: Option<LocalId>,
-        f: Builtin,
-        args: &[Operand],
-    ) -> Advance {
-        if f == Builtin::Rollback {
-            if let Some(t) = self.txn.take() {
-                match engine.abort(t) {
-                    Ok((c, woken)) => {
-                        self.pending_cpu += c;
-                        self.last_woken = woken;
-                    }
-                    Err(e) => return self.fail(engine, RtError::new(e.to_string())),
-                }
-            }
-            self.rolled_back = true;
-            self.iidx += 1;
-            return Advance::DbOp {
-                issued_from: self.loc,
-                db_cpu: pyx_db::cost::TXN_END,
-                req_bytes: 16,
-                resp_bytes: 16,
-            };
-        }
-
-        let params: Vec<pyx_lang::Scalar> = match args[1..]
-            .iter()
-            .map(|a| self.operand(a).to_scalar())
-            .collect::<Result<_, _>>()
-        {
-            Ok(p) => p,
-            Err(e) => return self.fail(engine, e),
-        };
-        // Constant-SQL sites were prepared at construction: issue the
-        // handle, no string in the hot path. Dynamic SQL falls back to
-        // the ad-hoc engine path. The wire model still charges the SQL
-        // text length — a JDBC-style client ships the statement text.
-        let site = self.prepared.get(&(self.cur.0, self.iidx as u32)).copied();
-        let (sql_len, exec) = match site {
-            Some((pid, sql_len)) => (sql_len, Ok(pid)),
-            None => {
-                let sql_v = self.operand(&args[0]);
-                let Value::Str(sql) = sql_v else {
-                    return self.fail(engine, RtError::new("SQL must be a string"));
-                };
-                (sql.len() as u64, Err(sql))
-            }
-        };
-        let txn = match self.txn {
-            Some(t) => t,
-            None => {
-                // Read-only entry fragments run as snapshot transactions:
-                // lock-free reads that can never block or die.
-                let t = if self.read_only && self.snapshot_reads {
-                    engine.begin_read_only()
-                } else if let Some(age) = self.txn_age {
-                    engine.begin_aged(age)
-                } else {
-                    engine.begin()
-                };
-                self.txn = Some(t);
-                self.txn_age.get_or_insert(t.0);
-                t
-            }
-        };
-        let req_bytes: u64 = 16 + sql_len + params.iter().map(|s| s.wire_size()).sum::<u64>();
-        let res = match &exec {
-            Ok(pid) => engine.execute_prepared(txn, *pid, &params),
-            Err(sql) => engine.execute(txn, sql, &params),
-        };
-        match res {
-            Ok(res) => {
-                let resp_bytes = res.wire_size();
-                let db_cpu = res.cost;
-                let out = if f == Builtin::DbQuery {
-                    Value::Arr(self.heap.alloc_rows_on(self.loc, res.rows))
-                } else {
-                    Value::Int(res.affected as i64)
-                };
-                if let Some(d) = dst {
-                    self.set_local(d, out);
-                }
-                self.iidx += 1;
-                if self.loc == Side::App {
-                    self.stats.db_round_trips += 1;
-                } else {
-                    self.stats.db_local_calls += 1;
-                }
-                Advance::DbOp {
-                    issued_from: self.loc,
-                    db_cpu,
-                    req_bytes,
-                    resp_bytes,
-                }
-            }
-            Err(DbError::WouldBlock) => Advance::Blocked { txn },
-            Err(DbError::Deadlock) => {
-                if let Some(t) = self.txn.take() {
-                    if let Ok((_, woken)) = engine.abort(t) {
-                        self.last_woken = woken;
-                    }
-                }
-                self.state = State::Deadlocked;
-                Advance::Deadlocked
-            }
-            Err(e) => self.fail(engine, RtError::new(e.to_string())),
-        }
-    }
-
-    /// Interp-tier entry to the shared builtin implementations: every
-    /// non-db builtin takes exactly one argument, so both tiers delegate
-    /// to [`Session::exec_builtin1`] — one copy of the semantics.
-    fn exec_local_builtin(
-        &mut self,
-        f: Builtin,
-        args: &[Operand],
-    ) -> Result<Option<Value>, RtError> {
-        let v = self.operand(&args[0]);
-        self.exec_builtin1(f, v)
-    }
-
-    // ---- value plumbing ----
-
-    fn frame(&self) -> &Frame {
-        self.frames.last().expect("active frame")
-    }
-
-    fn operand(&self, o: &Operand) -> Value {
-        match o {
-            Operand::Local(l) => self.frame().locals[l.index()].clone(),
-            Operand::CInt(v) => Value::Int(*v),
-            Operand::CDouble(v) => Value::Double(*v),
-            Operand::CBool(v) => Value::Bool(*v),
-            Operand::CStr(s) => Value::Str(s.clone()),
-            Operand::Null => Value::Null,
-        }
-    }
-
-    fn set_local(&mut self, l: LocalId, v: Value) {
-        let depth = (self.frames.len() - 1) as u32;
-        self.mark_stack_dirty(depth, l.0);
-        self.frames.last_mut().expect("active frame").locals[l.index()] = v;
-    }
-
-    fn mark_stack_dirty(&mut self, depth: u32, slot: u32) {
-        self.dirty_stack[side_idx(self.loc)].insert((depth, slot));
-    }
-
-    fn eval_rvalue(&mut self, rv: &Rvalue) -> Result<Value, RtError> {
-        match rv {
-            Rvalue::Use(o) => Ok(self.operand(o)),
-            Rvalue::Unary(op, a) => eval_unop(*op, &self.operand(a)),
-            Rvalue::Binary(op, a, b) => eval_binop(*op, &self.operand(a), &self.operand(b)),
-            Rvalue::ReadField { base, field } => {
-                let oid = as_obj(&self.operand(base))?;
-                let slot = self.field_slot[field];
-                self.heap.host(self.loc).field(oid, slot)
-            }
-            Rvalue::ReadElem { arr, idx } => {
-                let oid = as_arr(&self.operand(arr))?;
-                let i = as_int(&self.operand(idx))?;
-                self.heap.host(self.loc).elem(oid, i)
-            }
-            Rvalue::Len(a) => {
-                let oid = as_arr(&self.operand(a))?;
-                Ok(Value::Int(self.heap.host(self.loc).array_len(oid)?))
-            }
-            Rvalue::NewArray { elem, len } => {
-                let n = as_int(&self.operand(len))?;
-                if n < 0 {
-                    return Err(RtError::new("negative array length"));
-                }
-                Ok(Value::Arr(self.heap.alloc_array(elem, n as usize)))
-            }
-            Rvalue::NewObject { class } => {
-                let nf = self.il.prog.class(*class).fields.len();
-                Ok(Value::Obj(self.heap.alloc_object(*class, nf)))
-            }
-            Rvalue::RowGet { row, idx, kind } => {
-                let r = self.operand(row);
-                let i = as_int(&self.operand(idx))?;
-                let Value::Row(cols) = r else {
-                    return Err(RtError::new("row getter on a non-row (stale remote data?)"));
-                };
-                let cell = cols
-                    .get(i as usize)
-                    .ok_or_else(|| RtError::new(format!("row column {i} out of range")))?;
-                let v = Value::from_scalar(cell);
-                Ok(match (kind, v) {
-                    (RowGetKind::Double, Value::Int(x)) => Value::Double(x as f64),
-                    (RowGetKind::Int, Value::Double(x)) => Value::Int(x as i64),
-                    (_, v) => v,
-                })
-            }
-        }
-    }
-
-    fn store(&mut self, dst: &Place, v: Value) -> Result<(), RtError> {
-        match dst {
-            Place::Local(l) => {
-                self.set_local(*l, v);
-                Ok(())
-            }
-            Place::Field { base, field } => {
-                let oid = as_obj(&self.operand(base))?;
-                let slot = self.field_slot[field];
-                self.heap.host_mut(self.loc).set_field(oid, slot, v)
-            }
-            Place::Elem { arr, idx } => {
-                let oid = as_arr(&self.operand(arr))?;
-                let i = as_int(&self.operand(idx))?;
-                self.heap.host_mut(self.loc).set_elem(oid, i, v)
-            }
-        }
-    }
-
-    fn enqueue_sync(&mut self, op: &SyncOp) -> Result<(), RtError> {
-        match op {
-            SyncOp::SendField { base, field, .. } => {
-                let v = self.operand(base);
-                if let Value::Obj(oid) = v {
-                    let slot = self.field_slot[field] as u32;
-                    self.heap.enqueue(self.loc, SyncKey::Field(oid, slot));
-                }
-                Ok(())
-            }
-            SyncOp::SendNative { arr } => {
-                let v = self.operand(arr);
-                if let Value::Arr(oid) = v {
-                    self.heap.enqueue(self.loc, SyncKey::Native(oid));
-                }
-                Ok(())
+                unreachable!("db calls lower to Op::Db / Op::Rollback")
             }
         }
     }
@@ -1629,51 +1139,31 @@ impl<'a> Session<'a> {
     /// bytes a real two-host deployment would put on the network — and the
     /// returned size is exactly `encode().len()`.
     ///
-    /// Dirty slots are gathered from whichever stack representation is
-    /// active: the interp tier's `(depth, slot)` set or the bytecode
-    /// tier's per-frame bitmasks. Both enumerate in (depth, slot) order,
-    /// so the encoded bytes are identical across tiers.
+    /// Dirty slots ship in (depth, slot) order from the per-frame
+    /// bitmasks; slots of frames popped since the last transfer died with
+    /// their call and ship nothing.
     fn flush_transfer(&mut self, kind: FrameKind, from: Side) -> Result<u64, RtError> {
         let mut frame = WireFrame::new(kind, from);
         frame.sync = self.heap.collect_sync(from)?;
         let idx = side_idx(from);
-        if self.bc.is_some() {
-            for (depth, f) in self.vm.frames.iter().enumerate() {
-                for w in 0..f.words as usize {
-                    let mut bits = self.vm.dirty[idx][f.word_base as usize + w];
-                    while bits != 0 {
-                        let slot = (w * 64) as u32 + bits.trailing_zeros();
-                        bits &= bits - 1;
-                        if slot < f.len {
-                            frame.stack.push(StackSlot {
-                                depth: depth as u32,
-                                slot,
-                                value: self.vm.locals[(f.base + slot) as usize].clone(),
-                            });
-                        }
+        for (depth, f) in self.vm.frames.iter().enumerate() {
+            for w in 0..f.words as usize {
+                let mut bits = self.vm.dirty[idx][f.word_base as usize + w];
+                while bits != 0 {
+                    let slot = (w * 64) as u32 + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    if slot < f.len {
+                        frame.stack.push(StackSlot {
+                            depth: depth as u32,
+                            slot,
+                            value: self.vm.locals[(f.base + slot) as usize].clone(),
+                        });
                     }
                 }
             }
-            for w in self.vm.dirty[idx].iter_mut() {
-                *w = 0;
-            }
-        } else {
-            for &(depth, slot) in &self.dirty_stack[idx] {
-                // A slot whose frame has since been popped has nothing to
-                // ship: the callee state died with the call.
-                let Some(f) = self.frames.get(depth as usize) else {
-                    continue;
-                };
-                let Some(value) = f.locals.get(slot as usize) else {
-                    continue;
-                };
-                frame.stack.push(StackSlot {
-                    depth,
-                    slot,
-                    value: value.clone(),
-                });
-            }
-            self.dirty_stack[idx].clear();
+        }
+        for w in self.vm.dirty[idx].iter_mut() {
+            *w = 0;
         }
         if kind == FrameKind::Return {
             frame.result = self.result.clone();

@@ -9,7 +9,7 @@ use pyx_db::{ColTy, ColumnDef, Engine, Scalar, TableDef};
 use pyx_lang::{compile, NirProgram, Value};
 use pyx_partition::{solve, CostParams, PartitionGraph, Placement, Side, SolverKind};
 use pyx_profile::{Interp, NullTracer, Profiler};
-use pyx_pyxil::{build_pyxil, compile_blocks};
+use pyx_pyxil::CompiledPartition;
 use pyx_runtime::cost::RtCosts;
 use pyx_runtime::session::{run_to_completion, Session};
 use pyx_runtime::ArgVal;
@@ -131,13 +131,11 @@ fn run_vm(
     pyx_runtime::SessionStats,
 ) {
     let analysis = analyze(prog, AnalysisConfig::default());
-    let il = build_pyxil(prog, &analysis, placement, reorder);
-    let bp = compile_blocks(&il);
+    let part = CompiledPartition::build(prog, &analysis, placement, reorder);
     let mut db = order_db();
-    let entry = il.prog.find_method("Main", "run").unwrap();
+    let entry = part.il.prog.find_method("Main", "run").unwrap();
     let mut sess = Session::new(
-        &il,
-        &bp,
+        &part,
         entry,
         &[ArgVal::Int(7), ArgVal::Int(1), ArgVal::Double(0.8)],
         RtCosts::default(),
@@ -264,24 +262,16 @@ fn rollback_works_under_partitioning() {
     let prog = compile(src).unwrap();
     let analysis = analyze(&prog, AnalysisConfig::default());
     for placement in [Placement::all_app(&prog), Placement::all_db(&prog)] {
-        let il = build_pyxil(&prog, &analysis, placement, false);
-        let bp = compile_blocks(&il);
+        let part = CompiledPartition::build(&prog, &analysis, placement, false);
         let mut db = Engine::new();
         db.create_table(TableDef::new(
             "t",
             vec![ColumnDef::new("k", ColTy::Int)],
             &["k"],
         ));
-        let entry = il.prog.find_method("C", "f").unwrap();
-        let mut sess = Session::new(
-            &il,
-            &bp,
-            entry,
-            &[ArgVal::Int(3)],
-            RtCosts::default(),
-            &mut db,
-        )
-        .unwrap();
+        let entry = part.il.prog.find_method("C", "f").unwrap();
+        let mut sess =
+            Session::new(&part, entry, &[ArgVal::Int(3)], RtCosts::default(), &mut db).unwrap();
         run_to_completion(&mut sess, &mut db, 100_000).unwrap();
         assert!(sess.rolled_back);
         assert_eq!(sess.result, Some(Value::Int(3)));
@@ -302,13 +292,11 @@ fn print_output_preserved_across_placements() {
     let prog = compile(src).unwrap();
     let analysis = analyze(&prog, AnalysisConfig::default());
     for placement in [Placement::all_app(&prog), Placement::all_db(&prog)] {
-        let il = build_pyxil(&prog, &analysis, placement, false);
-        let bp = compile_blocks(&il);
+        let part = CompiledPartition::build(&prog, &analysis, placement, false);
         let mut db = Engine::new();
-        let entry = il.prog.find_method("C", "f").unwrap();
+        let entry = part.il.prog.find_method("C", "f").unwrap();
         let mut sess = Session::new(
-            &il,
-            &bp,
+            &part,
             entry,
             &[ArgVal::Int(21)],
             RtCosts::default(),
@@ -337,8 +325,7 @@ fn array_arguments_cross_hosts() {
     let prog = compile(src).unwrap();
     let analysis = analyze(&prog, AnalysisConfig::default());
     for placement in [Placement::all_app(&prog), Placement::all_db(&prog)] {
-        let il = build_pyxil(&prog, &analysis, placement, false);
-        let bp = compile_blocks(&il);
+        let part = CompiledPartition::build(&prog, &analysis, placement, false);
         let mut db = Engine::new();
         db.create_table(TableDef::new(
             "kv",
@@ -351,10 +338,9 @@ fn array_arguments_cross_hosts() {
         for i in 0..10 {
             db.load_row("kv", vec![Scalar::Int(i), Scalar::Int(i * 100)]);
         }
-        let entry = il.prog.find_method("C", "sum").unwrap();
+        let entry = part.il.prog.find_method("C", "sum").unwrap();
         let mut sess = Session::new(
-            &il,
-            &bp,
+            &part,
             entry,
             &[ArgVal::IntArray(vec![1, 3, 5])],
             RtCosts::default(),
@@ -377,13 +363,11 @@ fn net_bytes_equal_encoded_frame_length() {
 
     let prog = compile(ORDER_SRC).unwrap();
     let analysis = analyze(&prog, AnalysisConfig::default());
-    let il = build_pyxil(&prog, &analysis, Placement::all_db(&prog), false);
-    let bp = compile_blocks(&il);
+    let part = CompiledPartition::build(&prog, &analysis, Placement::all_db(&prog), false);
     let mut db = order_db();
-    let entry = il.prog.find_method("Main", "run").unwrap();
+    let entry = part.il.prog.find_method("Main", "run").unwrap();
     let mut sess = Session::new(
-        &il,
-        &bp,
+        &part,
         entry,
         &[ArgVal::Int(7), ArgVal::Int(1), ArgVal::Double(0.8)],
         RtCosts::default(),
@@ -458,13 +442,11 @@ fn debug_random_trial() {
             p.field_side[f] = if rnd() { Side::Db } else { Side::App };
         }
         let analysis = analyze(&prog, AnalysisConfig::default());
-        let il = build_pyxil(&prog, &analysis, p, false);
-        let bp = compile_blocks(&il);
+        let part = CompiledPartition::build(&prog, &analysis, p, false);
         let mut db = order_db();
-        let entry = il.prog.find_method("Main", "run").unwrap();
+        let entry = part.il.prog.find_method("Main", "run").unwrap();
         let mut sess = Session::new(
-            &il,
-            &bp,
+            &part,
             entry,
             &[ArgVal::Int(7), ArgVal::Int(1), ArgVal::Double(0.8)],
             RtCosts::default(),
@@ -474,7 +456,7 @@ fn debug_random_trial() {
         let r = run_to_completion(&mut sess, &mut db, 5_000_000);
         println!("trial {trial}: result: {r:?}");
         if r.is_err() {
-            println!("{}", il.render());
+            println!("{}", part.il.render());
             break;
         }
     }

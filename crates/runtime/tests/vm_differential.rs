@@ -1,7 +1,10 @@
-//! VM-tier differential suite: the register-bytecode tier must be
-//! *observationally identical* to the tree-walking interpreter tier — not
-//! just same results, but same final engine state, same number of control
-//! transfers, and byte-identical wire frames on every transfer.
+//! VM differential suite against the NIR oracle: every partitioned run
+//! must compute exactly what the *unpartitioned* program computes under
+//! the reference interpreter (`pyx_profile::Interp`) on its own engine —
+//! same result, printed output, and rollback flag per transaction, and
+//! the same final engine state. Every control transfer must also report
+//! exactly its encoded frame's length, and that frame must decode and
+//! re-encode to the same bytes.
 //!
 //! Three layers of evidence:
 //!
@@ -16,46 +19,42 @@
 use proptest::prelude::*;
 use pyx_analysis::{analyze, AnalysisConfig};
 use pyx_db::{ColTy, ColumnDef, Engine, Scalar, TableDef};
-use pyx_lang::{compile, Value};
+use pyx_lang::{compile, MethodId, NirProgram, Value};
 use pyx_partition::{Placement, Side};
-use pyx_pyxil::{build_pyxil, compile_blocks, compile_bytecode, CompiledPartition};
+use pyx_profile::{Interp, NullTracer};
+use pyx_pyxil::CompiledPartition;
 use pyx_runtime::cost::RtCosts;
 use pyx_runtime::session::{Session, VmScratch};
+use pyx_runtime::wire::Frame;
 use pyx_runtime::{Advance, ArgVal};
 use pyx_sim::Workload;
 use pyx_workloads::{tpcc, tpcw};
 
-/// Everything observable about one transaction, plus the raw bytes of
-/// every wire frame it put on the (virtual) network.
+/// Everything observable about one transaction.
 #[derive(Debug, PartialEq)]
 struct Observed {
     result: Option<Value>,
     printed: Vec<String>,
     rolled_back: bool,
-    control_transfers: u64,
-    blocks: u64,
-    instrs: u64,
-    frames: Vec<Vec<u8>>,
 }
 
+/// Drive a session to completion, checking every wire frame on the way:
+/// the reported size is the encoded length, and decode → encode
+/// reproduces the bytes exactly.
 fn drive(sess: &mut Session<'_>, engine: &mut Engine) -> Observed {
-    let mut frames = Vec::new();
     for _ in 0..20_000_000u64 {
         match sess.advance(engine) {
             Advance::Net { bytes, .. } => {
-                let f = sess.last_frame.clone().expect("frame recorded");
+                let f = sess.last_frame.as_ref().expect("frame recorded");
                 assert_eq!(bytes, f.len() as u64, "net bytes == encoded frame length");
-                frames.push(f);
+                let decoded = Frame::decode(f).expect("transmitted frame decodes");
+                assert_eq!(&decoded.encode(), f, "frame round-trips byte for byte");
             }
             Advance::Finished => {
                 return Observed {
                     result: sess.result.clone(),
                     printed: sess.printed.clone(),
                     rolled_back: sess.rolled_back,
-                    control_transfers: sess.stats.control_transfers,
-                    blocks: sess.stats.blocks_executed,
-                    instrs: sess.stats.instrs_executed,
-                    frames,
                 }
             }
             Advance::Error(e) => panic!("session failed: {e}"),
@@ -67,64 +66,78 @@ fn drive(sess: &mut Session<'_>, engine: &mut Engine) -> Observed {
     panic!("session did not finish");
 }
 
+/// Run one entry invocation on the oracle.
+fn oracle_call(
+    it: &mut Interp<'_, NullTracer>,
+    entry: MethodId,
+    args: &[ArgVal],
+) -> Result<Observed, String> {
+    let vals = args
+        .iter()
+        .map(|a| match a {
+            ArgVal::Int(v) => Value::Int(*v),
+            ArgVal::Double(v) => Value::Double(*v),
+            ArgVal::Bool(v) => Value::Bool(*v),
+            ArgVal::Str(s) => Value::Str(s.as_str().into()),
+            ArgVal::IntArray(xs) => it.alloc_array(xs.iter().map(|&v| Value::Int(v)).collect()),
+            ArgVal::DoubleArray(xs) => {
+                it.alloc_array(xs.iter().map(|&v| Value::Double(v)).collect())
+            }
+        })
+        .collect();
+    it.printed.clear();
+    let result = it.call_entry(entry, vals).map_err(|e| e.msg)?;
+    Ok(Observed {
+        result,
+        printed: std::mem::take(&mut it.printed),
+        rolled_back: it.rolled_back,
+    })
+}
+
 fn dump_all(db: &Engine) -> Vec<Vec<Vec<Scalar>>> {
     db.table_names().iter().map(|t| db.dump_table(t)).collect()
 }
 
-/// Run `txns` requests through `part` on both tiers (each against its own
-/// identically-loaded engine) and assert full observational equality.
-fn assert_tiers_identical(
+/// Run `txns` through `part` on the VM and through the unpartitioned
+/// `prog` on the oracle, each against its own identically-loaded engine,
+/// and assert they agree on every transaction and on the final state.
+fn assert_matches_oracle(
     part: &CompiledPartition,
+    prog: &NirProgram,
     mk_engine: &dyn Fn() -> Engine,
-    txns: &[(pyx_lang::MethodId, Vec<ArgVal>)],
+    txns: &[(MethodId, Vec<ArgVal>)],
     tag: &str,
 ) {
-    let mut interp_db = mk_engine();
-    let mut bc_db = mk_engine();
-    let interp_sites = Session::prepare_sites(&part.bp, &mut interp_db);
-    let bc_sites = Session::prepare_sites(&part.bp, &mut bc_db);
+    let mut vm_db = mk_engine();
+    let sites = Session::prepare_sites(&part.bp, &mut vm_db);
+    let mut oracle_db = mk_engine();
+    let mut oracle = Interp::new(prog, &mut oracle_db, NullTracer);
     // The scratch recycles across transactions, like the dispatcher pool.
     let mut scratch = VmScratch::default();
-
     for (n, (entry, args)) in txns.iter().enumerate() {
-        let mut si = Session::with_prepared(
-            &part.il,
-            &part.bp,
+        let mut sess = Session::with_prepared(
+            part,
             *entry,
             args,
             RtCosts::default(),
-            interp_sites.clone(),
+            sites.clone(),
+            scratch,
         )
-        .expect("interp session");
-        let oi = drive(&mut si, &mut interp_db);
-
-        let mut sb = Session::with_prepared(
-            &part.il,
-            &part.bp,
-            *entry,
-            args,
-            RtCosts::default(),
-            bc_sites.clone(),
-        )
-        .expect("bytecode session");
-        sb.set_bytecode(&part.bc, scratch);
-        let ob = drive(&mut sb, &mut bc_db);
-        scratch = sb.take_scratch().expect("bytecode scratch");
-
-        assert_eq!(oi, ob, "{tag}: txn #{n} diverged between tiers");
+        .expect("session");
+        let got = drive(&mut sess, &mut vm_db);
+        scratch = sess.take_scratch();
+        let want = oracle_call(&mut oracle, *entry, args).expect("oracle run");
+        assert_eq!(got, want, "{tag}: txn #{n} diverged from the oracle");
     }
+    drop(oracle);
     assert_eq!(
-        dump_all(&interp_db),
-        dump_all(&bc_db),
-        "{tag}: final engine state diverged"
-    );
-    assert_eq!(
-        interp_db.stats.snapshot_reads, bc_db.stats.snapshot_reads,
-        "{tag}: snapshot-read accounting diverged"
+        dump_all(&vm_db),
+        dump_all(&oracle_db),
+        "{tag}: final engine state diverged from the oracle"
     );
 }
 
-fn requests(wl: &mut dyn Workload, n: usize) -> Vec<(pyx_lang::MethodId, Vec<ArgVal>)> {
+fn requests(wl: &mut dyn Workload, n: usize) -> Vec<(MethodId, Vec<ArgVal>)> {
     (0..n)
         .map(|i| {
             let r = wl.next_txn(i);
@@ -134,7 +147,7 @@ fn requests(wl: &mut dyn Workload, n: usize) -> Vec<(pyx_lang::MethodId, Vec<Arg
 }
 
 #[test]
-fn tpcc_new_order_mix_identical_across_tiers() {
+fn tpcc_new_order_mix_matches_oracle() {
     let scale = tpcc::TpccScale {
         warehouses: 2,
         ..tpcc::TpccScale::default()
@@ -155,13 +168,14 @@ fn tpcc_new_order_mix_identical_across_tiers() {
     };
     let mut wl = tpcc::NewOrderGen::new(entry, scale, 42).with_lines(3, 8);
     let txns = requests(&mut wl, 25);
-    assert_tiers_identical(&set.pyxis[0].2, &mk, &txns, "tpcc/pyxis");
-    assert_tiers_identical(&set.jdbc, &mk, &txns, "tpcc/jdbc");
-    assert_tiers_identical(&set.manual, &mk, &txns, "tpcc/manual");
+    let prog = &pyxis.prog;
+    assert_matches_oracle(&set.pyxis[0].2, prog, &mk, &txns, "tpcc/pyxis");
+    assert_matches_oracle(&set.jdbc, prog, &mk, &txns, "tpcc/jdbc");
+    assert_matches_oracle(&set.manual, prog, &mk, &txns, "tpcc/manual");
 }
 
 #[test]
-fn tpcw_browsing_mix_identical_across_tiers() {
+fn tpcw_browsing_mix_matches_oracle() {
     let scale = tpcw::TpcwScale::default();
     let seed = 0xB00C;
     let (pyxis, mut scratch, entries) = tpcw::setup(scale, seed);
@@ -179,13 +193,14 @@ fn tpcw_browsing_mix_identical_across_tiers() {
     };
     let mut wl = tpcw::BrowsingMix::new(entries, scale, 7);
     let txns = requests(&mut wl, 30);
-    assert_tiers_identical(&set.pyxis[0].2, &mk, &txns, "tpcw/pyxis");
-    assert_tiers_identical(&set.jdbc, &mk, &txns, "tpcw/jdbc");
-    assert_tiers_identical(&set.manual, &mk, &txns, "tpcw/manual");
+    let prog = &pyxis.prog;
+    assert_matches_oracle(&set.pyxis[0].2, prog, &mk, &txns, "tpcw/pyxis");
+    assert_matches_oracle(&set.jdbc, prog, &mk, &txns, "tpcw/jdbc");
+    assert_matches_oracle(&set.manual, prog, &mk, &txns, "tpcw/manual");
 }
 
 #[test]
-fn rollback_and_prints_identical_across_tiers() {
+fn rollback_and_prints_match_oracle() {
     let src = r#"
         class C {
             int f(int k) {
@@ -209,9 +224,9 @@ fn rollback_and_prints_identical_across_tiers() {
             ));
             db
         };
-        let entry = part.il.prog.find_method("C", "f").unwrap();
+        let entry = prog.find_method("C", "f").unwrap();
         let txns = vec![(entry, vec![ArgVal::Int(9)])];
-        assert_tiers_identical(&part, &mk, &txns, "rollback");
+        assert_matches_oracle(&part, &prog, &mk, &txns, "rollback");
     }
 }
 
@@ -254,8 +269,7 @@ impl Gen {
     }
 
     /// An int-typed expression over the temps `t0..t3`, the params, and
-    /// small constants. Division is excluded (both tiers would error
-    /// identically, but errors abort the run).
+    /// small constants. Division is excluded (an error aborts the run).
     fn expr(&mut self) -> String {
         let atom = |g: &mut Gen| match g.below(4) {
             0 => format!("t{}", g.below(4)),
@@ -410,10 +424,10 @@ fn kv_engine() -> Engine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random programs under random placements: both tiers must agree on
-    /// everything, including the wire bytes of every control transfer.
+    /// Random programs under random placements must compute what the
+    /// unpartitioned program computes, with every wire frame intact.
     #[test]
-    fn generated_programs_match_across_tiers(seed in any::<u64>()) {
+    fn generated_programs_match_oracle(seed in any::<u64>()) {
         let mut g = Gen::new(seed);
         let src = g.program();
         let prog = compile(&src).unwrap_or_else(|d| panic!("generated program compiles: {d:?}\n{src}"));
@@ -443,23 +457,21 @@ proptest! {
             placement.field_side[f] = if g.below(2) == 0 { Side::Db } else { Side::App };
         }
 
-        let il = build_pyxil(&prog, &analysis, placement, g.below(2) == 0);
-        let bp = compile_blocks(&il);
-        let bc = compile_bytecode(&il, &bp);
-        let part = CompiledPartition { il, bp, bc };
-        let entry = part.il.prog.find_method("D", "run").unwrap();
+        let reorder = g.below(2) == 0;
+        let part = CompiledPartition::build(&prog, &analysis, placement, reorder);
+        let entry = prog.find_method("D", "run").unwrap();
         let args = vec![
             ArgVal::Int(g.below(20) as i64 - 10),
             ArgVal::Int(g.below(20) as i64 - 10),
         ];
-        assert_tiers_identical(&part, &kv_engine, &[(entry, args)], &format!("gen#{seed}"));
+        assert_matches_oracle(&part, &prog, &kv_engine, &[(entry, args)], &format!("gen#{seed}"));
     }
 }
 
 #[test]
-fn runtime_errors_carry_identical_context_across_tiers() {
-    // A failing assign (division by zero) must produce the same error
-    // string on both tiers, including the tree-walker's `stmt …` context.
+fn runtime_errors_carry_statement_context() {
+    // A failing assign (division by zero) reports its source statement
+    // as `stmt StmtId(n): …`; the oracle fails on it too.
     let src = r#"
         class C {
             int f(int k) {
@@ -472,36 +484,28 @@ fn runtime_errors_carry_identical_context_across_tiers() {
     let prog = compile(src).unwrap();
     let analysis = analyze(&prog, AnalysisConfig::default());
     let part = CompiledPartition::build(&prog, &analysis, Placement::all_app(&prog), false);
-    let entry = part.il.prog.find_method("C", "f").unwrap();
+    let entry = prog.find_method("C", "f").unwrap();
 
-    let error_of = |bytecode: bool| {
-        let mut db = Engine::new();
-        let mut sess = Session::new(
-            &part.il,
-            &part.bp,
-            entry,
-            &[ArgVal::Int(5)],
-            RtCosts::default(),
-            &mut db,
-        )
-        .unwrap();
-        if bytecode {
-            sess.set_bytecode(&part.bc, VmScratch::default());
-        }
-        for _ in 0..100_000 {
-            match sess.advance(&mut db) {
-                Advance::Error(e) => return e.msg,
-                Advance::Finished => panic!("expected a runtime error"),
-                _ => {}
-            }
-        }
-        panic!("did not fail");
-    };
-    let interp_err = error_of(false);
-    let bc_err = error_of(true);
+    let mut db = Engine::new();
+    let mut sess =
+        Session::new(&part, entry, &[ArgVal::Int(5)], RtCosts::default(), &mut db).unwrap();
+    let vm_err = (0..100_000)
+        .find_map(|_| match sess.advance(&mut db) {
+            Advance::Error(e) => Some(e.msg),
+            Advance::Finished => panic!("expected a runtime error"),
+            _ => None,
+        })
+        .expect("did not fail");
     assert!(
-        interp_err.starts_with("stmt StmtId(") && interp_err.contains("division by zero"),
-        "interp error shape: {interp_err}"
+        vm_err.starts_with("stmt StmtId(") && vm_err.contains("division by zero"),
+        "vm error shape: {vm_err}"
     );
-    assert_eq!(interp_err, bc_err, "error strings identical across tiers");
+
+    let mut oracle_db = Engine::new();
+    let mut oracle = Interp::new(&prog, &mut oracle_db, NullTracer);
+    let oracle_err = oracle_call(&mut oracle, entry, &[ArgVal::Int(5)]).expect_err("oracle fails");
+    assert!(
+        oracle_err.contains("division by zero"),
+        "oracle error: {oracle_err}"
+    );
 }

@@ -21,7 +21,7 @@ use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
 use pyx_runtime::cost::RtCosts;
 use pyx_runtime::monitor::{LoadMonitor, PartitionChoice};
-use pyx_runtime::session::{PreparedSites, Session, VmMode, VmScratch};
+use pyx_runtime::session::{PreparedSites, Session, VmScratch};
 use pyx_runtime::Advance;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -58,10 +58,6 @@ pub struct DispatcherConfig {
     /// transactions (lock-free, restart-free). Disabled for
     /// pre-MVCC-equivalence regression tests and before/after benches.
     pub snapshot_reads: bool,
-    /// Which VM tier sessions dispatch: the register-bytecode fast path
-    /// (default) or the reference tree-walking interpreter. Both tiers
-    /// produce identical results, state, and wire bytes.
-    pub vm: VmMode,
 }
 
 impl Default for DispatcherConfig {
@@ -74,7 +70,6 @@ impl Default for DispatcherConfig {
             wake_delay_ns: 10_000,
             costs: RtCosts::default(),
             snapshot_reads: true,
-            vm: VmMode::Bytecode,
         }
     }
 }
@@ -90,7 +85,7 @@ pub enum Admit {
     Rejected,
     /// The target shard's worker has died; the request cannot run
     /// until the shard heals (replica promotion or WAL respawn —
-    /// `ShardedServer::submit_with_retry` reaps and retries across
+    /// `ShardedServer::submit_by_deadline` reaps and retries across
     /// that failover window) or the server is rebuilt. Only the
     /// sharded tier emits this — a single dispatcher has no workers
     /// to lose.
@@ -155,11 +150,9 @@ pub struct DispatcherStats {
     pub peak_sessions: usize,
     /// Peak admission-queue depth.
     pub peak_queue: usize,
-    /// Retired transactions that ran on the bytecode tier.
-    pub bytecode_txns: u64,
-    /// Execution blocks entered across all retired sessions (both tiers).
+    /// Execution blocks entered across all retired sessions.
     pub vm_blocks: u64,
-    /// VM instructions executed across all retired sessions (both tiers).
+    /// VM instructions executed across all retired sessions.
     pub vm_instrs: u64,
 }
 
@@ -232,9 +225,9 @@ pub struct Dispatcher<'a> {
     poll_scheduled: bool,
     switch_log: Vec<SwitchRecord>,
     stats: DispatcherStats,
-    /// Recycled bytecode-VM frame storage: retired sessions return their
-    /// slabs here and new sessions draw from it, so steady-state frame
-    /// setup allocates nothing.
+    /// Recycled VM frame storage: retired sessions return their slabs
+    /// here and new sessions draw from it, so steady-state frame setup
+    /// allocates nothing.
     scratch_pool: Vec<VmScratch>,
 }
 
@@ -372,6 +365,26 @@ impl<'a> Dispatcher<'a> {
         Admit::Started
     }
 
+    /// A session for `req` on the partition [`Dispatcher::choose`] picks,
+    /// running in `scratch`'s frame slab under wait-die age `age`.
+    /// Returns the session and whether it runs the low-budget partition.
+    fn new_session(
+        &mut self,
+        req: &TxnRequest,
+        scratch: VmScratch,
+        age: Option<u64>,
+    ) -> (Session<'a>, bool) {
+        let (part, sites, low_budget) = self.choose(req.entry);
+        let mut sess =
+            Session::with_prepared(part, req.entry, &req.args, self.cfg.costs, sites, scratch)
+                .expect("session construction");
+        if !self.cfg.snapshot_reads {
+            sess.set_snapshot_reads(false);
+        }
+        sess.set_txn_age(age);
+        (sess, low_budget)
+    }
+
     fn start_session(
         &mut self,
         now: u64,
@@ -380,22 +393,8 @@ impl<'a> Dispatcher<'a> {
         tag: u64,
         restarts: u32,
     ) {
-        let (part, sites, low_budget) = self.choose(req.entry);
-        let mut sess = Session::with_prepared(
-            &part.il,
-            &part.bp,
-            req.entry,
-            &req.args,
-            self.cfg.costs,
-            sites,
-        )
-        .expect("session construction");
-        if !self.cfg.snapshot_reads {
-            sess.set_snapshot_reads(false);
-        }
-        if self.cfg.vm == VmMode::Bytecode {
-            sess.set_bytecode(&part.bc, self.scratch_pool.pop().unwrap_or_default());
-        }
+        let scratch = self.scratch_pool.pop().unwrap_or_default();
+        let (sess, low_budget) = self.new_session(&req, scratch, None);
         let live = Live {
             sess,
             tag,
@@ -533,9 +532,6 @@ impl<'a> Dispatcher<'a> {
                     // transactions never conflict, so never die.
                     self.stats.read_only_restarts += 1;
                 }
-                let restarts = live.restarts + 1;
-                let tag = live.tag;
-                let submitted_ns = live.submitted_ns;
                 let req = live.req.clone();
                 // The replacement inherits the dead incarnation's wait-die
                 // age: the retry re-begins as an *older* transaction, so a
@@ -543,29 +539,11 @@ impl<'a> Dispatcher<'a> {
                 let age = live.sess.txn_age();
                 // The dead session's frame slab seeds the restarted one.
                 let recycled = live.sess.take_scratch();
-                let (part, sites, low_budget) = self.choose(req.entry);
-                let mut fresh = Session::with_prepared(
-                    &part.il,
-                    &part.bp,
-                    req.entry,
-                    &req.args,
-                    self.cfg.costs,
-                    sites,
-                )
-                .expect("session construction");
-                if !self.cfg.snapshot_reads {
-                    fresh.set_snapshot_reads(false);
-                }
-                fresh.set_txn_age(age);
-                if self.cfg.vm == VmMode::Bytecode {
-                    fresh.set_bytecode(&part.bc, recycled.unwrap_or_default());
-                }
+                let (fresh, low_budget) = self.new_session(&req, recycled, age);
                 let live = self.sessions[sid].as_mut().expect("live session");
                 live.sess = fresh;
                 live.low_budget = low_budget;
-                live.restarts = restarts;
-                live.tag = tag;
-                live.submitted_ns = submitted_ns;
+                live.restarts += 1;
                 self.push(now + self.cfg.restart_delay_ns, Ev::Ready { sid });
                 Polled::Progress
             }
@@ -584,10 +562,7 @@ impl<'a> Dispatcher<'a> {
         }
         self.stats.vm_blocks += live.sess.stats.blocks_executed;
         self.stats.vm_instrs += live.sess.stats.instrs_executed;
-        if let Some(scratch) = live.sess.take_scratch() {
-            self.stats.bytecode_txns += 1;
-            self.scratch_pool.push(scratch);
-        }
+        self.scratch_pool.push(live.sess.take_scratch());
         let done = TxnDone {
             tag: live.tag,
             entry: live.req.entry,

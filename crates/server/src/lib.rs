@@ -50,10 +50,7 @@
 //!   remote-op protocol concurrently with single-shard traffic, then
 //!   runs prepare/commit across just those participants. Coordinator
 //!   ages come from one shared counter, extending wait-die across
-//!   shards. The original quiesce-all lane (lock every shard in index
-//!   order, run serially) is kept behind
-//!   [`shard::CrossShardMode::Quiesce`] as the differential oracle. See
-//!   [`shard`] for the protocol.
+//!   shards. See [`shard`] for the protocol.
 //!
 //! # Network failure model (socket serving)
 //!
@@ -78,10 +75,10 @@
 //!   tag only rebinds the reply path. The client's `acked_below`
 //!   watermark bounds the dedup table's memory.
 //! * **Connection death / partition / stalled peer** triggers bounded
-//!   reconnect with jittered exponential backoff (the
-//!   `submit_with_retry` shape). While the partition lasts, requests
-//!   stay in flight; once it heals, re-submits converge to
-//!   exactly-once outcomes. If the reconnect budget is exhausted, every
+//!   reconnect with jittered exponential backoff (the backoff
+//!   `ShardedServer::submit_by_deadline` retries admission with).
+//!   While the partition lasts, requests stay in flight; once it heals,
+//!   re-submits converge to exactly-once outcomes. If the reconnect budget is exhausted, every
 //!   in-flight request is retired with an explicit
 //!   *transaction outcome unknown* error — the network analogue of the
 //!   dead-worker retirement in [`shard`] — because a client that
@@ -110,9 +107,7 @@ pub use net::{
     Fault, FaultScript, FrameConn, Listener, NetAddr, NetClient, NetClientCfg, NetServer,
     NetServerCfg, NetServerHandle, SocketEnv, Stream,
 };
-pub use pyx_runtime::{VmMode, VmScratch};
 pub use shard::{
-    load_row_sharded, CrossShardMode, HealFailure, ShardRecovery, ShardedConfig, ShardedReport,
-    ShardedServer,
+    load_row_sharded, HealFailure, ShardRecovery, ShardedConfig, ShardedReport, ShardedServer,
 };
 pub use workload::{FixedWorkload, TxnRequest, Workload};

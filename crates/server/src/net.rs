@@ -18,11 +18,12 @@
 //!   [`ShardedServer::submit_by_deadline`]) and routes retirements back
 //!   to the connection that asked.
 //! * [`NetClient`] — the partition-tolerant APP-host client: bounded
-//!   reconnect with jittered exponential backoff (the
-//!   `submit_with_retry` shape), automatic re-submit of in-flight
-//!   requests after reconnect, and explicit *outcome-unknown* error
-//!   retirement once the reconnect budget is exhausted — a network
-//!   failure is loud, never a hang and never a silent wrong answer.
+//!   reconnect with jittered exponential backoff (the backoff
+//!   [`ShardedServer::submit_by_deadline`] retries admission with),
+//!   automatic re-submit of in-flight requests after reconnect, and
+//!   explicit *outcome-unknown* error retirement once the reconnect
+//!   budget is exhausted — a network failure is loud, never a hang and
+//!   never a silent wrong answer.
 //! * [`FaultScript`] — the network analogue of the WAL's `FaultySink`:
 //!   scripted delays, drops, duplications, reorders, mid-frame cuts,
 //!   byte corruption, stalled peers, and full partitions, injected on a
@@ -1182,7 +1183,6 @@ struct Owner {
     tag_map: HashMap<u64, (u64, u64)>,
     next_tag: u64,
     labels: HashMap<String, &'static str>,
-    retired_buf: Vec<TxnDone>,
 }
 
 fn owner_loop(
@@ -1200,7 +1200,6 @@ fn owner_loop(
         tag_map: HashMap::new(),
         next_tag: 1,
         labels: HashMap::new(),
-        retired_buf: Vec::new(),
     };
     let mut shutting_down = false;
     let mut last_sweep = Instant::now();
@@ -1225,12 +1224,9 @@ fn owner_loop(
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => shutting_down = true,
         }
-        // Retire everything the shards finished.
+        // Retire everything the shards finished (including what a
+        // waiting admission drained onto the ready queue).
         while let Some(d) = o.srv.try_recv_done() {
-            o.route_done(d);
-        }
-        let buf = std::mem::take(&mut o.retired_buf);
-        for d in buf {
             o.route_done(d);
         }
         // Reap dead workers on a short tick so a self-healing server
@@ -1332,9 +1328,7 @@ impl Owner {
         let server_tag = self.next_tag;
         self.next_tag += 1;
         let deadline = Instant::now() + self.cfg.submit_deadline;
-        let admit = self
-            .srv
-            .submit_by_deadline(req, server_tag, deadline, &mut self.retired_buf);
+        let admit = self.srv.submit_by_deadline(req, server_tag, deadline);
         match admit {
             Admit::Started | Admit::Queued { .. } => {
                 self.tag_map.insert(server_tag, (client_id, sub.tag));
@@ -1438,8 +1432,8 @@ pub struct NetClientCfg {
     /// Consecutive failed connection attempts before in-flight requests
     /// are retired with outcome-unknown errors.
     pub max_reconnects: u32,
-    /// Reconnect backoff start/cap (jittered exponential, the
-    /// `submit_with_retry` shape).
+    /// Reconnect backoff start/cap (jittered exponential, as
+    /// [`ShardedServer::submit_by_deadline`] backs off).
     pub backoff: Duration,
     pub backoff_cap: Duration,
     /// Fault injection for the chaos tests; `None` = clean link.

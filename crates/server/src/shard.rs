@@ -23,7 +23,7 @@
 //!   a thread boundary. Coordinator threads build their *own*
 //!   `PreparedSites` at startup.
 //!
-//! # Cross-shard transactions: two-phase commit (the default lane)
+//! # Cross-shard transactions: two-phase commit
 //!
 //! A cross-shard request (`route == None`) is handed to a small pool of
 //! **coordinator threads**. Each coordinator runs the session itself and
@@ -55,12 +55,16 @@
 //! * **Commit + WAL acknowledgement point** — the coordinator fans
 //!   commit to the participants; each worker commits the branch and
 //!   syncs **its own shard's log** before acknowledging, so only
-//!   *participating* shards pay an fsync. A post-prepare commit failure
-//!   (a durability fault between prepare and commit) can leave a
-//!   partial commit across shards — the same window the quiesce lane's
-//!   fan-out commit always had; in-memory presumed-abort 2PC without
-//!   durable prepare records cannot close it. The error is reported
-//!   loudly on the transaction.
+//!   *participating* shards pay an fsync. A participant that *dies*
+//!   after its durable yes-vote is covered: its branch recovers
+//!   in-doubt and heal resolves it against the decision registry (see
+//!   *Self-healing* below). One hole remains: a participant whose log
+//!   sink fails after its yes-vote stays *alive*, its `Decide` append
+//!   fails, and `serve_remote`'s `Commit` arm then aborts a branch the
+//!   coordinator already decided to commit — the other participants
+//!   commit, this one does not. The error is reported loudly on the
+//!   transaction; closing the hole is the ROADMAP item "Close the
+//!   degraded-participant atomicity hole".
 //! * **Distributed wait-die** — coordinators draw transaction ages from
 //!   one shared counter, so every shard's `(age, txn)` lock order agrees
 //!   on every pair of distributed transactions. Along any would-be wait
@@ -79,24 +83,13 @@
 //! static property). Single-shard read-only traffic keeps its lock-free
 //! MVCC snapshots — each such transaction touches one engine only.
 //!
-//! # Quiesce protocol (the differential oracle, `CrossShardMode::Quiesce`)
-//!
-//! The original serialized lane is kept behind a flag as the correctness
-//! oracle for the 2PC path. Each shard engine lives in a `Mutex` with a
-//! strict ownership discipline: a worker holds its shard's lock while it
-//! has any admitted work and releases it **only when its dispatcher is
-//! fully idle**. A cross-shard request then quiesces the cluster by
-//! locking every shard in index order, runs the transaction inline
-//! through [`LaneEngine`] (same statement routing as the coordinator),
-//! and syncs the logs of the shards it actually touched. One lane
-//! transaction runs at a time.
-//!
-//! Observational equivalence with a single engine holds per statement
-//! on both lanes, with one SQL-sanctioned exception: an *unordered*
-//! cross-shard scatter read returns its rows in shard-concatenation
-//! order rather than a single engine's scan order (row order without
-//! ORDER BY is unspecified; ordered scans are never scattered — see
-//! `LaneEngine::exec_scatter`).
+//! Observational equivalence with a single engine holds per statement,
+//! with one SQL-sanctioned exception: an *unordered* cross-shard scatter
+//! read returns its rows in shard-concatenation order rather than a
+//! single engine's scan order (row order without ORDER BY is
+//! unspecified; ordered scans are never scattered — see
+//! `Coord::exec_scatter`). `tests/sharded.rs` checks the 2PC path
+//! against one [`crate::Dispatcher`] over one engine.
 //!
 //! # Log-shipping read replicas
 //!
@@ -166,7 +159,7 @@
 //! * **Availability**: the healed shard swaps in under the same engine
 //!   slot and fresh channels (coordinators reach it through the shared
 //!   link table), and the shard flips back to accepting writes. Callers
-//!   ride through the window with [`ShardedServer::submit_with_retry`];
+//!   ride through the window with [`ShardedServer::submit_by_deadline`];
 //!   per-shard MTTR and in-doubt counts land in
 //!   [`ShardedReport::recoveries`]. A heal attempt that fails stashes
 //!   the stolen log back on the dead engine slot (the durable handle is
@@ -193,42 +186,28 @@ use pyx_db::{
 };
 use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
-use pyx_runtime::session::{run_to_completion, Advance, PreparedSites, Session, VmMode, VmScratch};
+use pyx_runtime::session::{Advance, PreparedSites, Session, VmScratch};
 use std::collections::hash_map::Entry as HashEntry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// How cross-shard (`route == None`) transactions execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossShardMode {
-    /// Per-statement participant enlistment + two-phase commit through a
-    /// coordinator pool: cross-shard transactions overlap with each
-    /// other and with single-shard traffic. The default.
-    TwoPhase,
-    /// The serialized quiesce-all lane: lock every shard, run inline.
-    /// Kept as the differential oracle for the 2PC path.
-    Quiesce,
-}
 
 /// Sharded-server tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
     /// Number of engine shards / worker threads.
     pub shards: usize,
-    /// Per-worker dispatcher tuning (sessions, queue, costs, VM tier).
+    /// Per-worker dispatcher tuning (sessions, queue, costs).
     pub dispatcher: DispatcherConfig,
     /// Bound of each worker's request channel. A full channel rejects the
     /// submit (backpressure), mirroring the dispatcher's own queue cap.
     pub channel_cap: usize,
-    /// Cross-shard execution mode (see [`CrossShardMode`]).
-    pub cross_shard: CrossShardMode,
-    /// Coordinator threads for the 2PC lane — the number of cross-shard
-    /// transactions in flight at once. Ignored under `Quiesce`.
+    /// Coordinator threads — the number of cross-shard transactions in
+    /// flight at once.
     pub coordinators: usize,
     /// Bounded-staleness admission for read replicas: a read-only
     /// request routes to a replica only when the primary's durable
@@ -246,7 +225,6 @@ impl Default for ShardedConfig {
             shards: 2,
             dispatcher: DispatcherConfig::default(),
             channel_cap: 4096,
-            cross_shard: CrossShardMode::TwoPhase,
             coordinators: 2,
             replica_lag_limit: 1024,
         }
@@ -259,7 +237,7 @@ impl Default for ShardedConfig {
 pub struct ShardedReport {
     pub engines: Vec<Engine>,
     pub dispatchers: Vec<DispatcherStats>,
-    /// Cross-shard transactions executed (either lane).
+    /// Cross-shard transactions executed.
     pub multi_txns: u64,
     /// Sum of participant-shard counts over *committed* cross-shard
     /// transactions (`multi_participants / commits` = mean fan-out; the
@@ -464,9 +442,11 @@ struct CoordStats {
     participant_deaths: u64,
 }
 
-/// Shard index coordinators and the quiesce lane use on the results
-/// channel (their transactions are never lost to a *worker* death).
-const LANE: usize = usize::MAX;
+/// Results-channel index of coordinator-reported outcomes. Coordinators
+/// report for themselves — a participant death surfaces as an error on
+/// the coordinator's transaction — so no per-shard outstanding entry
+/// tracks them.
+const COORD: usize = usize::MAX;
 
 /// Results-channel index base for replica workers: replica `i` reports
 /// as `REPLICA_BASE + i`, keeping replica outcomes distinguishable from
@@ -547,7 +527,7 @@ struct ReplicaSlot {
     dead: bool,
 }
 
-/// High bit marking a virtual (coordinator/lane) transaction id; shards
+/// High bit marking a virtual (coordinator) transaction id; shards
 /// allocate their own local ids for branches. A coordinator folds its
 /// global age into the low bits so a restarted session carries the age
 /// back through [`Database::begin_aged`].
@@ -613,18 +593,16 @@ pub struct ShardedServer {
     primary_durable: Vec<Arc<AtomicU64>>,
     replica_reads: u64,
     replica_fallbacks: u64,
-    /// Results ready to deliver ahead of the channel (drained while
-    /// reaping a dead worker, plus the synthesized error results).
+    /// Results ready to deliver ahead of the channel: drained while
+    /// reaping a dead worker or while [`ShardedServer::submit_by_deadline`]
+    /// waits, plus the synthesized error results. Counted in `in_flight`
+    /// until delivered.
     ready: VecDeque<TxnDone>,
-    // -- 2PC lane --
-    job_tx: Option<SyncSender<CoordJob>>,
+    // -- 2PC coordinator pool --
+    job_tx: SyncSender<CoordJob>,
     coord_handles: Vec<JoinHandle<CoordStats>>,
     hold_next: Option<HoldHook>,
     hold_next_prepare: Option<HoldHook>,
-    // -- quiesce lane (oracle mode) --
-    lane: LaneState,
-    lane_sites: Option<PreparedSites>,
-    lane_scratch: Option<VmScratch>,
     multi_txns: u64,
     multi_participants: u64,
 }
@@ -633,8 +611,8 @@ impl ShardedServer {
     /// Spawn W workers, each owning one pre-loaded engine shard plus its
     /// own dispatcher over the shared compiled partition. `engines` must
     /// all carry the same schema, with rows already routed by
-    /// [`pyx_db::TableDef::shard_key`] (see `load_row_sharded`). Under
-    /// [`CrossShardMode::TwoPhase`] a coordinator pool is spawned too.
+    /// [`pyx_db::TableDef::shard_key`] (see `load_row_sharded`), plus
+    /// the coordinator pool that runs cross-shard requests.
     pub fn new(
         part: Arc<CompiledPartition>,
         engines: Vec<Engine>,
@@ -642,30 +620,10 @@ impl ShardedServer {
     ) -> ShardedServer {
         assert_eq!(engines.len(), cfg.shards, "one engine per shard");
         assert!(cfg.shards > 0, "at least one shard");
-        let two_phase = cfg.cross_shard == CrossShardMode::TwoPhase;
         let engines: Vec<Arc<Mutex<Engine>>> = engines
             .into_iter()
             .map(|e| Arc::new(Mutex::new(e)))
             .collect();
-        // Quiesce mode pre-warms the lane's prepared sites before any
-        // worker exists: every engine lock is uncontended here, so the
-        // first cross-shard request pays no prepare storm. (2PC
-        // coordinators warm their own site tables over the remote-op
-        // protocol at startup instead.)
-        let mut lane = LaneState::default();
-        let lane_sites = if two_phase {
-            None
-        } else {
-            let mut guards: Vec<MutexGuard<'_, Engine>> = engines
-                .iter()
-                .map(|e| e.lock().expect("fresh engine mutex"))
-                .collect();
-            let mut le = LaneEngine {
-                shards: &mut guards,
-                state: &mut lane,
-            };
-            Some(Session::prepare_sites(&part.bp, &mut le))
-        };
         let (done_tx, done_rx) = mpsc::channel();
         let mut txs = Vec::with_capacity(cfg.shards);
         let mut remote_txs = Vec::with_capacity(cfg.shards);
@@ -701,30 +659,25 @@ impl ShardedServer {
                 .collect(),
         );
         let decisions: Decisions = Arc::new(Mutex::new(HashMap::new()));
-        let (job_tx, coord_handles) = if two_phase {
-            let (jtx, jrx) = mpsc::sync_channel(cfg.channel_cap);
-            let jrx = Arc::new(Mutex::new(jrx));
-            let ages = Arc::new(AtomicU64::new(1));
-            let n = cfg.coordinators.max(1);
-            let mut coords = Vec::with_capacity(n);
-            for c in 0..n {
-                let part = Arc::clone(&part);
-                let dcfg = cfg.dispatcher;
-                let jobs = Arc::clone(&jrx);
-                let links = Arc::clone(&links);
-                let done = done_tx.clone();
-                let ages = Arc::clone(&ages);
-                let decisions = Arc::clone(&decisions);
-                let h = std::thread::Builder::new()
-                    .name(format!("pyx-coord-{c}"))
-                    .spawn(move || coordinator(part, dcfg, jobs, links, done, ages, decisions))
-                    .expect("spawn coordinator");
-                coords.push(h);
-            }
-            (Some(jtx), coords)
-        } else {
-            (None, Vec::new())
-        };
+        let (job_tx, jrx) = mpsc::sync_channel(cfg.channel_cap);
+        let jrx = Arc::new(Mutex::new(jrx));
+        let ages = Arc::new(AtomicU64::new(1));
+        let n = cfg.coordinators.max(1);
+        let mut coord_handles = Vec::with_capacity(n);
+        for c in 0..n {
+            let part = Arc::clone(&part);
+            let dcfg = cfg.dispatcher;
+            let jobs = Arc::clone(&jrx);
+            let links = Arc::clone(&links);
+            let done = done_tx.clone();
+            let ages = Arc::clone(&ages);
+            let decisions = Arc::clone(&decisions);
+            let h = std::thread::Builder::new()
+                .name(format!("pyx-coord-{c}"))
+                .spawn(move || coordinator(part, dcfg, jobs, links, done, ages, decisions))
+                .expect("spawn coordinator");
+            coord_handles.push(h);
+        }
         ShardedServer {
             engines,
             txs,
@@ -757,9 +710,6 @@ impl ShardedServer {
             coord_handles,
             hold_next: None,
             hold_next_prepare: None,
-            lane,
-            lane_sites,
-            lane_scratch: None,
             multi_txns: 0,
             multi_participants: 0,
         }
@@ -931,55 +881,23 @@ impl ShardedServer {
         self.reap_dead_workers();
     }
 
-    /// [`ShardedServer::submit`] with bounded retries on
-    /// [`Admit::Rejected`] (backpressure: the worker drains its channel
-    /// as capacity frees) and [`Admit::Unavailable`] (a failover window:
-    /// each retry first runs the reap/heal pass). Backoff is
-    /// exponential from 50µs, capped at 50ms, with deterministic
-    /// multiplicative jitter in `[0.5, 1.0)` drawn from a seeded
-    /// xorshift — reproducible schedules, but concurrent retriers fan
-    /// out instead of stampeding a recovering shard in phase. Returns
-    /// the final admission (the last failure after `max_retries`
-    /// exhausted).
-    ///
-    /// This variant **sleeps the calling thread** between attempts —
-    /// fine for closed-loop drivers, wrong for an event loop that must
-    /// keep servicing retirements; those use
-    /// [`ShardedServer::submit_by_deadline`].
-    pub fn submit_with_retry(&mut self, req: TxnRequest, tag: u64, max_retries: u32) -> Admit {
-        let mut backoff = std::time::Duration::from_micros(50);
-        let mut attempt = 0;
-        loop {
-            match self.submit(req.clone(), tag) {
-                Admit::Rejected | Admit::Unavailable if attempt < max_retries => {
-                    attempt += 1;
-                    self.reap_dead_workers();
-                    std::thread::sleep(self.jittered(backoff));
-                    backoff = (backoff * 2).min(std::time::Duration::from_millis(50));
-                }
-                admit => return admit,
-            }
-        }
-    }
-
-    /// Deadline-based admission for event loops: like
-    /// [`ShardedServer::submit_with_retry`], but the time between
-    /// attempts is spent *working*, not sleeping — each backoff window
-    /// blocks on the done channel and hands any retired transactions to
-    /// `retired` (draining is precisely what frees worker-channel
-    /// capacity under backpressure), runs the reap/heal pass, and then
-    /// retries, until admission succeeds or `deadline` passes. The
-    /// caller must deliver everything pushed into `retired` exactly as
-    /// if it came from [`ShardedServer::recv_done`]. Only when nothing
-    /// is in flight (so there is provably nothing to service) does the
-    /// wait degrade to a plain bounded sleep.
-    pub fn submit_by_deadline(
-        &mut self,
-        req: TxnRequest,
-        tag: u64,
-        deadline: Instant,
-        retired: &mut Vec<TxnDone>,
-    ) -> Admit {
+    /// [`ShardedServer::submit`], retried until admitted or `deadline`
+    /// passes. Retries [`Admit::Rejected`] (backpressure: draining
+    /// retirements is precisely what frees worker-channel capacity) and
+    /// [`Admit::Unavailable`] (a failover window: each retry first runs
+    /// the reap/heal pass). The wait between attempts is spent
+    /// *working*, never sleeping while work is in flight: it blocks on
+    /// the done channel and moves each retirement onto the ready queue,
+    /// where the next [`ShardedServer::recv_done`] /
+    /// [`ShardedServer::try_recv_done`] delivers it exactly once. Only
+    /// when every in-flight transaction has already retired does the
+    /// wait degrade to a bounded sleep. Backoff is exponential from
+    /// 50µs, capped at 50ms, with deterministic multiplicative jitter in
+    /// `[0.5, 1.0)` drawn from a seeded xorshift — reproducible
+    /// schedules, but concurrent retriers fan out instead of stampeding
+    /// a recovering shard in phase. Returns the final admission (the
+    /// last failure once the deadline passed).
+    pub fn submit_by_deadline(&mut self, req: TxnRequest, tag: u64, deadline: Instant) -> Admit {
         let mut backoff = std::time::Duration::from_micros(50);
         loop {
             match self.submit(req.clone(), tag) {
@@ -989,15 +907,15 @@ impl ShardedServer {
                         return admit;
                     }
                     self.reap_dead_workers();
-                    while let Some(d) = self.try_recv_done() {
-                        retired.push(d);
-                    }
                     let wait = self.jittered(backoff).min(deadline - now);
-                    if self.in_flight > 0 {
+                    if self.in_flight > self.ready.len() as u64 {
                         if let Ok((s, d)) = self.done_rx.recv_timeout(wait) {
                             self.unregister(s, d.tag);
-                            self.in_flight -= 1;
-                            retired.push(d);
+                            self.ready.push_back(d);
+                            while let Ok((s, d)) = self.done_rx.try_recv() {
+                                self.unregister(s, d.tag);
+                                self.ready.push_back(d);
+                            }
                         }
                     } else {
                         std::thread::sleep(wait);
@@ -1047,10 +965,10 @@ impl ShardedServer {
         }
     }
 
-    /// Test hook (2PC lane): pause the *next* submitted cross-shard
-    /// transaction between its prepare and commit phases. The returned
-    /// receiver yields once the transaction is parked there — prepared
-    /// on every participant, locks held, outcome pending — and it
+    /// Test hook: pause the *next* submitted cross-shard transaction
+    /// between its prepare and commit phases. The returned receiver
+    /// yields once the transaction is parked there — prepared on every
+    /// participant, locks held, outcome pending — and it
     /// resumes when the returned sender fires (or drops). Used to prove
     /// that cross-shard transactions with disjoint shard sets commit
     /// concurrently.
@@ -1065,10 +983,9 @@ impl ShardedServer {
         (held_rx, release_tx)
     }
 
-    /// Test hook (2PC lane): pause the *next* submitted cross-shard
-    /// transaction **mid-vote** — right after its first participant
-    /// acknowledged a durable prepare, before the remaining prepare
-    /// rpcs. This is the window where a prepared participant's death
+    /// Test hook: pause the *next* submitted cross-shard transaction
+    /// **mid-vote** — right after its first participant acknowledged a
+    /// durable prepare, before the remaining prepare rpcs. This is the window where a prepared participant's death
     /// races the coordinator's decision: the supervisor must presume
     /// abort and veto the still-voting coordinator (see
     /// [`GtidState::Voting`]). Same park/release contract as
@@ -1114,9 +1031,7 @@ impl ShardedServer {
     /// over its bounded channel ([`Admit::Rejected`] on a full channel —
     /// backpressure, retry after draining; [`Admit::Unavailable`] if that
     /// shard's worker has died). `route: None` is a cross-shard
-    /// transaction: under 2PC it queues to the coordinator pool; under
-    /// [`CrossShardMode::Quiesce`] it runs inline on the serialized
-    /// lane, quiescing all shards first.
+    /// transaction: it queues to the coordinator pool.
     pub fn submit(&mut self, req: TxnRequest, tag: u64) -> Admit {
         match req.route {
             Some(k) => {
@@ -1135,33 +1050,23 @@ impl ShardedServer {
                 }
                 self.submit_primary(s, req, tag)
             }
-            None => match &self.job_tx {
-                Some(jtx) => {
-                    let hold = self.hold_next.take();
-                    let hold_prepare = self.hold_next_prepare.take();
-                    match jtx.try_send(CoordJob {
-                        req,
-                        tag,
-                        hold,
-                        hold_prepare,
-                    }) {
-                        Ok(()) => {
-                            self.in_flight += 1;
-                            Admit::Started
-                        }
-                        Err(TrySendError::Full(_)) => Admit::Rejected,
-                        Err(TrySendError::Disconnected(_)) => Admit::Unavailable,
+            None => {
+                let hold = self.hold_next.take();
+                let hold_prepare = self.hold_next_prepare.take();
+                match self.job_tx.try_send(CoordJob {
+                    req,
+                    tag,
+                    hold,
+                    hold_prepare,
+                }) {
+                    Ok(()) => {
+                        self.in_flight += 1;
+                        Admit::Started
                     }
+                    Err(TrySendError::Full(_)) => Admit::Rejected,
+                    Err(TrySendError::Disconnected(_)) => Admit::Unavailable,
                 }
-                None => {
-                    self.hold_next = None; // hooks are a 2PC-lane concept
-                    self.hold_next_prepare = None;
-                    let done = self.run_multi(req, tag);
-                    self.done_tx.send((LANE, done)).expect("done channel open");
-                    self.in_flight += 1;
-                    Admit::Started
-                }
-            },
+            }
         }
     }
 
@@ -1236,12 +1141,13 @@ impl ShardedServer {
     }
 
     /// Block until the next transaction retires (`None` when nothing is
-    /// in flight). The server itself holds a `done_tx` clone for the
-    /// lane, so a crashed worker can never disconnect the channel — poll
-    /// worker liveness on a timeout instead. A dead worker's lost
-    /// transactions come back as **error results** (outcome unknown: the
-    /// transaction may or may not have committed before the crash) and
-    /// its shard is marked unavailable; the server itself keeps serving.
+    /// in flight). The server itself holds a `done_tx` clone (healed
+    /// workers and replicas are spawned from it), so a crashed worker can
+    /// never disconnect the channel — poll worker liveness on a timeout
+    /// instead. A dead worker's lost transactions come back as **error
+    /// results** (outcome unknown: the transaction may or may not have
+    /// committed before the crash) and its shard is marked unavailable;
+    /// the server itself keeps serving.
     /// (A worker death mid-2PC is reported by the coordinator itself —
     /// it observes the closed reply channel and aborts the survivors.)
     pub fn recv_done(&mut self) -> Option<TxnDone> {
@@ -1271,9 +1177,9 @@ impl ShardedServer {
     }
 
     /// Remove a retired result's outstanding-request entry, whichever
-    /// tier (`s`) reported it: primary shard, replica, or the lane.
+    /// tier (`s`) reported it: primary shard, replica, or a coordinator.
     fn unregister(&mut self, s: usize, tag: u64) {
-        if s == LANE {
+        if s == COORD {
             return;
         }
         if s >= REPLICA_BASE {
@@ -1641,7 +1547,7 @@ impl ShardedServer {
     /// recovery replays).
     pub fn shutdown(mut self) -> (Vec<TxnDone>, ShardedReport) {
         let rest = self.drain();
-        self.job_tx = None; // coordinators drain their queue and exit
+        drop(self.job_tx); // coordinators drain their queue and exit
         let mut participant_deaths = 0u64;
         for h in self.coord_handles.drain(..) {
             let s = h.join().unwrap_or_default();
@@ -1701,99 +1607,6 @@ impl ShardedServer {
                 participant_deaths,
             },
         )
-    }
-
-    /// Execute one cross-shard transaction on the serialized lane:
-    /// quiesce (lock) every shard, run the session against the
-    /// statement-routing [`LaneEngine`], release. See module docs.
-    fn run_multi(&mut self, req: TxnRequest, tag: u64) -> TxnDone {
-        self.multi_txns += 1;
-        // A dead worker's mutex may be poisoned; the lane still serves —
-        // recover the guard (commits on a wedged shard will surface as
-        // lock conflicts or durability errors, not a server panic).
-        let mut guards: Vec<MutexGuard<'_, Engine>> = self
-            .engines
-            .iter()
-            .map(|e| e.lock().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        let mut lane = LaneEngine {
-            shards: &mut guards,
-            state: &mut self.lane,
-        };
-        let sites = self
-            .lane_sites
-            .get_or_insert_with(|| Session::prepare_sites(&self.part.bp, &mut lane))
-            .clone();
-        let dcfg = &self.cfg.dispatcher;
-        let mut error = None;
-        let mut rolled_back = false;
-        let mut read_only = false;
-        let mut result = None;
-        match Session::with_prepared(
-            &self.part.il,
-            &self.part.bp,
-            req.entry,
-            &req.args,
-            dcfg.costs,
-            sites,
-        ) {
-            Ok(mut sess) => {
-                if !dcfg.snapshot_reads {
-                    sess.set_snapshot_reads(false);
-                }
-                if dcfg.vm == VmMode::Bytecode {
-                    sess.set_bytecode(&self.part.bc, self.lane_scratch.take().unwrap_or_default());
-                }
-                if let Err(e) = run_to_completion(&mut sess, &mut lane, 100_000_000) {
-                    error = Some(e.to_string());
-                }
-                rolled_back = sess.rolled_back;
-                read_only = sess.is_read_only();
-                result = sess.result.clone();
-                self.lane_scratch = sess.take_scratch();
-            }
-            Err(e) => error = Some(e.to_string()),
-        }
-        // A session that died without reaching commit/abort (e.g. step
-        // budget exhaustion) must not leak sub-transactions — they hold
-        // row locks that would wedge the workers.
-        if self.lane.txns.iter().any(Option::is_some) {
-            let mut lane = LaneEngine {
-                shards: &mut guards,
-                state: &mut self.lane,
-            };
-            let _ = lane.close_all(|e, t| e.abort(t));
-        }
-        let participants = self.lane.last_closed.len() as u32;
-        // Acknowledgement point: a cross-shard commit is durable only
-        // once every shard it actually touched has flushed its log —
-        // untouched shards have nothing of this transaction to flush.
-        if !read_only && !rolled_back && error.is_none() {
-            for &s in &self.lane.last_closed {
-                if let Err(e) = guards[s].wal_sync() {
-                    error = Some(e.to_string());
-                    break;
-                }
-            }
-            if error.is_none() {
-                self.multi_participants += participants as u64;
-            }
-        }
-        TxnDone {
-            tag,
-            entry: req.entry,
-            label: req.label,
-            submitted_ns: 0,
-            started_ns: 0,
-            finished_ns: 0,
-            low_budget: false,
-            rolled_back,
-            read_only,
-            restarts: 0,
-            participants,
-            result,
-            error,
-        }
     }
 }
 
@@ -1940,8 +1753,8 @@ fn remote_pump(
     parked: &mut Vec<RemoteOp>,
 ) -> bool {
     let mut progress = false;
-    // Empty and Disconnected (no coordinators — quiesce mode, or
-    // shutdown) both mean "nothing to serve".
+    // Empty and Disconnected (every sender gone at shutdown) both mean
+    // "nothing to serve".
     while let Ok(op) = rrx.try_recv() {
         progress |= serve_remote(engine, disp, op, parked);
     }
@@ -1957,11 +1770,12 @@ fn remote_pump(
 /// One shard worker: pull requests while the dispatcher has admission
 /// room, serve cross-shard remote ops between local events, drive the
 /// event loop, ship retirements to the results channel (batched through
-/// [`flush_dones`], the group-commit acknowledgement point). The engine
-/// lock is held exactly while the dispatcher has work and released when
-/// fully idle — that release is the quiesce point the serialized
-/// multi-partition lane synchronizes on (2PC coordinators never take
-/// engine locks; they go through the remote-op channel).
+/// [`flush_dones`], the group-commit acknowledgement point). The worker
+/// takes its engine lock once and holds it for its whole incarnation:
+/// nothing else touches a live shard's engine (coordinators go through
+/// the remote-op channel). The lock hands the engine back — poisoned,
+/// not lost, if the worker panicked — to [`ShardedServer::heal_shard`]
+/// and [`ShardedServer::shutdown`].
 #[allow(clippy::too_many_arguments)]
 fn worker(
     shard: usize,
@@ -1977,7 +1791,7 @@ fn worker(
     // staleness admission. Volatile engines (no WAL) publish the commit
     // counter itself — every in-memory commit is as "durable" as this
     // deployment gets.
-    let publish = |g: &MutexGuard<'_, Engine>, durable: &AtomicU64| {
+    let publish = |g: &Engine, durable: &AtomicU64| {
         durable.store(
             g.wal_durable_ts().unwrap_or_else(|| g.current_commit_ts()),
             Ordering::Release,
@@ -2036,31 +1850,23 @@ fn worker(
                 if remote_pump(&mut guard, &mut disp, &rrx, &mut parked) {
                     continue;
                 }
-                // Fully drained: release the shard (lane quiesce point)
-                // and sleep until the next message arrives. Parked ops
-                // are safe to sleep on: the dispatcher is idle, so their
-                // blocker is a remote branch whose coordinator will send
-                // the releasing commit/abort — with a Wake nudge.
-                drop(guard);
+                // Fully drained: sleep until the next message arrives.
+                // Parked ops are safe to sleep on: the dispatcher is
+                // idle, so their blocker is a remote branch whose
+                // coordinator will send the releasing commit/abort —
+                // with a Wake nudge.
                 match rx.recv() {
                     Ok(Msg::Submit { req, tag }) => {
-                        guard = engine.lock().expect("engine mutex poisoned");
                         disp.submit(0, req, tag);
                     }
-                    Ok(Msg::Wake) => {
-                        guard = engine.lock().expect("engine mutex poisoned");
-                    }
+                    Ok(Msg::Wake) => {}
                     Ok(Msg::Crash { after_done }) => {
                         crash_after = Some(after_done);
-                        guard = engine.lock().expect("engine mutex poisoned");
                         if after_done == 0 {
                             return disp.stats();
                         }
                     }
-                    Ok(Msg::Shutdown) | Err(_) => {
-                        guard = engine.lock().expect("engine mutex poisoned");
-                        open = false;
-                    }
+                    Ok(Msg::Shutdown) | Err(_) => open = false,
                 }
             }
         }
@@ -2197,11 +2003,11 @@ pub fn load_row_sharded(engines: &mut [Engine], table: &str, row: Vec<Scalar>) {
     }
 }
 
-// ---- shared statement-routing state (coordinator + quiesce lane) ----
+// ---- the coordinator's statement table ----
 
 /// One cross-shard statement: its prepared handle on every shard and the
 /// (lazily resolved) shard route.
-struct LaneStmt {
+struct CoordStmt {
     per_shard: Vec<PreparedId>,
     route: Option<StmtRoute>,
 }
@@ -2215,17 +2021,16 @@ struct LaneStmt {
 /// plans. (Constant-SQL sites registered by `Session::prepare_sites`
 /// via [`Database::prepare`] are never evicted — sessions hold their
 /// ids across transactions.)
-const LANE_ADHOC_CAP: usize = 256;
+const ADHOC_CAP: usize = 256;
 
-/// The cross-shard statement table: statements indexed by lane/
-/// coordinator [`PreparedId`]s, deduped by SQL text, with FIFO eviction
-/// for the ad-hoc entries. Shared by the quiesce lane (one instance) and
-/// each 2PC coordinator (one instance per coordinator thread).
+/// The cross-shard statement table: statements indexed by coordinator
+/// [`PreparedId`]s, deduped by SQL text, with FIFO eviction for the
+/// ad-hoc entries. One per coordinator thread.
 #[derive(Default)]
 struct StmtTable {
-    stmts: Vec<Option<LaneStmt>>,
+    stmts: Vec<Option<CoordStmt>>,
     by_sql: HashMap<String, PreparedId>,
-    /// FIFO of ad-hoc (evictable) statements; see [`LANE_ADHOC_CAP`].
+    /// FIFO of ad-hoc (evictable) statements; see [`ADHOC_CAP`].
     adhoc_order: VecDeque<(String, PreparedId)>,
     /// Evicted statement slots awaiting reuse.
     free_slots: Vec<PreparedId>,
@@ -2236,7 +2041,7 @@ impl StmtTable {
         self.by_sql.get(sql).copied()
     }
 
-    fn stmt(&self, id: PreparedId) -> &LaneStmt {
+    fn stmt(&self, id: PreparedId) -> &CoordStmt {
         self.stmts[id.0 as usize]
             .as_ref()
             .expect("live cross-shard statement")
@@ -2251,7 +2056,7 @@ impl StmtTable {
 
     /// Register a statement, taking a recycled slot if one is free.
     /// `adhoc` entries join the FIFO and are evicted over the cap.
-    fn insert(&mut self, sql: &str, stmt: LaneStmt, adhoc: bool) -> PreparedId {
+    fn insert(&mut self, sql: &str, stmt: CoordStmt, adhoc: bool) -> PreparedId {
         let id = match self.free_slots.pop() {
             Some(id) => {
                 self.stmts[id.0 as usize] = Some(stmt);
@@ -2273,7 +2078,7 @@ impl StmtTable {
 
     /// FIFO-evict the oldest ad-hoc statement once over the cap.
     fn evict_adhoc(&mut self) {
-        if self.adhoc_order.len() <= LANE_ADHOC_CAP {
+        if self.adhoc_order.len() <= ADHOC_CAP {
             return;
         }
         if let Some((sql, id)) = self.adhoc_order.pop_front() {
@@ -2289,10 +2094,7 @@ impl StmtTable {
 /// Coordinator-side engine façade: a [`Database`] whose statements fan
 /// out to shard workers over the remote-op protocol. One per coordinator
 /// thread; holds that coordinator's statement table, the open branches
-/// of its (single) in-flight transaction, and its 2PC counters. Route
-/// dispatch is identical to [`LaneEngine`]'s — same statements land on
-/// the same shards, same errors for unroutable shapes — which is what
-/// makes the quiesce lane a differential oracle for this path.
+/// of its (single) in-flight transaction, and its 2PC counters.
 struct Coord {
     /// Shared link table: the *current* channel endpoints per shard
     /// (rewritten by the supervisor on failover — see [`ShardLink`]).
@@ -2314,7 +2116,7 @@ struct Coord {
     last_participants: u32,
     hold: Option<HoldHook>,
     hold_prepare: Option<HoldHook>,
-    scratch: Option<VmScratch>,
+    scratch: VmScratch,
     stats: CoordStats,
 }
 
@@ -2332,7 +2134,7 @@ impl Coord {
             last_participants: 0,
             hold: None,
             hold_prepare: None,
-            scratch: None,
+            scratch: VmScratch::default(),
             stats: CoordStats::default(),
         }
     }
@@ -2444,7 +2246,7 @@ impl Coord {
         }
         Ok(self.table.insert(
             sql,
-            LaneStmt {
+            CoordStmt {
                 per_shard,
                 route: None,
             },
@@ -2452,8 +2254,19 @@ impl Coord {
         ))
     }
 
-    /// Run on every shard and merge (same contract as
-    /// `LaneEngine::exec_scatter`: shard-concatenation row order).
+    /// Run on every shard and merge: result rows concatenate in shard
+    /// order, affected counts and virtual costs sum.
+    ///
+    /// Row ORDER contract: a statement without ORDER BY has unspecified
+    /// row order in SQL, and that is exactly what a scatter read
+    /// delivers — shard-concatenation order, which differs from a single
+    /// engine's primary-key scan order (and cannot be reconstructed
+    /// after projection may have dropped the key columns). Programs that
+    /// depend on the order of an unordered multi-shard scan are relying
+    /// on unspecified behavior; order-sensitive scans must add ORDER BY,
+    /// which the router then refuses to scatter
+    /// ([`StmtRoute::Scatter`]`::mergeable == false`) rather than merge
+    /// wrongly.
     fn exec_scatter(&mut self, id: PreparedId, params: &[Scalar]) -> Result<QueryResult, DbError> {
         let mut merged: Option<QueryResult> = None;
         for s in 0..self.shards() {
@@ -2713,7 +2526,7 @@ impl Database for Coord {
     ) -> Result<QueryResult, DbError> {
         // Dynamic SQL funnels through the prepared path — same resolver,
         // same routing, identical results by construction — with its
-        // entries FIFO-capped (see [`LANE_ADHOC_CAP`]).
+        // entries FIFO-capped (see [`ADHOC_CAP`]).
         let id = self.prepare_inner(sql, true)?;
         Database::execute_prepared(self, txn, id, params)
     }
@@ -2787,12 +2600,12 @@ fn run_job(
     let mut age: Option<u64> = None;
     loop {
         let mut sess = match Session::with_prepared(
-            &part.il,
-            &part.bp,
+            part,
             req.entry,
             &req.args,
             dcfg.costs,
             sites.clone(),
+            std::mem::take(&mut coord.scratch),
         ) {
             Ok(s) => s,
             Err(e) => {
@@ -2804,9 +2617,6 @@ fn run_job(
         // different instants are not one consistent cut (module docs).
         sess.set_snapshot_reads(false);
         sess.set_txn_age(age);
-        if dcfg.vm == VmMode::Bytecode {
-            sess.set_bytecode(&part.bc, coord.scratch.take().unwrap_or_default());
-        }
         let mut deadlocked = false;
         let mut steps = 0u64;
         loop {
@@ -2922,258 +2732,7 @@ fn coordinator(
         });
         coord.hold = None;
         coord.hold_prepare = None;
-        let _ = done.send((LANE, d));
+        let _ = done.send((COORD, d));
     }
     coord.stats
-}
-
-// ---- the serialized quiesce lane (differential oracle) ----
-
-/// Persistent lane state: the statement table and the per-shard
-/// sub-transactions of the one in-flight lane transaction.
-#[derive(Default)]
-struct LaneState {
-    table: StmtTable,
-    /// Open sub-transaction per shard (one lane txn at a time).
-    txns: Vec<Option<TxnId>>,
-    read_only: bool,
-    next_virtual: u64,
-    /// Shards the most recent `close_all` closed — the participant set
-    /// of the last lane transaction (drives the participant-only WAL
-    /// sync and the reported participant count).
-    last_closed: Vec<usize>,
-}
-
-/// [`Database`] over all quiesced shards: statements route to the shard
-/// owning their rows ([`StmtRoute`]), replicated writes fan out to every
-/// replica, scatter statements run everywhere and merge, and
-/// commit/abort close every sub-transaction the lane transaction opened.
-struct LaneEngine<'g, 'e> {
-    shards: &'g mut [MutexGuard<'e, Engine>],
-    state: &'g mut LaneState,
-}
-
-impl LaneEngine<'_, '_> {
-    fn begin_sub(&mut self, s: usize) -> TxnId {
-        if self.state.txns.len() != self.shards.len() {
-            self.state.txns.resize(self.shards.len(), None);
-        }
-        match self.state.txns[s] {
-            Some(t) => t,
-            None => {
-                let t = if self.state.read_only {
-                    self.shards[s].begin_read_only()
-                } else {
-                    self.shards[s].begin()
-                };
-                self.state.txns[s] = Some(t);
-                t
-            }
-        }
-    }
-
-    fn route_of(&mut self, id: PreparedId) -> Result<StmtRoute, DbError> {
-        if let Some(r) = &self.state.table.stmt(id).route {
-            return Ok(r.clone());
-        }
-        let pid0 = self.state.table.stmt(id).per_shard[0];
-        let r = self.shards[0].prepared_route(pid0)?;
-        self.state.table.set_route(id, r.clone());
-        Ok(r)
-    }
-
-    fn exec_on(
-        &mut self,
-        s: usize,
-        id: PreparedId,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        let txn = self.begin_sub(s);
-        let pid = self.state.table.stmt(id).per_shard[s];
-        self.shards[s].execute_prepared(txn, pid, params)
-    }
-
-    /// Shared prepare core: register `sql` on every shard and in the
-    /// statement table. `adhoc` entries are FIFO-capped
-    /// ([`LANE_ADHOC_CAP`]); durable entries (session prepared sites)
-    /// are not.
-    fn prepare_inner(&mut self, sql: &str, adhoc: bool) -> Result<PreparedId, DbError> {
-        if let Some(id) = self.state.table.lookup(sql) {
-            return Ok(id);
-        }
-        let per_shard = self
-            .shards
-            .iter_mut()
-            .map(|e| e.prepare(sql))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.state.table.insert(
-            sql,
-            LaneStmt {
-                per_shard,
-                route: None,
-            },
-            adhoc,
-        ))
-    }
-
-    /// Run on every shard and merge: result rows concatenate in shard
-    /// order, affected counts and virtual costs sum.
-    ///
-    /// Row ORDER contract: a statement without ORDER BY has unspecified
-    /// row order in SQL, and that is exactly what a scatter read
-    /// delivers — shard-concatenation order, which differs from a single
-    /// engine's primary-key scan order (and cannot be reconstructed
-    /// after projection may have dropped the key columns). Programs that
-    /// depend on the order of an unordered multi-shard scan are relying
-    /// on unspecified behavior; order-sensitive scans must add ORDER BY,
-    /// which the router then refuses to scatter
-    /// ([`StmtRoute::Scatter`]`::mergeable == false`) rather than merge
-    /// wrongly.
-    fn exec_scatter(&mut self, id: PreparedId, params: &[Scalar]) -> Result<QueryResult, DbError> {
-        let mut merged: Option<QueryResult> = None;
-        for s in 0..self.shards.len() {
-            let r = self.exec_on(s, id, params)?;
-            match &mut merged {
-                None => merged = Some(r),
-                Some(m) => {
-                    m.rows.extend(r.rows);
-                    m.affected += r.affected;
-                    m.cost += r.cost;
-                }
-            }
-        }
-        Ok(merged.expect("at least one shard"))
-    }
-
-    /// Close the lane transaction: apply `f` (commit or abort) on every
-    /// shard that has an open sub-transaction, summing costs and
-    /// concatenating woken waiters. The first error wins but every shard
-    /// is still closed out. Records the closed set in
-    /// `LaneState::last_closed` (the participant set).
-    fn close_all(
-        &mut self,
-        f: impl Fn(&mut Engine, TxnId) -> Result<(u64, Vec<TxnId>), DbError>,
-    ) -> Result<(u64, Vec<TxnId>), DbError> {
-        let mut cost = 0u64;
-        let mut woken = Vec::new();
-        let mut err = None;
-        self.state.last_closed.clear();
-        for s in 0..self.state.txns.len() {
-            if let Some(t) = self.state.txns[s].take() {
-                self.state.last_closed.push(s);
-                match f(&mut self.shards[s], t) {
-                    Ok((c, w)) => {
-                        cost += c;
-                        woken.extend(w);
-                    }
-                    Err(e) => err = Some(e),
-                }
-            }
-        }
-        self.state.read_only = false;
-        match err {
-            Some(e) => Err(e),
-            None => Ok((cost, woken)),
-        }
-    }
-}
-
-impl Database for LaneEngine<'_, '_> {
-    fn begin(&mut self) -> TxnId {
-        debug_assert!(
-            self.state.txns.iter().all(Option::is_none),
-            "one lane transaction at a time"
-        );
-        self.state.read_only = false;
-        self.state.next_virtual += 1;
-        TxnId(VIRTUAL_BIT | self.state.next_virtual)
-    }
-
-    fn begin_read_only(&mut self) -> TxnId {
-        let t = Database::begin(self);
-        self.state.read_only = true;
-        t
-    }
-
-    fn commit(&mut self, _txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError> {
-        self.close_all(|e, t| e.commit(t))
-    }
-
-    fn abort(&mut self, _txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError> {
-        self.close_all(|e, t| e.abort(t))
-    }
-
-    /// Prepare on every shard; the lane's own handle indexes its
-    /// statement table. The shard route resolves lazily on first
-    /// execution (tables may not exist yet at prepare time, exactly like
-    /// [`Engine::prepare`]'s lazy plans). Handles from this path are
-    /// durable — sessions cache them in their prepared-site tables.
-    fn prepare(&mut self, sql: &str) -> Result<PreparedId, DbError> {
-        self.prepare_inner(sql, false)
-    }
-
-    fn execute(
-        &mut self,
-        txn: TxnId,
-        sql: &str,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        // Dynamic SQL funnels through the prepared path — same resolver,
-        // same routing, identical results by construction — but its lane
-        // entries are FIFO-capped so computed SQL with inline literals
-        // cannot grow the lane tables without bound. (The shard engines'
-        // prepared registries still accumulate one entry per *distinct*
-        // statement text, as Engine::prepare always has.)
-        let id = self.prepare_inner(sql, true)?;
-        Database::execute_prepared(self, txn, id, params)
-    }
-
-    fn execute_prepared(
-        &mut self,
-        _txn: TxnId,
-        id: PreparedId,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        match self.route_of(id)? {
-            StmtRoute::ByParam { param } => {
-                let key = params
-                    .get(param)
-                    .ok_or_else(|| DbError::Schema(format!("routing parameter {param} missing")))?;
-                let s = shard_of(key, self.shards.len());
-                self.exec_on(s, id, params)
-            }
-            StmtRoute::ByLit(lit) => {
-                let s = shard_of(&lit, self.shards.len());
-                self.exec_on(s, id, params)
-            }
-            // Replicated reads may use any replica; shard 0 keeps runs
-            // deterministic. Replicated writes apply everywhere so the
-            // copies stay byte-identical (the result is the same on each).
-            StmtRoute::Replicated { write: false } => self.exec_on(0, id, params),
-            StmtRoute::Replicated { write: true } => {
-                let mut out = None;
-                for s in 0..self.shards.len() {
-                    out = Some(self.exec_on(s, id, params)?);
-                }
-                Ok(out.expect("at least one shard"))
-            }
-            StmtRoute::Scatter {
-                mergeable: false, ..
-            } => Err(DbError::Schema(
-                "cross-shard ordered/aggregate scan is not routable; \
-                 add a shard-key equality predicate"
-                    .into(),
-            )),
-            StmtRoute::Scatter { .. } => self.exec_scatter(id, params),
-            StmtRoute::Unroutable { reason } => Err(DbError::Schema(reason.into())),
-        }
-    }
-
-    fn db_stats(&self) -> EngineStats {
-        let mut m = EngineStats::default();
-        for e in self.shards.iter() {
-            m.merge(&e.stats);
-        }
-        m
-    }
 }

@@ -30,6 +30,12 @@ use std::time::{Duration, Instant};
 
 const W: usize = 4;
 
+/// How long a submit may ride out a failover window before the test
+/// treats the shard as unavailable.
+fn admit_deadline() -> Instant {
+    Instant::now() + Duration::from_millis(600)
+}
+
 /// TPC-C new-order (byte-for-byte the partitionable transaction the
 /// `tpcc` module ships) plus the cross-shard warehouse-to-warehouse
 /// stock transfer — the 2PC workload under fire.
@@ -202,7 +208,7 @@ fn kill_anywhere_chaos_preserves_every_acked_commit() {
                 r.route = Some(wid);
                 r
             };
-            if srv.submit_with_retry(req, tag, 20) == Admit::Started {
+            if srv.submit_by_deadline(req, tag, admit_deadline()) == Admit::Started {
                 accepted += 1;
             }
             tag += 1;
@@ -262,7 +268,7 @@ fn kill_anywhere_chaos_preserves_every_acked_commit() {
         r.args[0] = pyx_runtime::ArgVal::Int(wh(s));
         r.route = Some(wh(s));
         assert_eq!(
-            srv.submit_with_retry(r, tag, 20),
+            srv.submit_by_deadline(r, tag, admit_deadline()),
             Admit::Started,
             "healed shard {s} accepts writes"
         );
@@ -415,7 +421,10 @@ fn mid_vote_participant_death_presumed_aborts_atomically() {
             label: "transfer",
             route: None,
         };
-        assert_eq!(srv.submit_with_retry(probe, tag, 20), Admit::Started);
+        assert_eq!(
+            srv.submit_by_deadline(probe, tag, admit_deadline()),
+            Admit::Started
+        );
         tag += 1;
         accepted += 1;
         let done = srv.recv_done().expect("post-heal transfer retires");
@@ -496,7 +505,7 @@ fn respawn_from_a_file_log_reanchors_at_the_durable_prefix() {
         let mut r = Workload::next_txn(&mut gen, slot);
         r.args[0] = pyx_runtime::ArgVal::Int(wh(victim));
         r.route = Some(wh(victim));
-        if srv.submit_with_retry(r, tag, 20) == Admit::Started {
+        if srv.submit_by_deadline(r, tag, admit_deadline()) == Admit::Started {
             accepted += 1;
         }
         tag += 1;
@@ -526,7 +535,7 @@ fn respawn_from_a_file_log_reanchors_at_the_durable_prefix() {
         r.args[0] = pyx_runtime::ArgVal::Int(wh(s));
         r.route = Some(wh(s));
         assert_eq!(
-            srv.submit_with_retry(r, tag, 20),
+            srv.submit_by_deadline(r, tag, admit_deadline()),
             Admit::Started,
             "healed shard {s} accepts writes"
         );

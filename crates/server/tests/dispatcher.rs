@@ -348,55 +348,46 @@ fn contention_restarts_are_counted_and_transactions_retire() {
 }
 
 #[test]
-fn vm_tiers_agree_under_concurrency_and_scratch_recycles() {
+fn contended_mix_restarts_on_recycled_scratch() {
     let s = setup();
-    let run = |vm: pyx_server::VmMode| {
-        let mut engine = make_db();
-        let mut disp = Dispatcher::new(
-            Deployment::Fixed(&s.manual),
-            &mut engine,
-            DispatcherConfig {
-                max_sessions: 6,
-                vm,
-                ..DispatcherConfig::default()
-            },
-        );
-        // A mix of readers and contending writers across both entry
-        // points; hot keys force lock waits and wait-die restarts.
-        for i in 0..24u64 {
-            let e = match i % 3 {
-                0 => s.bump,
-                1 => s.get,
-                _ => s.put,
-            };
-            disp.submit(i, req(e, (i % 4) as i64), i);
-        }
-        let mut done = disp.run_until_idle(&mut engine, &mut InstantEnv);
-        done.sort_by_key(|d| d.tag);
-        let results: Vec<_> = done
-            .iter()
-            .map(|d| {
-                assert!(d.error.is_none(), "{:?}", d.error);
-                (d.tag, d.result.clone(), d.rolled_back)
-            })
-            .collect();
-        (results, engine.dump_table("kv"), disp.stats())
-    };
-    let (ri, state_i, stats_i) = run(pyx_server::VmMode::Interp);
-    let (rb, state_b, stats_b) = run(pyx_server::VmMode::Bytecode);
-    assert_eq!(ri, rb, "per-transaction results identical across tiers");
-    assert_eq!(
-        state_i, state_b,
-        "final engine state identical across tiers"
+    let mut engine = make_db();
+    let mut disp = Dispatcher::new(
+        Deployment::Fixed(&s.manual),
+        &mut engine,
+        DispatcherConfig {
+            max_sessions: 6,
+            ..DispatcherConfig::default()
+        },
     );
-    assert_eq!(stats_i.bytecode_txns, 0, "interp tier runs no bytecode");
-    assert_eq!(
-        stats_b.bytecode_txns, 24,
-        "every transaction ran on the bytecode tier"
+    // Readers and contending writers across all three entry points,
+    // submitted at once: hot keys force lock waits and wait-die
+    // restarts, and every replacement session starts on the frame slab
+    // its dead incarnation (or a retired session) handed back.
+    for i in 0..24u64 {
+        let e = match i % 3 {
+            0 => s.bump,
+            1 => s.get,
+            _ => s.put,
+        };
+        disp.submit(0, req(e, (i % 2) as i64), i);
+    }
+    let done = disp.run_until_idle(&mut engine, &mut InstantEnv);
+    assert_eq!(done.len(), 24);
+    for d in &done {
+        assert!(d.error.is_none(), "{:?}", d.error);
+    }
+    assert!(
+        disp.stats().deadlock_restarts >= 1,
+        "the mix must restart at least one session"
     );
-    assert_eq!(
-        stats_i.vm_instrs, stats_b.vm_instrs,
-        "instruction accounting identical across tiers"
-    );
-    assert_eq!(stats_i.vm_blocks, stats_b.vm_blocks);
+    // 8 bumps + 8 puts each add 1 exactly once, restarts included.
+    let sum: i64 = engine
+        .dump_table("kv")
+        .iter()
+        .map(|r| match r[1] {
+            Scalar::Int(v) => v,
+            ref other => panic!("int column, got {other:?}"),
+        })
+        .sum();
+    assert_eq!(sum, (0..16).map(|i| 100 * i).sum::<i64>() + 16);
 }

@@ -12,9 +12,11 @@ use pyx_server::net::{Listener, NetAddr, NetClient, NetClientCfg, NetServer, Net
 use pyx_server::{ShardedConfig, ShardedServer, TxnDone, TxnRequest, Workload};
 use pyx_workloads::tpcc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const W: usize = 4;
+/// How long an in-process submit may wait for admission.
+const ADMIT_WAIT: Duration = Duration::from_millis(13);
 
 const SRC: &str = r#"
     class Serve {
@@ -166,7 +168,7 @@ fn run_in_process(
     let mut sigs = Vec::with_capacity(reqs.len());
     for (tag, r) in reqs.iter().enumerate() {
         assert_eq!(
-            srv.submit_with_retry(r.clone(), tag as u64, 8),
+            srv.submit_by_deadline(r.clone(), tag as u64, Instant::now() + ADMIT_WAIT),
             pyx_server::Admit::Started
         );
         let d = srv.recv_done().expect("closed loop retires");

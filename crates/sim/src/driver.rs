@@ -18,7 +18,7 @@ use pyx_lang::MethodId;
 use pyx_partition::Side;
 use pyx_runtime::cost::RtCosts;
 use pyx_runtime::monitor::PartitionChoice;
-use pyx_runtime::{NetModel, VmMode};
+use pyx_runtime::NetModel;
 use pyx_server::{Dispatcher, DispatcherConfig, Env, Polled, Workload};
 use std::collections::BinaryHeap;
 
@@ -53,11 +53,6 @@ pub struct SimConfig {
     /// (lock-free, restart-free). Disable for pre-MVCC before/after
     /// comparisons.
     pub snapshot_reads: bool,
-    /// VM dispatch tier for every session: register bytecode (default) or
-    /// the reference tree-walking interpreter. Identical semantics and
-    /// costs; the knob exists for differential runs and before/after
-    /// wall-clock measurements.
-    pub vm: VmMode,
 }
 
 impl Default for SimConfig {
@@ -78,7 +73,6 @@ impl Default for SimConfig {
             timeline_bucket_s: 30.0,
             max_txns: None,
             snapshot_reads: true,
-            vm: VmMode::default(),
         }
     }
 }
@@ -250,7 +244,6 @@ pub fn run_sim<'a>(
             poll_interval_ns: poll_ns,
             costs: cfg.costs,
             snapshot_reads: cfg.snapshot_reads,
-            vm: cfg.vm,
             ..DispatcherConfig::default()
         },
     );

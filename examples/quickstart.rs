@@ -153,8 +153,7 @@ fn main() {
         // 4. Execute on the two-host runtime.
         let mut db = make_db();
         let mut sess = Session::new(
-            &part.il,
-            &part.bp,
+            &part,
             entry,
             &[ArgVal::Int(7), ArgVal::Int(1), ArgVal::Double(0.8)],
             RtCosts::default(),

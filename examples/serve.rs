@@ -1,7 +1,7 @@
 //! Serve TPC-C through the `pyx-server` dispatcher — no simulation.
 //!
 //! ```sh
-//! cargo run --release --example serve [clients] [transactions] [interp|bytecode] [--shards N]
+//! cargo run --release --example serve [clients] [transactions] [--shards N]
 //! ```
 //!
 //! Where `dynamic_switching` prices dispatcher events onto a virtual
@@ -22,26 +22,22 @@
 
 use pyxis::server::{
     Admit, Deployment, Dispatcher, DispatcherConfig, InstantEnv, Polled, ShardedConfig,
-    ShardedServer, VmMode,
+    ShardedServer,
 };
 use pyxis::workloads::tpcc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
-    // Numeric args fill clients then transactions; `interp`/`bytecode`
-    // selects the VM tier and may appear in any position; `--shards N`
-    // switches to the sharded server. Anything else is an error rather
-    // than a silently ignored knob.
+    // Numeric args fill clients then transactions; `--shards N` switches
+    // to the sharded server. Anything else is an error rather than a
+    // silently ignored knob.
     let mut clients: usize = 200;
     let mut total: u64 = 20_000;
-    let mut vm = VmMode::Bytecode;
     let mut shards: Option<usize> = None;
     let mut nums = 0;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "interp" => vm = VmMode::Interp,
-            "bytecode" => vm = VmMode::Bytecode,
             "--shards" => {
                 let n = args
                     .next()
@@ -60,14 +56,14 @@ fn main() {
                     nums = 2;
                 }
                 _ => panic!(
-                    "unexpected argument `{a}` (usage: serve [clients] [transactions] [interp|bytecode] [--shards N])"
+                    "unexpected argument `{a}` (usage: serve [clients] [transactions] [--shards N])"
                 ),
             },
         }
     }
 
     if let Some(w) = shards {
-        return serve_sharded(w, clients, total, vm);
+        return serve_sharded(w, clients, total);
     }
 
     let scale = tpcc::TpccScale::default();
@@ -96,20 +92,13 @@ fn main() {
         DispatcherConfig {
             max_sessions: clients,
             queue_cap: clients * 4,
-            vm,
             ..DispatcherConfig::default()
         },
     );
     let mut env = InstantEnv;
     let mut wl = tpcc::NewOrderGen::new(entry, scale, 999).with_lines(3, 8);
 
-    println!(
-        "serving {total} TPC-C new-order transactions over {clients} client sessions ({} tier)…",
-        match vm {
-            VmMode::Interp => "interp",
-            VmMode::Bytecode => "bytecode",
-        }
-    );
+    println!("serving {total} TPC-C new-order transactions over {clients} client sessions…");
     let t0 = Instant::now();
     let mut submitted = 0u64;
     let mut completed = 0u64;
@@ -154,7 +143,6 @@ fn main() {
     println!("  wait-die restarts    {:>10}", stats.deadlock_restarts);
     println!("  peak sessions        {:>10}", stats.peak_sessions);
     println!("  peak queue depth     {:>10}", stats.peak_queue);
-    println!("  bytecode txns        {:>10}", stats.bytecode_txns);
     println!("  vm blocks executed   {:>10}", stats.vm_blocks);
     println!("  vm instrs executed   {:>10}", stats.vm_instrs);
 }
@@ -162,7 +150,7 @@ fn main() {
 /// The sharded closed loop: same workload, same total client budget,
 /// spread over W shard workers (each worker's dispatcher gets
 /// `clients / W` session slots).
-fn serve_sharded(shards: usize, clients: usize, total: u64, vm: VmMode) {
+fn serve_sharded(shards: usize, clients: usize, total: u64) {
     let scale = tpcc::TpccScale {
         warehouses: 8,
         ..tpcc::TpccScale::default()
@@ -201,7 +189,6 @@ fn serve_sharded(shards: usize, clients: usize, total: u64, vm: VmMode) {
             dispatcher: DispatcherConfig {
                 max_sessions: per_shard,
                 queue_cap: per_shard * 4,
-                vm,
                 ..DispatcherConfig::default()
             },
             ..ShardedConfig::default()
@@ -210,11 +197,7 @@ fn serve_sharded(shards: usize, clients: usize, total: u64, vm: VmMode) {
     let mut wl = tpcc::NewOrderGen::new(entry, scale, 999).with_lines(3, 8);
 
     println!(
-        "serving {total} TPC-C new-order transactions over {clients} clients on {shards} shard worker(s) ({} tier)…",
-        match vm {
-            VmMode::Interp => "interp",
-            VmMode::Bytecode => "bytecode",
-        }
+        "serving {total} TPC-C new-order transactions over {clients} clients on {shards} shard worker(s)…"
     );
     let t0 = Instant::now();
     let mut submitted = 0u64;
@@ -230,12 +213,13 @@ fn serve_sharded(shards: usize, clients: usize, total: u64, vm: VmMode) {
     while completed < total {
         while submitted < total && srv.in_flight() < depth {
             let req = pyxis::sim::Workload::next_txn(&mut wl, submitted as usize);
-            // Bounded-retry submission rides out transient unavailability
-            // (a worker death mid-failover) instead of crashing the
-            // serving loop; persistent backpressure falls through to the
-            // drain below, and a shard that stays dead past the retry
-            // budget is a real outage worth dying over.
-            match srv.submit_with_retry(req, submitted, 8) {
+            // Deadline-bounded submission rides out transient
+            // unavailability (a worker death mid-failover) instead of
+            // crashing the serving loop; persistent backpressure falls
+            // through to the drain below, and a shard that stays dead past
+            // the deadline is a real outage worth dying over.
+            let deadline = Instant::now() + Duration::from_millis(13);
+            match srv.submit_by_deadline(req, submitted, deadline) {
                 Admit::Started | Admit::Queued { .. } => submitted += 1,
                 Admit::Rejected => {
                     rejected += 1;

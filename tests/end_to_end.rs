@@ -42,15 +42,8 @@ fn tpcc_partitions_preserve_semantics() {
         tpcc::create_schema(&mut db);
         tpcc::load(&mut db, scale, 5);
         for req in &fixed_reqs {
-            let mut sess = Session::new(
-                &part.il,
-                &part.bp,
-                req.entry,
-                &req.args,
-                RtCosts::default(),
-                &mut db,
-            )
-            .unwrap();
+            let mut sess =
+                Session::new(part, req.entry, &req.args, RtCosts::default(), &mut db).unwrap();
             run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
         }
         db.table_names().iter().map(|t| db.dump_table(t)).collect()
@@ -101,15 +94,7 @@ fn tpcc_high_budget_behaves_like_stored_procedure() {
         .with_lines(6, 6)
         .with_rollback_pct(0.0);
     let req = g.next_txn(0);
-    let mut sess = Session::new(
-        &part.il,
-        &part.bp,
-        req.entry,
-        &req.args,
-        RtCosts::default(),
-        &mut db,
-    )
-    .unwrap();
+    let mut sess = Session::new(&part, req.entry, &req.args, RtCosts::default(), &mut db).unwrap();
     run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
     assert_eq!(sess.stats.db_round_trips, 0, "{:?}", sess.stats);
     assert!(sess.stats.db_local_calls >= 15);
@@ -121,15 +106,7 @@ fn tpcc_high_budget_behaves_like_stored_procedure() {
     let mut db = Engine::new();
     tpcc::create_schema(&mut db);
     tpcc::load(&mut db, scale, 5);
-    let mut sess = Session::new(
-        &part.il,
-        &part.bp,
-        req.entry,
-        &req.args,
-        RtCosts::default(),
-        &mut db,
-    )
-    .unwrap();
+    let mut sess = Session::new(&part, req.entry, &req.args, RtCosts::default(), &mut db).unwrap();
     run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
     assert!(sess.stats.db_round_trips >= 15, "{:?}", sess.stats);
     assert_eq!(sess.stats.db_local_calls, 0);
@@ -204,8 +181,7 @@ fn micro2_partitions_agree() {
         let part = pyxis.deploy(pyxis.partition(&graph, budget));
         let mut db = micro::micro2_db();
         let mut sess = Session::new(
-            &part.il,
-            &part.bp,
+            &part,
             entry,
             &[ArgVal::Int(30), ArgVal::Int(100), ArgVal::Int(30)],
             RtCosts::default(),

@@ -20,9 +20,12 @@ use pyxis::workloads::tpcc;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const W: usize = 4;
 const SEED: u64 = 1009;
+/// How long an in-process submit may wait for admission.
+const ADMIT_WAIT: Duration = Duration::from_millis(13);
 
 /// Must match `src/bin/dbhost.rs` exactly: both processes compile the
 /// same program so entry-point ids line up.
@@ -243,7 +246,7 @@ fn separate_process_db_host_over_uds_matches_in_process_state() {
     );
     for (tag, r) in reqs.iter().enumerate() {
         assert_eq!(
-            srv.submit_with_retry(r.clone(), tag as u64, 8),
+            srv.submit_by_deadline(r.clone(), tag as u64, Instant::now() + ADMIT_WAIT),
             pyxis::server::Admit::Started
         );
         let d = srv.recv_done().expect("closed loop retires");

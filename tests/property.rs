@@ -283,8 +283,7 @@ proptest! {
         let part = pyxis::pyxil::CompiledPartition::build(&prog, &analysis, placement, true);
         let mut db1 = Engine::new();
         let mut sess = pyxis::runtime::Session::new(
-            &part.il,
-            &part.bp,
+            &part,
             entry,
             &[pyxis::runtime::ArgVal::Int(x)],
             pyxis::runtime::cost::RtCosts::default(),
