@@ -57,10 +57,6 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
-    pub fn clear_all(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;

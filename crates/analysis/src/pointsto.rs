@@ -60,8 +60,6 @@ pub struct PointsTo {
     var_ids: HashMap<(MethodId, LocalId), usize>,
     /// pts set per variable (indices into nothing — values are StmtId.0).
     pts: Vec<BTreeSet<u32>>,
-    /// Synthetic variable per heap location.
-    heap_vars: HashMap<(u32, FieldKey), usize>,
 }
 
 impl PointsTo {
@@ -74,7 +72,6 @@ impl PointsTo {
             cfg,
             var_ids: a.var_ids,
             pts: a.pts,
-            heap_vars: a.heap_vars,
         }
     }
 
@@ -100,14 +97,6 @@ impl PointsTo {
             Operand::Local(l) => self.pts_of_local(m, *l),
             _ => BTreeSet::new(),
         }
-    }
-
-    /// Allocation sites stored in `(site, field)`.
-    pub fn pts_of_heap(&self, site: u32, f: FieldKey) -> BTreeSet<u32> {
-        self.heap_vars
-            .get(&(site, self.key(f)))
-            .map(|&v| self.pts[v].clone())
-            .unwrap_or_default()
     }
 
     /// May two base-operand/field accesses alias?

@@ -11,7 +11,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pyx_db::Engine;
 use pyx_lang::Value;
 use pyx_profile::{Interp, NullTracer};
-use pyx_runtime::cost::RtCosts;
 use pyx_runtime::session::{run_to_completion, Session, VmScratch};
 use pyx_runtime::ArgVal;
 use pyx_workloads::micro;
@@ -45,7 +44,6 @@ fn bench_vm_overhead(c: &mut Criterion) {
                 &jdbc,
                 entry,
                 &[ArgVal::Int(N)],
-                RtCosts::default(),
                 sites,
                 std::mem::take(&mut scratch),
             )

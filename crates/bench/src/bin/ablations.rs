@@ -15,7 +15,6 @@ use pyx_analysis::{analyze, AnalysisConfig, PointsToConfig};
 use pyx_core::{Pyxis, PyxisConfig};
 use pyx_partition::{solve, SolverKind};
 use pyx_pyxil::CompiledPartition;
-use pyx_runtime::cost::RtCosts;
 use pyx_runtime::session::{run_to_completion, Session};
 use pyx_sim::Workload;
 use pyx_workloads::tpcc;
@@ -124,7 +123,6 @@ fn main() {
                     pyx_runtime::ArgVal::Int(200),
                     pyx_runtime::ArgVal::Int(40),
                 ],
-                RtCosts::default(),
                 &mut db,
             )
             .unwrap();
@@ -239,7 +237,7 @@ fn main() {
         .with_lines(8, 8)
         .with_rollback_pct(0.0);
     let req = gen.next_txn(0);
-    let mut sess = Session::new(&part, req.entry, &req.args, RtCosts::default(), &mut db).unwrap();
+    let mut sess = Session::new(&part, req.entry, &req.args, &mut db).unwrap();
     run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
     let st = &sess.stats;
     let sync_ops: usize = part.il.sync.values().map(|v| v.len()).sum();

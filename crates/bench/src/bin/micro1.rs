@@ -11,7 +11,7 @@
 use pyx_db::Engine;
 use pyx_lang::Value;
 use pyx_profile::{Interp, NullTracer};
-use pyx_runtime::cost::RtCosts;
+use pyx_runtime::cost;
 use pyx_runtime::session::{run_to_completion, Session};
 use pyx_runtime::ArgVal;
 use pyx_workloads::micro;
@@ -51,8 +51,7 @@ fn main() {
     let mut transfers = 0;
     for _ in 0..REPS {
         let mut db = Engine::new();
-        let mut sess =
-            Session::new(&jdbc, entry, &[ArgVal::Int(N)], RtCosts::default(), &mut db).unwrap();
+        let mut sess = Session::new(&jdbc, entry, &[ArgVal::Int(N)], &mut db).unwrap();
         run_to_completion(&mut sess, &mut db, 100_000_000).unwrap();
         assert_eq!(sess.result, Some(Value::Int(expect)));
         transfers = sess.stats.control_transfers;
@@ -65,10 +64,9 @@ fn main() {
     println!("interpreter\t{interp:.4}\t{:.2}\t1.00", interp / native);
     println!("pyxis-vm\t{vm:.4}\t{:.2}\t{:.2}", vm / native, vm / interp);
     println!("# control transfers during VM run: {transfers} (must be 0)");
-    let c = RtCosts::default();
     println!(
         "# simulator's modelled overhead: instr/native_stmt = {:.1}x (paper: ~6x)",
-        c.instr as f64 / c.native_stmt as f64
+        cost::INSTR as f64 / cost::NATIVE_STMT as f64
     );
     assert_eq!(transfers, 0, "single-host placement must not transfer");
 }

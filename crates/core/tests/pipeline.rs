@@ -63,14 +63,8 @@ fn full_pipeline_produces_runnable_deployments() {
     let mut answers = Vec::new();
     for part in [&set.jdbc, &set.manual, &set.pyxis[0].2, &set.pyxis[1].2] {
         let mut engine = db();
-        let mut sess = pyx_runtime::Session::new(
-            part,
-            entry,
-            &[ArgVal::Int(20)],
-            pyx_runtime::cost::RtCosts::default(),
-            &mut engine,
-        )
-        .unwrap();
+        let mut sess =
+            pyx_runtime::Session::new(part, entry, &[ArgVal::Int(20)], &mut engine).unwrap();
         pyx_runtime::session::run_to_completion(&mut sess, &mut engine, 1_000_000).unwrap();
         answers.push(sess.result.clone());
     }
@@ -143,14 +137,8 @@ fn reorder_flag_is_respected() {
         let graph = pyxis.graph(&profile);
         let part = pyxis.deploy(pyxis.partition(&graph, 2.0));
         let mut engine = db();
-        let mut sess = pyx_runtime::Session::new(
-            &part,
-            entry,
-            &[ArgVal::Int(10)],
-            pyx_runtime::cost::RtCosts::default(),
-            &mut engine,
-        )
-        .unwrap();
+        let mut sess =
+            pyx_runtime::Session::new(&part, entry, &[ArgVal::Int(10)], &mut engine).unwrap();
         pyx_runtime::session::run_to_completion(&mut sess, &mut engine, 1_000_000).unwrap();
         assert!(sess.result.is_some());
     }

@@ -41,10 +41,11 @@ use crate::fxhash::FxHashMap;
 use crate::index::RowId;
 use crate::lock::{Acquire, LockMode, LockTable};
 use crate::prepared::{self, Plan, PreparedId, PreparedStmt, ProjP, SetP};
+use crate::replica::RedoTailer;
 use crate::sqlparse::{self, AggFn, CmpOp, SqlStmt};
 use crate::table::Table;
 use crate::txn::{Txn, TxnId, UndoOp};
-use crate::wal::{self, RecoveryReport, RedoOp, Wal, WalRecord};
+use crate::wal::{self, RecoveryReport, RedoOp, Wal};
 use pyx_lang::Scalar;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -148,8 +149,7 @@ pub struct EngineStats {
     pub prepares: u64,
     /// Prepared transactions subsequently aborted by their coordinator.
     pub prepare_aborts: u64,
-    /// Redo records applied incrementally ([`Engine::apply_redo`] — the
-    /// replica log-shipping path, not crash recovery).
+    /// Redo records applied incrementally ([`Engine::apply_redo`]).
     pub redo_records: u64,
     /// Row operations applied by [`Engine::apply_redo`].
     pub redo_ops: u64,
@@ -541,112 +541,45 @@ impl Engine {
     /// fails loudly with [`DbError::Durability`], leaving the engine in
     /// an unspecified state that must be discarded.
     ///
-    /// Two-phase-commit records replay by protocol: a `Prepare` stashes
-    /// the branch's images under its gtid, a commit-`Decide` applies them
-    /// at its commit timestamp, an abort-`Decide` drops them. A prepare
-    /// still undecided at the end of the log becomes an **in-doubt**
-    /// branch: its row locks are re-acquired (no new statement can touch
-    /// those rows), nothing is applied, and the outcome waits for
+    /// Recovery and log-shipping replicas share one replay loop: this
+    /// runs a fresh [`RedoTailer`] over the whole log, so every commit
+    /// applies through [`Engine::apply_redo`], and two-phase-commit
+    /// records replay by protocol — a `Prepare` parks the branch's
+    /// images under its gtid, a commit-`Decide` applies them at its
+    /// commit timestamp, an abort-`Decide` drops them. A prepare still
+    /// undecided at the end of the log becomes an **in-doubt** branch:
+    /// its row locks are re-acquired (no new statement can touch those
+    /// rows), nothing is applied, and the outcome waits for
     /// [`Engine::resolve_prepared`] — presumed abort when the
     /// coordinator, interrogated, does not know the gtid.
     pub fn recover(&mut self, log: &[u8]) -> Result<RecoveryReport, DbError> {
-        let dur = |m: String| DbError::Durability(m);
         if !self.txns.is_empty() || self.commit_ts != 0 {
-            return Err(dur(
+            return Err(DbError::Durability(
                 "recovery requires a fresh engine (schema + base load only)".into(),
             ));
         }
-        let scan = wal::scan(log);
-        if let Some(e) = scan.error {
-            return Err(dur(format!("corrupt log: {e}")));
-        }
-        let mut report = RecoveryReport {
-            valid_len: scan.valid_len as u64,
-            truncated_bytes: scan.torn_bytes as u64,
-            ..RecoveryReport::default()
-        };
-        let mut pending: FxHashMap<u64, Vec<RedoOp>> = FxHashMap::default();
-        for span in &scan.records {
-            let rec = wal::decode_any(&log[span.offset..span.offset + span.len])
-                .map_err(|e| dur(format!("corrupt record at byte {}: {e}", span.offset)))?;
-            let rec_shard = match &rec {
-                WalRecord::Commit(r) => r.shard,
-                WalRecord::Prepare { shard, .. } | WalRecord::Decide { shard, .. } => *shard,
-            };
-            if let Some(shard) = self.wal_shard() {
-                if rec_shard != shard {
-                    return Err(dur(format!(
-                        "record at byte {} belongs to shard {}, not {shard}",
-                        span.offset, rec_shard
-                    )));
-                }
-            }
-            match rec {
-                WalRecord::Commit(rec) => {
-                    let ts = rec.commit_ts;
-                    for op in rec.ops {
-                        self.replay_op(op, ts)
-                            .map_err(|e| dur(format!("replay of record ts {ts}: {e}")))?;
-                        report.ops_applied += 1;
-                    }
-                    self.commit_ts = ts;
-                    report.records_applied += 1;
-                    report.last_ts = ts;
-                }
-                WalRecord::Prepare { gtid, ops, .. } => {
-                    if pending.insert(gtid, ops).is_some() {
-                        return Err(dur(format!(
-                            "record at byte {}: duplicate prepare for gtid {gtid}",
-                            span.offset
-                        )));
-                    }
-                }
-                WalRecord::Decide {
-                    gtid,
-                    commit,
-                    commit_ts,
-                    ..
-                } => {
-                    let Some(ops) = pending.remove(&gtid) else {
-                        return Err(dur(format!(
-                            "record at byte {}: decide for unknown gtid {gtid}",
-                            span.offset
-                        )));
-                    };
-                    if commit {
-                        for op in ops {
-                            self.replay_op(op, commit_ts)
-                                .map_err(|e| dur(format!("replay of decided gtid {gtid}: {e}")))?;
-                            report.ops_applied += 1;
-                        }
-                        self.commit_ts = commit_ts;
-                        report.records_applied += 1;
-                        report.last_ts = commit_ts;
-                    }
-                }
-            }
-        }
-        // Whatever prepared but never decided is in-doubt: re-hold its
-        // locks and wait for the coordinator's (or presumed-abort's)
-        // verdict.
-        let mut undecided: Vec<(u64, Vec<RedoOp>)> = pending.into_iter().collect();
-        undecided.sort_unstable_by_key(|(gtid, _)| *gtid);
-        for (gtid, ops) in undecided {
-            self.adopt_in_doubt(gtid, ops)?;
-        }
-        self.run_gc();
+        let mut tailer = RedoTailer::new();
+        let applied = tailer.catch_up(log, self)?;
+        tailer.adopt_pending(self)?;
         if let Some(wal) = self.wal.as_mut() {
-            wal.note_recovered(report.last_ts);
+            wal.note_recovered(tailer.last_ts());
         }
-        Ok(report)
+        Ok(RecoveryReport {
+            records_applied: applied.records,
+            ops_applied: applied.ops,
+            last_ts: tailer.last_ts(),
+            valid_len: tailer.offset() as u64,
+            truncated_bytes: (log.len() - tailer.offset()) as u64,
+        })
     }
 
     /// Register one in-doubt 2PC branch: re-acquire exclusive locks on
     /// every row the prepared images touch (recovery has no competing
     /// writers, so a conflict means the log is inconsistent) and hold the
-    /// images for [`Engine::resolve_prepared`]. Called by
-    /// [`Engine::recover`] for undecided prepares, and by failover when a
-    /// promoted replica inherits its dead primary's pending prepares.
+    /// images for [`Engine::resolve_prepared`]. Called through
+    /// [`RedoTailer::adopt_pending`] for the prepares still undecided at
+    /// the end of a replay: by [`Engine::recover`], and by failover when
+    /// a promoted replica inherits its dead primary's pending prepares.
     pub fn adopt_in_doubt(&mut self, gtid: u64, ops: Vec<RedoOp>) -> Result<(), DbError> {
         let dur = |m: String| DbError::Durability(m);
         if self.in_doubt.contains_key(&gtid) {
@@ -743,12 +676,12 @@ impl Engine {
         Ok(())
     }
 
-    /// Apply one redo record *incrementally* — the log-shipping replica
-    /// path. Unlike [`Engine::recover`], which replays a whole log onto a
-    /// fresh engine, this applies a single record onto a live engine that
-    /// may be serving lagged snapshot reads concurrently (open snapshots
-    /// pin GC through the normal refcount path, so a reader at an older
-    /// horizon keeps its versions while new records stamp past it).
+    /// Apply one redo record *incrementally*: the step of the one replay
+    /// loop ([`RedoTailer`]) that both log-shipping replicas and
+    /// [`Engine::recover`] run. The engine may be serving lagged snapshot
+    /// reads concurrently (open snapshots pin GC through the normal
+    /// refcount path, so a reader at an older horizon keeps its versions
+    /// while new records stamp past it).
     ///
     /// The record's `commit_ts` must be strictly past this engine's
     /// applied horizon (ship order = commit order), and its shard must
@@ -1356,7 +1289,6 @@ impl Engine {
         let nparams = sqlparse::param_count(&stmt);
         let id = PreparedId(self.prepared.len() as u32);
         self.prepared.push(PreparedStmt {
-            sql: sql.to_string(),
             stmt,
             nparams,
             plan: None,
@@ -1364,11 +1296,6 @@ impl Engine {
         });
         self.prepared_by_sql.insert(sql.to_string(), id);
         Ok(id)
-    }
-
-    /// SQL text of a prepared statement.
-    pub fn prepared_sql(&self, id: PreparedId) -> Option<&str> {
-        self.prepared.get(id.0 as usize).map(|p| p.sql.as_str())
     }
 
     /// Access-path kind the statement's current plan uses (resolving the

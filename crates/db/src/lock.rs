@@ -196,14 +196,6 @@ impl LockTable {
         woken
     }
 
-    /// Remove `txn` from all wait queues (used when a waiting transaction
-    /// is aborted externally, e.g. by a client timeout).
-    pub fn cancel_waits(&mut self, txn: TxnId) {
-        for entry in self.entries.values_mut() {
-            entry.waiters.retain(|&w| w != txn);
-        }
-    }
-
     /// Number of currently locked keys (diagnostics).
     pub fn locked_keys(&self) -> usize {
         self.entries.len()

@@ -249,7 +249,6 @@ pub(crate) fn route_of(plan: &Plan, tables: &[Table]) -> StmtRoute {
 /// (epoch-tagged) resolved plan.
 #[derive(Debug)]
 pub(crate) struct PreparedStmt {
-    pub sql: String,
     pub stmt: SqlStmt,
     pub nparams: usize,
     /// `None` until first execution or after schema invalidation.

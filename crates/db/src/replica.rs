@@ -1,10 +1,14 @@
-//! Log-shipping replication: tail a primary's redo stream into a
-//! replica [`Engine`].
+//! Log replay: tail a primary's redo stream into a replica [`Engine`],
+//! or replay a whole log into a fresh one.
 //!
 //! A replica is an ordinary engine holding the same schema and base
 //! load as its primary; [`RedoTailer`] incrementally applies the
 //! primary's redo records via [`Engine::apply_redo`], advancing the
-//! replica's commit horizon to each record's `commit_ts`. The replica
+//! replica's commit horizon to each record's `commit_ts`. Crash
+//! recovery is the same loop run once over the durable log:
+//! [`Engine::recover`] catches a fresh tailer up from byte 0 and adopts
+//! what it left parked as in-doubt branches, so recovery and replicas
+//! share one replay path. The replica
 //! then serves lock-free snapshot reads at its applied horizon through
 //! [`Engine::begin_read_only_at`] — MVCC reads never touch the lock
 //! manager, so a replica needs no lock table at all.
@@ -34,8 +38,7 @@
 //! branch may still abort); the matching commit-`Decide` applies them at
 //! its commit timestamp, an abort-`Decide` drops them. Prepares still
 //! parked when a primary dies are exactly the in-doubt set a promoted
-//! replica must adopt ([`RedoTailer::take_pending`] →
-//! [`Engine::adopt_in_doubt`]).
+//! replica must adopt ([`RedoTailer::adopt_pending`]).
 
 use crate::engine::{DbError, Engine};
 use crate::fxhash::FxHashMap;
@@ -104,11 +107,21 @@ impl RedoTailer {
     }
 
     /// Drain the parked prepares (gtid → final images), ascending by
-    /// gtid. On promotion these feed [`Engine::adopt_in_doubt`].
+    /// gtid.
     pub fn take_pending(&mut self) -> Vec<(u64, Vec<RedoOp>)> {
         let mut v: Vec<(u64, Vec<RedoOp>)> = self.pending.drain().collect();
         v.sort_unstable_by_key(|(gtid, _)| *gtid);
         v
+    }
+
+    /// Drain the parked prepares into `engine` as in-doubt branches
+    /// ([`Engine::adopt_in_doubt`]), ascending by gtid: the end of a
+    /// recovery replay, or a replica's promotion to primary.
+    pub fn adopt_pending(&mut self, engine: &mut Engine) -> Result<(), DbError> {
+        for (gtid, ops) in self.take_pending() {
+            engine.adopt_in_doubt(gtid, ops)?;
+        }
+        Ok(())
     }
 
     /// Apply every complete record in `log` (the full stream from byte
@@ -138,7 +151,8 @@ impl RedoTailer {
 
     /// Scan `bytes` from `start` (relative to `bytes`) and apply each
     /// record; `abs_base` maps relative offsets back to absolute stream
-    /// positions (0 when `bytes` is the full stream).
+    /// positions (0 when `bytes` is the full stream). When the engine
+    /// has a log attached, every record must carry that log's shard.
     fn apply_stream(
         &mut self,
         bytes: &[u8],
@@ -146,22 +160,23 @@ impl RedoTailer {
         abs_base: usize,
         replica: &mut Engine,
     ) -> Result<CatchUp, DbError> {
+        let dur = |m: String| DbError::Durability(m);
         let scan = wal::scan_from(bytes, start, self.last_ts);
         if let Some(e) = scan.error {
-            return Err(DbError::Durability(format!(
-                "corrupt ship stream at byte {}: {e}",
-                abs_base
-            )));
+            return Err(dur(format!("corrupt log stream at byte {abs_base}: {e}")));
         }
+        let own_shard = replica.wal_shard();
         let mut out = CatchUp::default();
         for span in &scan.records {
-            let rec =
-                wal::decode_any(&bytes[span.offset..span.offset + span.len]).map_err(|e| {
-                    DbError::Durability(format!(
-                        "corrupt record at byte {}: {e}",
-                        abs_base + span.offset
-                    ))
-                })?;
+            let at = abs_base + span.offset;
+            if let Some(shard) = own_shard.filter(|&s| s != span.shard) {
+                return Err(dur(format!(
+                    "record at byte {at} belongs to shard {}, not {shard}",
+                    span.shard
+                )));
+            }
+            let rec = wal::decode_any(&bytes[span.offset..span.offset + span.len])
+                .map_err(|e| dur(format!("corrupt record at byte {at}: {e}")))?;
             match rec {
                 WalRecord::Commit(rec) => {
                     out.ops += rec.ops.len() as u64;
@@ -171,9 +186,8 @@ impl RedoTailer {
                 }
                 WalRecord::Prepare { gtid, ops, .. } => {
                     if self.pending.insert(gtid, ops).is_some() {
-                        return Err(DbError::Durability(format!(
-                            "corrupt ship stream at byte {}: duplicate prepare for gtid {gtid}",
-                            abs_base + span.offset
+                        return Err(dur(format!(
+                            "record at byte {at}: duplicate prepare for gtid {gtid}"
                         )));
                     }
                 }
@@ -184,9 +198,8 @@ impl RedoTailer {
                     commit_ts,
                 } => {
                     let Some(ops) = self.pending.remove(&gtid) else {
-                        return Err(DbError::Durability(format!(
-                            "corrupt ship stream at byte {}: decide for unknown gtid {gtid}",
-                            abs_base + span.offset
+                        return Err(dur(format!(
+                            "record at byte {at}: decide for unknown gtid {gtid}"
                         )));
                     };
                     if commit {
@@ -201,7 +214,7 @@ impl RedoTailer {
                     }
                 }
             }
-            self.offset = abs_base + span.offset + span.len;
+            self.offset = at + span.len;
             out.bytes += span.len as u64;
             debug_assert!(
                 span.kind != KIND_COMMIT || span.commit_ts == self.last_ts,

@@ -376,11 +376,6 @@ impl Table {
         self.primary.get_with_buf(key, buf)
     }
 
-    /// Range scan on a primary-key prefix.
-    pub fn pk_prefix_scan(&self, prefix: &[Scalar]) -> Vec<RowId> {
-        self.primary.prefix_scan(prefix)
-    }
-
     /// Streaming range scan on a primary-key prefix (no candidate `Vec`).
     pub fn pk_prefix_iter<'a>(&'a self, prefix: &'a [Scalar]) -> impl Iterator<Item = RowId> + 'a {
         self.primary.prefix_iter(prefix)

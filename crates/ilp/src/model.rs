@@ -70,13 +70,6 @@ impl Lp {
         self.constraints.push(c);
     }
 
-    /// Add `0 ≤ x_i ≤ 1` upper bounds for all variables (binary relaxation).
-    pub fn bound_unit(&mut self) {
-        for i in 0..self.num_vars {
-            self.constraints.push(Constraint::le(vec![(i, 1.0)], 1.0));
-        }
-    }
-
     /// Evaluate the objective at a point.
     pub fn objective_at(&self, x: &[f64]) -> f64 {
         self.objective.iter().zip(x).map(|(c, v)| c * v).sum()

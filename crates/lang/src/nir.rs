@@ -117,17 +117,6 @@ pub struct NirMethod {
     pub body: Vec<NStmt>,
 }
 
-impl NirMethod {
-    /// The `this` local, if this is an instance method.
-    pub fn this_local(&self) -> Option<LocalId> {
-        if self.is_static {
-            None
-        } else {
-            Some(LocalId(0))
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 pub struct LocalDecl {
     pub name: String,

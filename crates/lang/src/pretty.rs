@@ -39,13 +39,6 @@ pub fn render_program(p: &NirProgram, annotate: &dyn Fn(StmtId) -> String) -> St
     out
 }
 
-/// Render a single method body (used in tests and examples).
-pub fn render_method(p: &NirProgram, m: &NirMethod, annotate: &dyn Fn(StmtId) -> String) -> String {
-    let mut out = String::new();
-    render_stmts(p, m, &m.body, 0, annotate, &mut out);
-    out
-}
-
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");

@@ -66,13 +66,6 @@ impl Scalar {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Scalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Total order used by ORDER BY and B-tree keys. `Null` sorts first;
     /// numeric types compare by value; cross-type comparisons order by type
     /// tag (deterministic, never panics).

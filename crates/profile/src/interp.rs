@@ -7,8 +7,8 @@
 use crate::heap::Heap;
 use pyx_db::{DbError, Engine, PreparedId, TxnId};
 use pyx_lang::{
-    eval_binop, eval_unop, sha1_i64, Builtin, FieldId, LocalId, MethodId, NStmt, NStmtKind,
-    NirProgram, Operand, Place, RowGetKind, RtError, Rvalue, StmtId, Value,
+    eval_binop, eval_unop, sha1_i64, Builtin, FieldId, MethodId, NStmt, NStmtKind, NirProgram,
+    Operand, Place, RowGetKind, RtError, Rvalue, StmtId, Value,
 };
 use std::collections::HashMap;
 
@@ -452,18 +452,4 @@ fn collect_db_stmts(stmts: &[NStmt], db: &mut Engine, out: &mut HashMap<StmtId, 
             _ => {}
         }
     }
-}
-
-/// Find a method id by `Class::method` name (test/workload convenience).
-pub fn find_entry(prog: &NirProgram, class: &str, method: &str) -> Option<MethodId> {
-    prog.find_method(class, method)
-}
-
-/// Convenience for constructing `LocalId`-indexed frames in tests.
-pub fn local_of(prog: &NirProgram, method: MethodId, name: &str) -> Option<LocalId> {
-    prog.method(method)
-        .locals
-        .iter()
-        .position(|l| l.name == name)
-        .map(|i| LocalId(i as u32))
 }

@@ -37,8 +37,8 @@
 //!   counter per step, each basic-block segment (block start → next
 //!   db-call or terminator) carries a [`SegCost`]: instruction / sync
 //!   counts plus entry/terminator flags. The runtime charges a whole
-//!   segment with three multiplies. Costs stay *counts* here so one
-//!   compiled program serves any `RtCosts` configuration.
+//!   segment with three multiplies by the runtime's cost constants
+//!   (`pyx_runtime::cost`); the compiled program carries only counts.
 //!
 //! The lowering keeps the block program's semantics: heap operations in
 //! statement order, a dirty bit for every stored local (so a wire frame
@@ -73,7 +73,8 @@ pub enum Src {
 }
 
 /// CPU accounting for one basic-block segment, in *counts* — the runtime
-/// multiplies by its `RtCosts` at execution time.
+/// multiplies them by its cost constants (`pyx_runtime::cost`) at
+/// execution time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegCost {
     /// Countable instructions (assigns + local builtins) in the segment.

@@ -33,7 +33,7 @@
 //! NIR interpreter (`pyx_profile::Interp`), and check every wire frame
 //! round-trips byte for byte.
 
-use crate::cost::RtCosts;
+use crate::cost;
 use crate::heap::{DistHeap, SyncKey};
 use crate::wire::{Frame as WireFrame, FrameKind, StackSlot};
 use pyx_db::{Database, DbError, PreparedId, TxnId};
@@ -146,7 +146,6 @@ impl VmScratch {
 /// One transaction's execution over the partitioned program.
 pub struct Session<'a> {
     bc: &'a BytecodeProgram,
-    costs: RtCosts,
     pub heap: DistHeap,
     pub loc: Side,
     txn: Option<TxnId>,
@@ -237,11 +236,10 @@ impl<'a> Session<'a> {
         part: &'a CompiledPartition,
         entry: MethodId,
         args: &[ArgVal],
-        costs: RtCosts,
         engine: &mut dyn Database,
     ) -> Result<Session<'a>, RtError> {
         let sites = Session::prepare_sites(&part.bp, engine);
-        Session::with_prepared(part, entry, args, costs, sites, VmScratch::default())
+        Session::with_prepared(part, entry, args, sites, VmScratch::default())
     }
 
     /// Construct a session around a pre-built prepared-plan table and a
@@ -251,7 +249,6 @@ impl<'a> Session<'a> {
         part: &'a CompiledPartition,
         entry: MethodId,
         args: &[ArgVal],
-        costs: RtCosts,
         prepared: PreparedSites,
         mut vm: VmScratch,
     ) -> Result<Session<'a>, RtError> {
@@ -324,7 +321,6 @@ impl<'a> Session<'a> {
             .ok_or_else(|| RtError::new("entry method has no compiled blocks"))?;
         Ok(Session {
             bc: &part.bc,
-            costs,
             heap,
             loc: Side::App, // execution starts on the application server
             txn: None,
@@ -504,7 +500,7 @@ impl<'a> Session<'a> {
                 }
                 // Serialization CPU charged on the new host's next
                 // batch boundary (sender-side simplification).
-                self.pending_cpu += self.costs.serialize_cost(bytes);
+                self.pending_cpu += cost::serialize_cost(bytes);
                 Advance::Net {
                     from,
                     to: host,
@@ -579,16 +575,15 @@ impl<'a> Session<'a> {
     /// successful run is billed exactly one charge per instruction).
     #[inline]
     fn charge(&mut self, seg: &pyx_pyxil::bytecode::SegCost) {
-        let c = &self.costs;
-        let mut cost = seg.instrs as u64 * c.instr + seg.syncs as u64 * c.sync;
+        let mut cpu = seg.instrs as u64 * cost::INSTR + seg.syncs as u64 * cost::SYNC;
         if seg.term {
-            cost += c.term;
+            cpu += cost::TERM;
         }
         if seg.entry {
-            cost += c.block_entry;
+            cpu += cost::BLOCK_ENTRY;
             self.stats.blocks_executed += 1;
         }
-        self.pending_cpu += cost;
+        self.pending_cpu += cpu;
         self.stats.instrs_executed += seg.instrs as u64;
     }
 
@@ -1095,7 +1090,7 @@ impl<'a> Session<'a> {
                 Ok(None)
             }
             Builtin::Sha1 => {
-                self.pending_cpu += self.costs.sha1;
+                self.pending_cpu += cost::SHA1;
                 match v {
                     Value::Int(x) => Ok(Some(Value::Int(sha1_i64(x)))),
                     ref other => Err(RtError::new(format!("sha1 on {other:?}"))),

@@ -10,7 +10,6 @@ use pyx_lang::{compile, NirProgram, Value};
 use pyx_partition::{solve, CostParams, PartitionGraph, Placement, Side, SolverKind};
 use pyx_profile::{Interp, NullTracer, Profiler};
 use pyx_pyxil::CompiledPartition;
-use pyx_runtime::cost::RtCosts;
 use pyx_runtime::session::{run_to_completion, Session};
 use pyx_runtime::ArgVal;
 
@@ -138,7 +137,6 @@ fn run_vm(
         &part,
         entry,
         &[ArgVal::Int(7), ArgVal::Int(1), ArgVal::Double(0.8)],
-        RtCosts::default(),
         &mut db,
     )
     .expect("session");
@@ -270,8 +268,7 @@ fn rollback_works_under_partitioning() {
             &["k"],
         ));
         let entry = part.il.prog.find_method("C", "f").unwrap();
-        let mut sess =
-            Session::new(&part, entry, &[ArgVal::Int(3)], RtCosts::default(), &mut db).unwrap();
+        let mut sess = Session::new(&part, entry, &[ArgVal::Int(3)], &mut db).unwrap();
         run_to_completion(&mut sess, &mut db, 100_000).unwrap();
         assert!(sess.rolled_back);
         assert_eq!(sess.result, Some(Value::Int(3)));
@@ -295,14 +292,7 @@ fn print_output_preserved_across_placements() {
         let part = CompiledPartition::build(&prog, &analysis, placement, false);
         let mut db = Engine::new();
         let entry = part.il.prog.find_method("C", "f").unwrap();
-        let mut sess = Session::new(
-            &part,
-            entry,
-            &[ArgVal::Int(21)],
-            RtCosts::default(),
-            &mut db,
-        )
-        .unwrap();
+        let mut sess = Session::new(&part, entry, &[ArgVal::Int(21)], &mut db).unwrap();
         run_to_completion(&mut sess, &mut db, 100_000).unwrap();
         assert_eq!(sess.printed, vec!["result=42"]);
     }
@@ -339,14 +329,8 @@ fn array_arguments_cross_hosts() {
             db.load_row("kv", vec![Scalar::Int(i), Scalar::Int(i * 100)]);
         }
         let entry = part.il.prog.find_method("C", "sum").unwrap();
-        let mut sess = Session::new(
-            &part,
-            entry,
-            &[ArgVal::IntArray(vec![1, 3, 5])],
-            RtCosts::default(),
-            &mut db,
-        )
-        .unwrap();
+        let mut sess =
+            Session::new(&part, entry, &[ArgVal::IntArray(vec![1, 3, 5])], &mut db).unwrap();
         run_to_completion(&mut sess, &mut db, 500_000).unwrap();
         assert_eq!(sess.result, Some(Value::Int(900)));
     }
@@ -370,7 +354,6 @@ fn net_bytes_equal_encoded_frame_length() {
         &part,
         entry,
         &[ArgVal::Int(7), ArgVal::Int(1), ArgVal::Double(0.8)],
-        RtCosts::default(),
         &mut db,
     )
     .unwrap();
@@ -449,7 +432,6 @@ fn debug_random_trial() {
             &part,
             entry,
             &[ArgVal::Int(7), ArgVal::Int(1), ArgVal::Double(0.8)],
-            RtCosts::default(),
             &mut db,
         )
         .unwrap();

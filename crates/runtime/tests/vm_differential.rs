@@ -23,7 +23,6 @@ use pyx_lang::{compile, MethodId, NirProgram, Value};
 use pyx_partition::{Placement, Side};
 use pyx_profile::{Interp, NullTracer};
 use pyx_pyxil::CompiledPartition;
-use pyx_runtime::cost::RtCosts;
 use pyx_runtime::session::{Session, VmScratch};
 use pyx_runtime::wire::Frame;
 use pyx_runtime::{Advance, ArgVal};
@@ -115,15 +114,8 @@ fn assert_matches_oracle(
     // The scratch recycles across transactions, like the dispatcher pool.
     let mut scratch = VmScratch::default();
     for (n, (entry, args)) in txns.iter().enumerate() {
-        let mut sess = Session::with_prepared(
-            part,
-            *entry,
-            args,
-            RtCosts::default(),
-            sites.clone(),
-            scratch,
-        )
-        .expect("session");
+        let mut sess =
+            Session::with_prepared(part, *entry, args, sites.clone(), scratch).expect("session");
         let got = drive(&mut sess, &mut vm_db);
         scratch = sess.take_scratch();
         let want = oracle_call(&mut oracle, *entry, args).expect("oracle run");
@@ -487,8 +479,7 @@ fn runtime_errors_carry_statement_context() {
     let entry = prog.find_method("C", "f").unwrap();
 
     let mut db = Engine::new();
-    let mut sess =
-        Session::new(&part, entry, &[ArgVal::Int(5)], RtCosts::default(), &mut db).unwrap();
+    let mut sess = Session::new(&part, entry, &[ArgVal::Int(5)], &mut db).unwrap();
     let vm_err = (0..100_000)
         .find_map(|_| match sess.advance(&mut db) {
             Advance::Error(e) => Some(e.msg),

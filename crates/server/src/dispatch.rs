@@ -1,4 +1,6 @@
 //! The session dispatcher: the only session scheduler in the stack.
+//! The simulator, every shard worker and read replica, and every 2PC
+//! coordinator each drive their sessions through one.
 //!
 //! A [`Dispatcher`] multiplexes many concurrent transactions over one
 //! shared engine. Each admitted request becomes a [`pyx_runtime::Session`]
@@ -19,7 +21,6 @@ use crate::workload::TxnRequest;
 use pyx_db::{Database, Engine, TxnId};
 use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
-use pyx_runtime::cost::RtCosts;
 use pyx_runtime::monitor::{LoadMonitor, PartitionChoice};
 use pyx_runtime::session::{PreparedSites, Session, VmScratch};
 use pyx_runtime::Advance;
@@ -48,12 +49,6 @@ pub struct DispatcherConfig {
     pub queue_cap: usize,
     /// Load-monitor poll period in nanoseconds (paper: 10 s).
     pub poll_interval_ns: u64,
-    /// Wait-die victim restart backoff.
-    pub restart_delay_ns: u64,
-    /// Latency between a lock grant and the waiter resuming.
-    pub wake_delay_ns: u64,
-    /// VM cost model handed to every session.
-    pub costs: RtCosts,
     /// Run statically read-only entry fragments as MVCC snapshot
     /// transactions (lock-free, restart-free). Disabled for
     /// pre-MVCC-equivalence regression tests and before/after benches.
@@ -66,13 +61,16 @@ impl Default for DispatcherConfig {
             max_sessions: 64,
             queue_cap: 65_536,
             poll_interval_ns: 10_000_000_000,
-            restart_delay_ns: 1_000_000,
-            wake_delay_ns: 10_000,
-            costs: RtCosts::default(),
             snapshot_reads: true,
         }
     }
 }
+
+/// Virtual-time backoff before a wait-die victim restarts.
+const RESTART_DELAY_NS: u64 = 1_000_000;
+
+/// Virtual-time latency between a lock grant and the waiter resuming.
+const WAKE_DELAY_NS: u64 = 10_000;
 
 /// Outcome of [`Dispatcher::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +120,30 @@ pub struct TxnDone {
     pub result: Option<pyx_lang::Value>,
     /// Fatal session error, if the transaction failed (`None` = success).
     pub error: Option<String>,
+}
+
+impl TxnDone {
+    /// A result that carries only `error`: no timing, result, restarts
+    /// or participants. Used for transactions that never ran or whose
+    /// outcome is unknown (a dead worker, an abandoned session, a lost
+    /// connection).
+    pub(crate) fn failed(tag: u64, entry: MethodId, label: &'static str, error: String) -> TxnDone {
+        TxnDone {
+            tag,
+            entry,
+            label,
+            submitted_ns: 0,
+            started_ns: 0,
+            finished_ns: 0,
+            low_budget: false,
+            rolled_back: false,
+            read_only: false,
+            restarts: 0,
+            participants: 0,
+            result: None,
+            error: Some(error),
+        }
+    }
 }
 
 /// One partition-choice flip, for the switch timeline.
@@ -375,9 +397,8 @@ impl<'a> Dispatcher<'a> {
         age: Option<u64>,
     ) -> (Session<'a>, bool) {
         let (part, sites, low_budget) = self.choose(req.entry);
-        let mut sess =
-            Session::with_prepared(part, req.entry, &req.args, self.cfg.costs, sites, scratch)
-                .expect("session construction");
+        let mut sess = Session::with_prepared(part, req.entry, &req.args, sites, scratch)
+            .expect("session construction");
         if !self.cfg.snapshot_reads {
             sess.set_snapshot_reads(false);
         }
@@ -472,7 +493,7 @@ impl<'a> Dispatcher<'a> {
     pub fn wake_txns(&mut self, woken: &[TxnId]) {
         for txn in woken {
             if let Some(sid) = self.blocked.remove(txn) {
-                let t = self.clock + self.cfg.wake_delay_ns;
+                let t = self.clock + WAKE_DELAY_NS;
                 self.push(t, Ev::Ready { sid });
             }
         }
@@ -491,10 +512,9 @@ impl<'a> Dispatcher<'a> {
         let step = live.sess.advance(engine);
         // Harvest wake-ups from any commit/abort in this step.
         let woken = live.sess.last_woken.clone();
-        let wake_delay = self.cfg.wake_delay_ns;
         for txn in woken {
             if let Some(wsid) = self.blocked.remove(&txn) {
-                self.push(now + wake_delay, Ev::Ready { sid: wsid });
+                self.push(now + WAKE_DELAY_NS, Ev::Ready { sid: wsid });
             }
         }
         let live = self.sessions[sid].as_mut().expect("live session");
@@ -544,7 +564,7 @@ impl<'a> Dispatcher<'a> {
                 live.sess = fresh;
                 live.low_budget = low_budget;
                 live.restarts += 1;
-                self.push(now + self.cfg.restart_delay_ns, Ev::Ready { sid });
+                self.push(now + RESTART_DELAY_NS, Ev::Ready { sid });
                 Polled::Progress
             }
             Advance::Finished => self.retire(now, sid, None),

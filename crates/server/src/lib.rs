@@ -28,7 +28,8 @@
 //!
 //! The single-engine [`Dispatcher`] is strictly single-threaded. The
 //! shard-per-core tier ([`shard::ShardedServer`]) runs W of them in
-//! parallel, one OS thread per engine shard:
+//! parallel, one OS thread per engine shard, plus one per read replica
+//! and one per 2PC coordinator:
 //!
 //! * **`Send` (crosses threads):** loaded [`pyx_db::Engine`] shards —
 //!   the `Rc`→`Arc` migration made every piece of engine state (row
@@ -45,12 +46,13 @@
 //!   is exactly the single-threaded one: no locks, no atomics beyond
 //!   `Arc` refcounts already present in engine row handles.
 //! * **Cross-shard transactions (2PC, the default):** a request with
-//!   `route == None` goes to a coordinator pool that enlists only the
-//!   shards its statements touch, executes on the workers over a
-//!   remote-op protocol concurrently with single-shard traffic, then
-//!   runs prepare/commit across just those participants. Coordinator
-//!   ages come from one shared counter, extending wait-die across
-//!   shards. See [`shard`] for the protocol.
+//!   `route == None` goes to a coordinator pool. Each coordinator runs
+//!   its transaction on its own one-session dispatcher, over a façade
+//!   engine that enlists only the shards its statements touch, executes
+//!   on the workers over a remote-op protocol concurrently with
+//!   single-shard traffic, then runs prepare/commit across just those
+//!   participants. Coordinator ages come from one shared counter,
+//!   extending wait-die across shards. See [`shard`] for the protocol.
 //!
 //! # Network failure model (socket serving)
 //!

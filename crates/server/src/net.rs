@@ -65,7 +65,7 @@
 
 use crate::dispatch::{Admit, TxnDone};
 use crate::env::Env;
-use crate::shard::{ShardedReport, ShardedServer};
+use crate::shard::{jittered, ShardedReport, ShardedServer};
 use crate::workload::TxnRequest;
 use pyx_lang::{MethodId, Oid, RtError, Value};
 use pyx_partition::Side;
@@ -896,25 +896,25 @@ pub struct NetServerCfg {
     /// make a write progress within this window is dropped (stalled-peer
     /// protection).
     pub io_timeout: Duration,
-    /// Admission deadline per submit: how long
-    /// [`ShardedServer::submit_by_deadline`] keeps retrying
-    /// backpressure/failover before the request is answered with a
-    /// (cached, final) admission-failure result.
-    pub submit_deadline: Duration,
-    /// How long a disconnected client's session (dedup table and
-    /// undelivered results) is retained awaiting its reconnect.
-    pub retain: Duration,
 }
 
 impl Default for NetServerCfg {
     fn default() -> NetServerCfg {
         NetServerCfg {
             io_timeout: Duration::from_secs(2),
-            submit_deadline: Duration::from_millis(500),
-            retain: Duration::from_secs(60),
         }
     }
 }
+
+/// Admission deadline per submit: how long
+/// [`ShardedServer::submit_by_deadline`] keeps retrying
+/// backpressure/failover before the request is answered with a (cached,
+/// final) admission-failure result.
+const SUBMIT_DEADLINE: Duration = Duration::from_millis(500);
+
+/// How long a disconnected client's session (dedup table and
+/// undelivered results) is retained awaiting its reconnect.
+const SESSION_RETAIN: Duration = Duration::from_secs(60);
 
 enum ConnEvent {
     Opened(u64, SyncSender<Vec<u8>>),
@@ -1014,7 +1014,6 @@ impl NetServer {
         let accept_join = {
             let stop = Arc::clone(&stop);
             let ev_tx = ev_tx.clone();
-            let cfg = cfg.clone();
             std::thread::Builder::new()
                 .name("pyx-net-accept".into())
                 .spawn(move || accept_loop(listener, stop, ev_tx, cfg))
@@ -1025,7 +1024,7 @@ impl NetServer {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("pyx-net-owner".into())
-                .spawn(move || owner_loop(make_srv(), cfg, ev_rx, ctl_rx, stop))
+                .spawn(move || owner_loop(make_srv(), ev_rx, ctl_rx, stop))
                 .expect("spawn owner loop")
         };
 
@@ -1176,7 +1175,6 @@ fn spawn_conn(
 
 struct Owner {
     srv: ShardedServer,
-    cfg: NetServerCfg,
     conns: HashMap<u64, ConnState>,
     clients: HashMap<u64, ClientSess>,
     /// server tag → (client id, client tag).
@@ -1187,14 +1185,12 @@ struct Owner {
 
 fn owner_loop(
     srv: ShardedServer,
-    cfg: NetServerCfg,
     ev_rx: Receiver<ConnEvent>,
     ctl_rx: Receiver<Ctl>,
     stop: Arc<AtomicBool>,
 ) -> ShardedReport {
     let mut o = Owner {
         srv,
-        cfg,
         conns: HashMap::new(),
         clients: HashMap::new(),
         tag_map: HashMap::new(),
@@ -1327,7 +1323,7 @@ impl Owner {
         };
         let server_tag = self.next_tag;
         self.next_tag += 1;
-        let deadline = Instant::now() + self.cfg.submit_deadline;
+        let deadline = Instant::now() + SUBMIT_DEADLINE;
         let admit = self.srv.submit_by_deadline(req, server_tag, deadline);
         match admit {
             Admit::Started | Admit::Queued { .. } => {
@@ -1345,21 +1341,7 @@ impl Owner {
                     Admit::Rejected => "admission rejected: server overloaded",
                     _ => "admission failed: shard unavailable",
                 };
-                let d = TxnDone {
-                    tag: sub.tag,
-                    entry: sub.entry,
-                    label,
-                    submitted_ns: 0,
-                    started_ns: 0,
-                    finished_ns: 0,
-                    low_budget: false,
-                    rolled_back: false,
-                    read_only: false,
-                    restarts: 0,
-                    participants: 0,
-                    result: None,
-                    error: Some(why.to_string()),
-                };
+                let d = TxnDone::failed(sub.tag, sub.entry, label, why.to_string());
                 let bytes = done_frame(sub.tag, &d).encode();
                 self.clients
                     .get_mut(&client_id)
@@ -1406,9 +1388,8 @@ impl Owner {
     /// the retention window. Their still-running transactions keep
     /// executing; the outcomes are dropped at `route_done`.
     fn sweep_sessions(&mut self) {
-        let retain = self.cfg.retain;
         self.clients.retain(|_, s| {
-            s.conn.is_some() || s.last_seen.map(|t| t.elapsed() <= retain).unwrap_or(false)
+            s.conn.is_some() || s.last_seen.is_some_and(|t| t.elapsed() <= SESSION_RETAIN)
         });
     }
 }
@@ -1422,7 +1403,6 @@ pub struct NetClientCfg {
     /// Stable client identity across reconnects; the server's dedup
     /// table is keyed by it. Defaults to a process-unique value.
     pub client_id: u64,
-    pub connect_timeout: Duration,
     /// Socket read/write deadline.
     pub io_timeout: Duration,
     /// How long an in-flight request may go unanswered before the link
@@ -1432,26 +1412,27 @@ pub struct NetClientCfg {
     /// Consecutive failed connection attempts before in-flight requests
     /// are retired with outcome-unknown errors.
     pub max_reconnects: u32,
-    /// Reconnect backoff start/cap (jittered exponential, as
-    /// [`ShardedServer::submit_by_deadline`] backs off).
-    pub backoff: Duration,
-    pub backoff_cap: Duration,
     /// Fault injection for the chaos tests; `None` = clean link.
     pub fault: Option<FaultScript>,
 }
 
 static NEXT_CLIENT_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Deadline of one connection attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Reconnect backoff start and cap (jittered exponential, as
+/// [`ShardedServer::submit_by_deadline`] backs off).
+const BACKOFF: Duration = Duration::from_micros(50);
+const BACKOFF_CAP: Duration = Duration::from_millis(50);
+
 impl Default for NetClientCfg {
     fn default() -> NetClientCfg {
         NetClientCfg {
             client_id: NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed),
-            connect_timeout: Duration::from_secs(1),
             io_timeout: Duration::from_secs(2),
             request_timeout: Duration::from_secs(2),
             max_reconnects: 8,
-            backoff: Duration::from_micros(50),
-            backoff_cap: Duration::from_millis(50),
             fault: None,
         }
     }
@@ -1638,7 +1619,7 @@ impl NetClient {
     /// table makes this idempotent. Bounded by `max_reconnects`
     /// *consecutive* failures with jittered exponential backoff.
     fn reconnect(&mut self) -> io::Result<()> {
-        let mut backoff = self.cfg.backoff;
+        let mut backoff = BACKOFF;
         loop {
             match self.try_connect_once() {
                 Ok(()) => {
@@ -1651,8 +1632,8 @@ impl NetClient {
                         self.reconnects = 0;
                         return Err(e);
                     }
-                    std::thread::sleep(self.jittered(backoff));
-                    backoff = (backoff * 2).min(self.cfg.backoff_cap);
+                    std::thread::sleep(jittered(&mut self.rng, backoff));
+                    backoff = (backoff * 2).min(BACKOFF_CAP);
                 }
             }
         }
@@ -1664,7 +1645,7 @@ impl NetClient {
                 return Err(blackout());
             }
         }
-        let stream = Stream::connect(&self.addr, self.cfg.connect_timeout)?;
+        let stream = Stream::connect(&self.addr, CONNECT_TIMEOUT)?;
         let conn = FrameConn::new(stream, self.cfg.io_timeout)?;
         let mut link = Link::new(conn, self.cfg.fault.clone());
         link.send(&control_frame(
@@ -1723,24 +1704,15 @@ impl NetClient {
         tags.sort_unstable();
         for t in tags {
             let p = self.in_flight.remove(&t).expect("tag in flight");
-            self.ready.push_back(TxnDone {
-                tag: t,
-                entry: p.req.entry,
-                label: p.req.label,
-                submitted_ns: 0,
-                started_ns: 0,
-                finished_ns: 0,
-                low_budget: false,
-                rolled_back: false,
-                read_only: false,
-                restarts: 0,
-                participants: 0,
-                result: None,
-                error: Some(format!(
+            self.ready.push_back(TxnDone::failed(
+                t,
+                p.req.entry,
+                p.req.label,
+                format!(
                     "connection to {} lost after {} attempts; transaction outcome unknown",
                     self.addr, self.cfg.max_reconnects
-                )),
-            });
+                ),
+            ));
         }
     }
 
@@ -1753,17 +1725,6 @@ impl NetClient {
             Some(m) => self.acked_floor.max(candidate.min(m)),
             None => self.acked_floor.max(candidate),
         };
-    }
-
-    fn jittered(&mut self, d: Duration) -> Duration {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let frac = 0.5 + (r >> 11) as f64 / (1u64 << 54) as f64;
-        d.mul_f64(frac)
     }
 }
 

@@ -18,16 +18,19 @@
 //!   rows). Compile-time assertions in `pyx-db` / `pyx-pyxil` keep these
 //!   types `Send`.
 //! * **What stays thread-local:** everything a running transaction
-//!   touches — `Session`s, their `Rc`-shared [`PreparedSites`], session
-//!   heaps, the dispatcher's scratch pools. No runtime `Rc` ever crosses
-//!   a thread boundary. Coordinator threads build their *own*
-//!   `PreparedSites` at startup.
+//!   touches — `Session`s, their `Rc`-shared prepared-site tables,
+//!   session heaps, the dispatcher's scratch pools. No runtime `Rc` ever
+//!   crosses a thread boundary. Each coordinator thread builds its *own*
+//!   dispatcher, and with it its own prepared-site table, at startup.
 //!
 //! # Cross-shard transactions: two-phase commit
 //!
 //! A cross-shard request (`route == None`) is handed to a small pool of
-//! **coordinator threads**. Each coordinator runs the session itself and
-//! speaks a remote-op protocol to the shard workers; shards the
+//! **coordinator threads**. Each coordinator runs one
+//! [`crate::Dispatcher`] with a single session slot over `Coord`, a
+//! [`Database`] façade that speaks a remote-op protocol to the shard
+//! workers, so a cross-shard session is scheduled, restarted and
+//! retired exactly as a local one is; shards the
 //! transaction never touches are never involved, so cross-shard
 //! transactions with disjoint shard sets overlap with each other *and*
 //! with single-shard traffic. The protocol, per transaction:
@@ -44,7 +47,9 @@
 //!   sessions on other shards never stall. A statement that would block
 //!   on a row lock is **parked** worker-side and retried until the lock
 //!   frees or wait-die kills it (the reply is then a deadlock, and the
-//!   coordinator restarts the whole transaction with its age retained).
+//!   coordinator's dispatcher restarts the whole transaction with its
+//!   age retained, after a 50µs real-time pause that lets the older
+//!   lock holder finish on its own thread).
 //! * **Prepare** — at commit, every participant is asked to
 //!   [`Engine::prepare_commit`]: a *prepared* branch keeps all its locks,
 //!   accepts no further statements, and has vetoed nothing — in
@@ -105,7 +110,7 @@
 //! that commit timestamp. Admission is **bounded staleness**: a read is
 //! round-robined to a replica only when the replica trails the
 //! primary's durable horizon by at most
-//! [`ShardedConfig::replica_lag_limit`] commits; over-lagged or dead
+//! `REPLICA_LAG_LIMIT` commits; over-lagged or dead
 //! replicas are skipped and the read falls back to the primary (counted
 //! in [`ShardedReport::replica_fallbacks`]). Replica reads also keep
 //! serving when the primary worker has died — reads need no quorum.
@@ -186,7 +191,6 @@ use pyx_db::{
 };
 use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
-use pyx_runtime::session::{Advance, PreparedSites, Session, VmScratch};
 use std::collections::hash_map::Entry as HashEntry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -201,7 +205,7 @@ use std::time::Instant;
 pub struct ShardedConfig {
     /// Number of engine shards / worker threads.
     pub shards: usize,
-    /// Per-worker dispatcher tuning (sessions, queue, costs).
+    /// Per-worker dispatcher tuning (sessions, queue, snapshot reads).
     pub dispatcher: DispatcherConfig,
     /// Bound of each worker's request channel. A full channel rejects the
     /// submit (backpressure), mirroring the dispatcher's own queue cap.
@@ -209,15 +213,16 @@ pub struct ShardedConfig {
     /// Coordinator threads — the number of cross-shard transactions in
     /// flight at once.
     pub coordinators: usize,
-    /// Bounded-staleness admission for read replicas: a read-only
-    /// request routes to a replica only when the primary's durable
-    /// commit timestamp minus the replica's applied timestamp is within
-    /// this bound (commit timestamps advance by 1 per write
-    /// transaction, so the unit is "commits behind"). Requests over the
-    /// bound fall back to the primary. Advisory at admission time: the
-    /// primary keeps committing while the read runs.
-    pub replica_lag_limit: u64,
 }
+
+/// Bounded-staleness admission for read replicas: a read-only request
+/// routes to a replica only when the primary's durable commit timestamp
+/// minus the replica's applied timestamp is within this bound (commit
+/// timestamps advance by 1 per write transaction, so the unit is
+/// "commits behind"). Requests over the bound fall back to the primary.
+/// Advisory at admission time: the primary keeps committing while the
+/// read runs.
+const REPLICA_LAG_LIMIT: u64 = 1024;
 
 impl Default for ShardedConfig {
     fn default() -> Self {
@@ -226,7 +231,6 @@ impl Default for ShardedConfig {
             dispatcher: DispatcherConfig::default(),
             channel_cap: 4096,
             coordinators: 2,
-            replica_lag_limit: 1024,
         }
     }
 }
@@ -771,7 +775,7 @@ impl ShardedServer {
     /// incrementally into its engine ([`Engine::apply_redo`]) and
     /// serves read-only routable requests as lock-free MVCC snapshots
     /// at its applied horizon. Admission is bounded-staleness
-    /// ([`ShardedConfig::replica_lag_limit`]); over-lagged or dead
+    /// (`REPLICA_LAG_LIMIT`); over-lagged or dead
     /// replicas fall back to the primary. Requires snapshot reads to be
     /// enabled — a locking read on a replica would race the redo
     /// applier.
@@ -907,7 +911,7 @@ impl ShardedServer {
                         return admit;
                     }
                     self.reap_dead_workers();
-                    let wait = self.jittered(backoff).min(deadline - now);
+                    let wait = jittered(&mut self.retry_rng, backoff).min(deadline - now);
                     if self.in_flight > self.ready.len() as u64 {
                         if let Ok((s, d)) = self.done_rx.recv_timeout(wait) {
                             self.unregister(s, d.tag);
@@ -925,19 +929,6 @@ impl ShardedServer {
                 admit => return admit,
             }
         }
-    }
-
-    /// Scale `d` by a deterministic pseudo-random fraction in
-    /// `[0.5, 1.0)` (xorshift64*).
-    fn jittered(&mut self, d: std::time::Duration) -> std::time::Duration {
-        let mut x = self.retry_rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.retry_rng = x;
-        let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        let frac = 0.5 + (r >> 11) as f64 / (1u64 << 54) as f64;
-        d.mul_f64(frac)
     }
 
     /// Non-blocking [`ShardedServer::recv_done`]: deliver one retired
@@ -1097,7 +1088,7 @@ impl ShardedServer {
     /// Try to admit a read-only request on one of shard `s`'s replicas,
     /// round-robin, with bounded-staleness admission: a replica is
     /// eligible only while `primary_durable_ts - applied_ts` is within
-    /// [`ShardedConfig::replica_lag_limit`]. `Err(req)` hands the
+    /// `REPLICA_LAG_LIMIT`. `Err(req)` hands the
     /// request back for the primary fallback (all replicas dead,
     /// over-lagged, or full) and counts the fallback.
     fn try_submit_replica(
@@ -1116,7 +1107,7 @@ impl ShardedServer {
                 continue;
             }
             let lag = durable.saturating_sub(r.applied.load(Ordering::Acquire));
-            if lag > self.cfg.replica_lag_limit {
+            if lag > REPLICA_LAG_LIMIT {
                 continue;
             }
             let entry = req.entry;
@@ -1227,53 +1218,24 @@ impl ShardedServer {
             }
             self.dead[i] = true;
             newly_dead.push(i);
-            let mut lost: Vec<(u64, (MethodId, &'static str))> =
-                self.outstanding[i].drain().collect();
-            lost.sort_unstable_by_key(|&(tag, _)| tag);
-            for (tag, (entry, label)) in lost {
-                self.ready.push_back(TxnDone {
-                    tag,
-                    entry,
-                    label,
-                    submitted_ns: 0,
-                    started_ns: 0,
-                    finished_ns: 0,
-                    low_budget: false,
-                    rolled_back: false,
-                    read_only: false,
-                    restarts: 0,
-                    participants: 0,
-                    result: None,
-                    error: Some(format!(
-                        "shard {i} worker died; transaction outcome unknown"
-                    )),
-                });
-            }
+            fail_outstanding(
+                &mut self.outstanding[i],
+                false,
+                &format!("shard {i} worker died; transaction outcome unknown"),
+                &mut self.ready,
+            );
         }
         for r in self.replicas.iter_mut() {
             if r.dead || !r.handle.as_ref().is_some_and(JoinHandle::is_finished) {
                 continue;
             }
             r.dead = true;
-            let mut lost: Vec<(u64, (MethodId, &'static str))> = r.outstanding.drain().collect();
-            lost.sort_unstable_by_key(|&(tag, _)| tag);
-            for (tag, (entry, label)) in lost {
-                self.ready.push_back(TxnDone {
-                    tag,
-                    entry,
-                    label,
-                    submitted_ns: 0,
-                    started_ns: 0,
-                    finished_ns: 0,
-                    low_budget: false,
-                    rolled_back: false,
-                    read_only: true,
-                    restarts: 0,
-                    participants: 0,
-                    result: None,
-                    error: Some(format!("shard {} replica died; read not served", r.shard)),
-                });
-            }
+            fail_outstanding(
+                &mut r.outstanding,
+                true,
+                &format!("shard {} replica died; read not served", r.shard),
+                &mut self.ready,
+            );
         }
         for s in newly_dead {
             self.heal_shard(s);
@@ -1374,21 +1336,7 @@ impl ShardedServer {
                 if engine.resolve_prepared(gtid, commit).is_ok() {
                     if commit {
                         resolved_commit += 1;
-                        // One participant leg settled; the entry goes
-                        // once every leg has (coordinator-acknowledged
-                        // or heal-resolved).
-                        if let HashEntry::Occupied(mut e) = dec.entry(gtid) {
-                            let settled = match e.get_mut() {
-                                GtidState::Commit { outstanding } => {
-                                    *outstanding = outstanding.saturating_sub(1);
-                                    *outstanding == 0
-                                }
-                                _ => false,
-                            };
-                            if settled {
-                                e.remove();
-                            }
-                        }
+                        settle_commit_legs(&mut dec, gtid, 1);
                     } else {
                         resolved_abort += 1;
                     }
@@ -1496,25 +1444,12 @@ impl ShardedServer {
         // synthesized here are the only results those callers ever get
         // — skipping them (e.g. on a panicked replica's failed join)
         // would leave a `recv_done` caller waiting forever.
-        let mut lost: Vec<(u64, (MethodId, &'static str))> = r.outstanding.drain().collect();
-        lost.sort_unstable_by_key(|&(tag, _)| tag);
-        for (tag, (entry, label)) in lost {
-            self.ready.push_back(TxnDone {
-                tag,
-                entry,
-                label,
-                submitted_ns: 0,
-                started_ns: 0,
-                finished_ns: 0,
-                low_budget: false,
-                rolled_back: false,
-                read_only: true,
-                restarts: 0,
-                participants: 0,
-                error: Some(format!("shard {s} replica promoted; read not served")),
-                result: None,
-            });
-        }
+        fail_outstanding(
+            &mut r.outstanding,
+            true,
+            &format!("shard {s} replica promoted; read not served"),
+            &mut self.ready,
+        );
         self.replica_of_shard[s].retain(|&i| i != slot);
         let (mut engine, mut tailer, _stats) = handle?.join().ok()?;
         // Final catch-up: the feed is complete (the primary is dead and
@@ -1522,9 +1457,7 @@ impl ShardedServer {
         // replica exactly on the durable watermark.
         let mut buf = Vec::new();
         tailer.catch_up_feed(&feed, &mut engine, &mut buf).ok()?;
-        for (gtid, ops) in tailer.take_pending() {
-            engine.adopt_in_doubt(gtid, ops).ok()?;
-        }
+        tailer.adopt_pending(&mut engine).ok()?;
         Some(engine)
     }
 
@@ -1607,6 +1540,59 @@ impl ShardedServer {
                 participant_deaths,
             },
         )
+    }
+}
+
+/// Scale `d` by a deterministic pseudo-random fraction in `[0.5, 1.0)`,
+/// advancing the xorshift64* state `rng`. The retry backoff of
+/// [`ShardedServer::submit_by_deadline`] and the socket client's
+/// reconnect backoff share it.
+pub(crate) fn jittered(rng: &mut u64, d: std::time::Duration) -> std::time::Duration {
+    let mut x = *rng;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *rng = x;
+    let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+    let frac = 0.5 + (r >> 11) as f64 / (1u64 << 54) as f64;
+    d.mul_f64(frac)
+}
+
+/// Retire every request in a dead worker's `outstanding` map (tag →
+/// entry, label) with `error`, in tag order, onto the `ready` queue.
+fn fail_outstanding(
+    outstanding: &mut HashMap<u64, (MethodId, &'static str)>,
+    read_only: bool,
+    error: &str,
+    ready: &mut VecDeque<TxnDone>,
+) {
+    let mut lost: Vec<(u64, (MethodId, &'static str))> = outstanding.drain().collect();
+    lost.sort_unstable_by_key(|&(tag, _)| tag);
+    for (tag, (entry, label)) in lost {
+        ready.push_back(TxnDone {
+            read_only,
+            ..TxnDone::failed(tag, entry, label, error.to_string())
+        });
+    }
+}
+
+/// Settle `legs` acknowledged commit legs of `gtid` in the decision
+/// registry. The entry goes once every leg has settled (acknowledged
+/// by the coordinator, or resolved by a heal pass), so the registry
+/// cannot grow without bound under worker churn, while a leg that may
+/// still be in doubt somewhere keeps its commit entry.
+fn settle_commit_legs(dec: &mut HashMap<u64, GtidState>, gtid: u64, legs: u32) {
+    if let HashEntry::Occupied(mut e) = dec.entry(gtid) {
+        let settled = match e.get_mut() {
+            GtidState::Commit { outstanding } => {
+                *outstanding = outstanding.saturating_sub(legs);
+                *outstanding == 0
+            }
+            _ => false,
+        };
+        if settled {
+            e.remove();
+        }
     }
 }
 
@@ -2116,7 +2102,6 @@ struct Coord {
     last_participants: u32,
     hold: Option<HoldHook>,
     hold_prepare: Option<HoldHook>,
-    scratch: VmScratch,
     stats: CoordStats,
 }
 
@@ -2134,7 +2119,6 @@ impl Coord {
             last_participants: 0,
             hold: None,
             hold_prepare: None,
-            scratch: VmScratch::default(),
             stats: CoordStats::default(),
         }
     }
@@ -2433,27 +2417,11 @@ impl Coord {
             }
         }
         if multi {
-            // Settle the acknowledged legs; the entry goes once every
-            // leg has settled (here, or in a heal pass resolving the
-            // leg's in-doubt branch) — so the registry cannot grow
-            // without bound under worker churn, while a leg that may
-            // still be in doubt somewhere keeps its commit entry.
             let mut dec = self
                 .decisions
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            if let HashEntry::Occupied(mut e) = dec.entry(self.age) {
-                let settled = match e.get_mut() {
-                    GtidState::Commit { outstanding } => {
-                        *outstanding = outstanding.saturating_sub(acked);
-                        *outstanding == 0
-                    }
-                    _ => false,
-                };
-                if settled {
-                    e.remove();
-                }
-            }
+            settle_commit_legs(&mut dec, self.age, acked);
         }
         match first_err {
             None => {
@@ -2580,112 +2548,19 @@ impl Database for Coord {
     }
 }
 
-/// Run one cross-shard transaction to completion on this coordinator:
-/// drive the session against the [`Coord`] façade, restarting on
-/// wait-die deadlocks with the original age retained. Mirrors the
-/// dispatcher's deadlock-restart policy for local sessions.
-fn run_job(
-    coord: &mut Coord,
-    part: &CompiledPartition,
-    dcfg: &DispatcherConfig,
-    sites: PreparedSites,
-    req: &TxnRequest,
-    tag: u64,
-) -> TxnDone {
-    let mut error = None;
-    let mut rolled_back = false;
-    let mut read_only = false;
-    let mut result = None;
-    let mut restarts = 0u32;
-    let mut age: Option<u64> = None;
-    loop {
-        let mut sess = match Session::with_prepared(
-            part,
-            req.entry,
-            &req.args,
-            dcfg.costs,
-            sites.clone(),
-            std::mem::take(&mut coord.scratch),
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                error = Some(e.to_string());
-                break;
-            }
-        };
-        // Cross-shard reads must lock — per-shard snapshots taken at
-        // different instants are not one consistent cut (module docs).
-        sess.set_snapshot_reads(false);
-        sess.set_txn_age(age);
-        let mut deadlocked = false;
-        let mut steps = 0u64;
-        loop {
-            match sess.advance(&mut *coord) {
-                Advance::Cpu { .. } | Advance::Net { .. } | Advance::DbOp { .. } => {}
-                Advance::Blocked { .. } => {
-                    unreachable!(
-                        "coordinator statements block inside the worker, never the session"
-                    )
-                }
-                Advance::Deadlocked => {
-                    // The session already aborted through Coord::abort —
-                    // every branch is rolled back and its locks released.
-                    deadlocked = true;
-                    break;
-                }
-                Advance::Finished => break,
-                Advance::Error(e) => {
-                    error = Some(e.to_string());
-                    break;
-                }
-            }
-            steps += 1;
-            if steps > 100_000_000 {
-                error = Some("cross-shard session exceeded its step budget".into());
-                break;
-            }
-        }
-        rolled_back = sess.rolled_back;
-        read_only = sess.is_read_only();
-        result = sess.result.clone();
-        age = sess.txn_age();
-        coord.scratch = sess.take_scratch();
-        if deadlocked {
-            restarts += 1;
-            // Brief real-time backoff: let the blocking transaction
-            // finish before re-running (the retained age guarantees
-            // eventual progress regardless).
-            std::thread::sleep(std::time::Duration::from_micros(50));
-            continue;
-        }
-        break;
-    }
-    // Leak-check: a session that died without reaching commit/abort
-    // (step-budget exhaustion, construction failure) must not leave
-    // branches holding row locks.
-    coord.abort_open_branches();
-    TxnDone {
-        tag,
-        entry: req.entry,
-        label: req.label,
-        submitted_ns: 0,
-        started_ns: 0,
-        finished_ns: 0,
-        low_budget: false,
-        rolled_back,
-        read_only,
-        restarts,
-        participants: coord.last_participants,
-        result,
-        error,
-    }
-}
+/// Poll budget of one cross-shard job; a session still running past it
+/// is abandoned with an error result.
+const STEP_BUDGET: u64 = 100_000_000;
 
-/// One coordinator thread: warm a private statement/site table over the
-/// remote-op protocol, then serve cross-shard jobs from the shared queue
-/// until the server drops it. A panic inside a job is contained: the
-/// job's branches are aborted and the transaction reports an error
-/// result instead of wedging the server.
+/// One coordinator thread: warm a private statement table and a
+/// one-session [`Dispatcher`] over the [`Coord`] façade, then serve
+/// cross-shard jobs from the shared queue until the server drops it.
+/// The dispatcher runs each job's session exactly as a shard worker
+/// runs a local one, wait-die restarts with the age retained included.
+/// A panic inside a job is contained: the job's branches are aborted,
+/// the dispatcher is rebuilt (its sites re-prepare from the statement
+/// table, with no rpc), and the transaction reports an error result
+/// instead of wedging the server.
 fn coordinator(
     part: Arc<CompiledPartition>,
     dcfg: DispatcherConfig,
@@ -2695,8 +2570,15 @@ fn coordinator(
     ages: Arc<AtomicU64>,
     decisions: Decisions,
 ) -> CoordStats {
+    // Cross-shard reads must lock — per-shard snapshots taken at
+    // different instants are not one consistent cut (module docs).
+    let cfg = DispatcherConfig {
+        max_sessions: 1,
+        snapshot_reads: false,
+        ..dcfg
+    };
     let mut coord = Coord::new(links, ages, decisions);
-    let sites = Session::prepare_sites(&part.bp, &mut coord);
+    let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut coord, cfg);
     loop {
         // Holding the queue lock across `recv` serializes job *pickup*
         // (one coordinator waits at a time); execution still overlaps.
@@ -2708,31 +2590,55 @@ fn coordinator(
         coord.hold = job.hold;
         coord.hold_prepare = job.hold_prepare;
         coord.last_participants = 0;
-        let (req, tag) = (job.req, job.tag);
-        let d = catch_unwind(AssertUnwindSafe(|| {
-            run_job(&mut coord, &part, &dcfg, sites.clone(), &req, tag)
+        let (entry, label, tag) = (job.req.entry, job.req.label, job.tag);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run_to_retirement(&mut disp, &mut coord, job.req, tag)
         }))
-        .unwrap_or_else(|_| {
-            coord.abort_open_branches();
-            TxnDone {
-                tag,
-                entry: req.entry,
-                label: req.label,
-                submitted_ns: 0,
-                started_ns: 0,
-                finished_ns: 0,
-                low_budget: false,
-                rolled_back: false,
-                read_only: false,
-                restarts: 0,
-                participants: 0,
-                result: None,
-                error: Some("cross-shard coordinator panicked; transaction aborted".into()),
+        .unwrap_or(Err("cross-shard coordinator panicked; transaction aborted"));
+        let mut d = match ran {
+            Ok(d) => d,
+            Err(why) => {
+                // The abandoned session goes with its dispatcher.
+                disp = Dispatcher::new(Deployment::Fixed(&part), &mut coord, cfg);
+                TxnDone::failed(tag, entry, label, why.into())
             }
-        });
+        };
+        // Leak-check: a session that died without reaching commit/abort
+        // (step budget, panic) must not leave branches holding row locks.
+        coord.abort_open_branches();
+        d.participants = coord.last_participants;
         coord.hold = None;
         coord.hold_prepare = None;
         let _ = done.send((COORD, d));
     }
     coord.stats
+}
+
+/// Submit `req` to the coordinator's idle one-session dispatcher and
+/// poll until it retires, or `Err` once [`STEP_BUDGET`] polls pass.
+/// After each wait-die restart the thread pauses 50µs of real time:
+/// the older lock holder that killed the session runs on another
+/// thread, and the pause lets it finish before the retry (the retained
+/// age guarantees progress regardless).
+fn run_to_retirement(
+    disp: &mut Dispatcher<'_>,
+    coord: &mut Coord,
+    req: TxnRequest,
+    tag: u64,
+) -> Result<TxnDone, &'static str> {
+    disp.submit(0, req, tag);
+    let mut restarts = disp.stats().deadlock_restarts;
+    for _ in 0..STEP_BUDGET {
+        match disp.poll(coord, &mut InstantEnv) {
+            Polled::Done(d) => return Ok(d),
+            Polled::Progress => {}
+            Polled::Idle => unreachable!("a live session always has a pending event"),
+        }
+        let seen = disp.stats().deadlock_restarts;
+        if seen > restarts {
+            restarts = seen;
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+    }
+    Err("cross-shard session exceeded its step budget")
 }

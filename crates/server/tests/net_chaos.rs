@@ -122,7 +122,6 @@ fn fast_client_cfg(fault: FaultScript) -> NetClientCfg {
         request_timeout: Duration::from_millis(300),
         max_reconnects: 200,
         fault: Some(fault),
-        ..NetClientCfg::default()
     }
 }
 
@@ -158,7 +157,6 @@ fn rig(seed: u64) -> Rig {
         },
         NetServerCfg {
             io_timeout: Duration::from_millis(500),
-            ..NetServerCfg::default()
         },
     );
     Rig {

@@ -12,8 +12,9 @@
 //!   2PC coordinator pool and must agree with the single engine.
 //! * **2PC concurrency**: two cross-shard transactions with disjoint
 //!   participant sets commit concurrently (one parked mid-commit while
-//!   the other completes), and a concurrent burst of conflicting
-//!   transfers conserves total stock exactly through wait-die restarts.
+//!   the other completes), a younger transaction blocked by a parked
+//!   one restarts under wait-die and retires exactly once, and a
+//!   concurrent burst of transfers conserves total stock exactly.
 //! * **Partition property** (proptest): over random scales/shard counts,
 //!   the sharded loader places every row of a shard-keyed table on
 //!   exactly the shard `shard_of` names — no loss, no duplication — and
@@ -474,7 +475,6 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
                 queue_cap: 2,
                 ..DispatcherConfig::default()
             },
-            ..ShardedConfig::default()
         },
     );
     let mut gen = tpcc::NewOrderGen::new(entry, scale, 9).with_lines(2, 4);
@@ -818,11 +818,13 @@ fn remote_warehouse_mix_matches_single_under_2pc() {
     assert!(report.multi_participants > report.multi_txns / 2);
 }
 
-/// Cross-shard stress under *concurrent* submission: a burst of transfers
-/// over a handful of hot items forces lock conflicts, wait-die kills, and
-/// coordinator restarts across overlapping participant sets — and total
-/// stock must still be conserved exactly, with every transaction retiring
-/// cleanly.
+/// Cross-shard transfers submitted concurrently over a handful of hot
+/// items and overlapping participant sets: every transaction retires
+/// without error, the coordinator pool runs all of them, at least one
+/// goes through a prepare round, and total stock is conserved exactly.
+/// Whether two transfers actually conflict depends on thread timing, so
+/// this does not prove the restart path runs; see
+/// `cross_shard_wait_die_victim_restarts_and_retires_once` for that.
 #[test]
 fn concurrent_cross_shard_transfers_conserve_stock() {
     let (pyxis, part) = compile_jdbc(MIXED_SRC);
@@ -884,6 +886,70 @@ fn concurrent_cross_shard_transfers_conserve_stock() {
     assert_eq!(after, initial, "transfers conserve total stock");
     let merged = report.merged_engine_stats();
     assert!(merged.prepares > 0);
+}
+
+/// A cross-shard wait-die victim restarts on its coordinator and still
+/// retires exactly once. T1 (w0→w1, item 1) is parked at its commit
+/// point holding exclusive locks on both stock rows. The younger T2
+/// (w1→w0, same item) dies on T1's lock, and keeps dying on each retry
+/// under its retained age, until T1 is released. Both then commit.
+#[test]
+fn cross_shard_wait_die_victim_restarts_and_retires_once() {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        fresh_shards(scale8(), 71, 2),
+        ShardedConfig {
+            shards: 2,
+            coordinators: 2,
+            ..ShardedConfig::default()
+        },
+    );
+    let wh = |shard: usize| {
+        (1..=8i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 2) == shard)
+            .expect("some warehouse routes to every shard")
+    };
+    let pair = |from: i64, to: i64| TxnRequest {
+        entry: transfer,
+        args: vec![
+            pyx_runtime::ArgVal::Int(from),
+            pyx_runtime::ArgVal::Int(to),
+            pyx_runtime::ArgVal::Int(1),
+            pyx_runtime::ArgVal::Int(1),
+        ],
+        label: "transfer",
+        route: None,
+    };
+
+    let (held, release) = srv.hold_next_multi_commit();
+    assert_eq!(srv.submit(pair(wh(0), wh(1)), 1), Admit::Started);
+    held.recv_timeout(Duration::from_secs(30))
+        .expect("T1 parks at its commit point with both rows locked");
+    assert_eq!(srv.submit(pair(wh(1), wh(0)), 2), Admit::Started);
+    std::thread::sleep(Duration::from_millis(20));
+    release.send(()).expect("release T1");
+
+    let mut done = vec![
+        srv.recv_done().expect("first retirement"),
+        srv.recv_done().expect("second retirement"),
+    ];
+    assert_eq!(srv.in_flight(), 0, "nothing else retires");
+    done.sort_by_key(|d| d.tag);
+    assert_eq!(done.iter().map(|d| d.tag).collect::<Vec<_>>(), [1, 2]);
+    for d in &done {
+        assert!(d.error.is_none(), "txn {}: {:?}", d.tag, d.error);
+        assert_eq!(d.participants, 2, "txn {}", d.tag);
+    }
+    assert_eq!(done[0].restarts, 0, "the older holder never dies");
+    assert!(
+        done[1].restarts >= 1,
+        "the younger transfer dies on the held lock and restarts"
+    );
+    let (rest, report) = srv.shutdown();
+    assert!(rest.is_empty());
+    assert_eq!(report.multi_txns, 2);
 }
 
 /// The headline 2PC property: two cross-shard transactions with disjoint

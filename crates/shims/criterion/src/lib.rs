@@ -73,10 +73,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
         let full = format!("{}/{}", self.name, id);
         self.c.run(&full, f);

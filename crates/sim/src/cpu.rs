@@ -1,7 +1,7 @@
 //! Finite-core CPU model.
 //!
 //! Work items are scheduled onto the earliest-free core (FCFS). The pool
-//! tracks cumulative busy time for utilization reporting, and supports
+//! tracks busy time per reporting window for utilization, and supports
 //! withdrawing/restoring cores mid-run to emulate external load on the
 //! database server.
 
@@ -12,8 +12,6 @@ pub struct CpuPool {
     free_at: Vec<u64>,
     /// Instructions per second.
     ips: u64,
-    /// Total busy nanoseconds scheduled (across all cores).
-    busy_ns: u64,
     /// Busy nanoseconds scheduled since the last checkpoint.
     window_busy_ns: u64,
     /// Execution speed in per-mille (1000 = unloaded full speed).
@@ -30,7 +28,6 @@ impl CpuPool {
         CpuPool {
             free_at: vec![0; cores],
             ips,
-            busy_ns: 0,
             window_busy_ns: 0,
             speed_permille: 1000,
         }
@@ -83,7 +80,6 @@ impl CpuPool {
         let start = now.max(free);
         let end = start + dur;
         self.free_at[idx] = end;
-        self.busy_ns += dur;
         self.window_busy_ns += dur;
         end
     }
@@ -105,10 +101,6 @@ impl CpuPool {
 
     pub fn reset_window(&mut self) {
         self.window_busy_ns = 0;
-    }
-
-    pub fn total_busy_ns(&self) -> u64 {
-        self.busy_ns
     }
 }
 

@@ -16,7 +16,6 @@ use crate::cpu::CpuPool;
 use pyx_db::Engine;
 use pyx_lang::MethodId;
 use pyx_partition::Side;
-use pyx_runtime::cost::RtCosts;
 use pyx_runtime::monitor::PartitionChoice;
 use pyx_runtime::NetModel;
 use pyx_server::{Dispatcher, DispatcherConfig, Env, Polled, Workload};
@@ -39,7 +38,6 @@ pub struct SimConfig {
     pub app_ips: u64,
     pub db_ips: u64,
     pub net: NetModel,
-    pub costs: RtCosts,
     /// Scheduled external-load changes on the DB server.
     pub load_events: Vec<LoadEvent>,
     /// Seconds between load-monitor polls (paper: 10 s).
@@ -67,7 +65,6 @@ impl Default for SimConfig {
             app_ips: 1_000_000_000,
             db_ips: 1_000_000_000,
             net: NetModel::default(),
-            costs: RtCosts::default(),
             load_events: Vec::new(),
             poll_s: 10.0,
             timeline_bucket_s: 30.0,
@@ -242,9 +239,7 @@ pub fn run_sim<'a>(
             max_sessions: cfg.clients,
             queue_cap: usize::MAX,
             poll_interval_ns: poll_ns,
-            costs: cfg.costs,
             snapshot_reads: cfg.snapshot_reads,
-            ..DispatcherConfig::default()
         },
     );
 

@@ -11,6 +11,7 @@
 //! transaction calls `rollback()` when it sees it.
 
 use pyx_db::{ColTy, ColumnDef, Engine, Scalar, TableDef};
+use pyx_lang::fnv::{fnv1a, fnv1a_cont, FNV_OFFSET};
 use pyx_lang::MethodId;
 use pyx_runtime::ArgVal;
 use pyx_sim::{TxnRequest, Workload};
@@ -114,6 +115,67 @@ pub const REMOTE_SRC: &str = r#"
         }
     }
 "#;
+
+/// The program the `dbhost` binary serves: new-order plus a
+/// warehouse-to-warehouse stock `transfer`, which is cross-shard when the
+/// two warehouses live on different shards. The DB host and the process
+/// driving it both compile this text, so their entry-point ids line up
+/// and nothing compiled crosses the wire.
+pub const HOST_SRC: &str = r#"
+    class Host {
+        double newOrder(int wId, int dId, int cId, int[] itemIds, int[] qtys) {
+            row[] wr = dbQuery("SELECT w_tax FROM warehouse WHERE w_id = ?", wId);
+            double wTax = wr[0].getDouble(0);
+            dbUpdate("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?", wId, dId);
+            row[] dr = dbQuery("SELECT d_tax, d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?", wId, dId);
+            double dTax = dr[0].getDouble(0);
+            int oId = dr[0].getInt(1) - 1;
+            row[] cr = dbQuery("SELECT c_discount FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?", wId, dId, cId);
+            double cDisc = cr[0].getDouble(0);
+            dbUpdate("INSERT INTO orders VALUES (?, ?, ?, ?, ?)", wId, dId, oId, cId, itemIds.length);
+            dbUpdate("INSERT INTO new_order VALUES (?, ?, ?)", wId, dId, oId);
+            double total = 0.0;
+            int ol = 0;
+            for (int iid : itemIds) {
+                if (iid < 0) {
+                    rollback();
+                    return 0.0 - 1.0;
+                }
+                row[] ir = dbQuery("SELECT i_price FROM item WHERE i_id = ?", iid);
+                double price = ir[0].getDouble(0);
+                row[] sr = dbQuery("SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?", wId, iid);
+                int sq = sr[0].getInt(0);
+                int qty = qtys[ol];
+                int newQ = sq - qty;
+                if (newQ < 10) { newQ = newQ + 91; }
+                dbUpdate("UPDATE stock SET s_quantity = ? WHERE s_w_id = ? AND s_i_id = ?", newQ, wId, iid);
+                double amount = price * toDouble(qty);
+                dbUpdate("INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?)", wId, dId, oId, ol, iid, qty, amount);
+                total = total + amount;
+                ol = ol + 1;
+            }
+            total = total * (1.0 + wTax + dTax) * (1.0 - cDisc);
+            return total;
+        }
+
+        int transfer(int fromW, int toW, int iid, int qty) {
+            row[] a = dbQuery("SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?", fromW, iid);
+            int have = a[0].getInt(0);
+            if (have < qty) { return 0 - 1; }
+            dbUpdate("UPDATE stock SET s_quantity = s_quantity - ? WHERE s_w_id = ? AND s_i_id = ?", qty, fromW, iid);
+            dbUpdate("UPDATE stock SET s_quantity = s_quantity + ? WHERE s_w_id = ? AND s_i_id = ?", qty, toW, iid);
+            return have - qty;
+        }
+    }
+"#;
+
+/// Scale of the database the `dbhost` binary serves.
+pub const HOST_SCALE: TpccScale = TpccScale {
+    warehouses: 8,
+    districts_per_wh: 3,
+    customers_per_district: 10,
+    items: 100,
+};
 
 /// Scale parameters (scaled down from the paper's 20-warehouse / 23 GB
 /// database to laptop size; the access *pattern* is unchanged).
@@ -258,6 +320,46 @@ pub fn load_sharded(engines: &mut [Engine], scale: TpccScale, seed: u64) {
     for_each_row(scale, seed, |table, row| {
         pyx_server::load_row_sharded(engines, table, row)
     });
+}
+
+/// `shards` engines with the TPC-C schema, loaded at [`HOST_SCALE`]
+/// from `seed` by [`load_sharded`]: the state the `dbhost` binary serves
+/// and an in-process oracle of it starts from.
+pub fn host_shards(shards: usize, seed: u64) -> Vec<Engine> {
+    let mut engines: Vec<Engine> = (0..shards)
+        .map(|_| {
+            let mut e = Engine::new();
+            create_schema(&mut e);
+            e
+        })
+        .collect();
+    load_sharded(&mut engines, HOST_SCALE, seed);
+    engines
+}
+
+/// Canonical state fingerprint: FNV-1a over every engine's sorted table
+/// dumps plus its commit-timestamp horizon. Order-independent within a
+/// table, order-fixed across engines and tables — two engine sets agree
+/// iff their visible state agrees.
+pub fn fingerprint(engines: &[Engine]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for e in engines {
+        h = fnv1a_cont(h, &e.current_commit_ts().to_le_bytes());
+        for table in e.table_names() {
+            let mut rows: Vec<String> = e
+                .dump_table(&table)
+                .into_iter()
+                .map(|r| format!("{r:?}"))
+                .collect();
+            rows.sort();
+            h = fnv1a_cont(h, table.as_bytes());
+            for r in rows {
+                h = fnv1a_cont(h, r.as_bytes());
+            }
+        }
+    }
+    // Mix once more so an empty engine set is not the plain offset.
+    fnv1a(&h.to_le_bytes())
 }
 
 /// The canonical row stream both loaders share: one sink callback per
@@ -434,12 +536,6 @@ impl RemoteMixGen {
     /// Fraction of transactions that touch a remote warehouse (0.0–1.0).
     pub fn with_remote_pct(mut self, pct: f64) -> Self {
         self.remote_pct = pct;
-        self
-    }
-
-    /// Fraction of transactions that are payments rather than new-orders.
-    pub fn with_payment_pct(mut self, pct: f64) -> Self {
-        self.payment_pct = pct;
         self
     }
 

@@ -12,7 +12,6 @@
 
 use pyxis::core::{Pyxis, PyxisConfig};
 use pyxis::db::{ColTy, ColumnDef, Engine, Scalar, TableDef};
-use pyxis::runtime::cost::RtCosts;
 use pyxis::runtime::session::{run_to_completion, Session};
 use pyxis::runtime::ArgVal;
 
@@ -156,7 +155,6 @@ fn main() {
             &part,
             entry,
             &[ArgVal::Int(7), ArgVal::Int(1), ArgVal::Double(0.8)],
-            RtCosts::default(),
             &mut db,
         )
         .expect("session");

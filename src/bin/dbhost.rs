@@ -13,114 +13,17 @@
 //!   `FINGERPRINT <hex>` and `COMPLETED <n>`, then exits.
 //!
 //! Both this process and its driver derive the same compiled partition
-//! and the same loaded shards deterministically from the seed — nothing
+//! ([`tpcc::HOST_SRC`]) and the same loaded shards
+//! ([`tpcc::host_shards`]) deterministically from the seed — nothing
 //! compiled ships over the wire, exactly the paper's deployment story:
 //! the DB host holds the DB-side program; clients send entry
 //! invocations only.
 
-use pyxis::db::Engine;
-use pyxis::lang::fnv::fnv1a;
 use pyxis::server::net::{Listener, NetAddr, NetServer, NetServerCfg};
 use pyxis::server::{ShardedConfig, ShardedServer};
 use pyxis::workloads::tpcc;
 use std::io::BufRead;
 use std::sync::Arc;
-
-/// The partitioned program both processes compile from the same seed
-/// material. Kept identical to the `net_process` driver's copy.
-const SRC: &str = r#"
-    class Host {
-        double newOrder(int wId, int dId, int cId, int[] itemIds, int[] qtys) {
-            row[] wr = dbQuery("SELECT w_tax FROM warehouse WHERE w_id = ?", wId);
-            double wTax = wr[0].getDouble(0);
-            dbUpdate("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?", wId, dId);
-            row[] dr = dbQuery("SELECT d_tax, d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?", wId, dId);
-            double dTax = dr[0].getDouble(0);
-            int oId = dr[0].getInt(1) - 1;
-            row[] cr = dbQuery("SELECT c_discount FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?", wId, dId, cId);
-            double cDisc = cr[0].getDouble(0);
-            dbUpdate("INSERT INTO orders VALUES (?, ?, ?, ?, ?)", wId, dId, oId, cId, itemIds.length);
-            dbUpdate("INSERT INTO new_order VALUES (?, ?, ?)", wId, dId, oId);
-            double total = 0.0;
-            int ol = 0;
-            for (int iid : itemIds) {
-                if (iid < 0) {
-                    rollback();
-                    return 0.0 - 1.0;
-                }
-                row[] ir = dbQuery("SELECT i_price FROM item WHERE i_id = ?", iid);
-                double price = ir[0].getDouble(0);
-                row[] sr = dbQuery("SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?", wId, iid);
-                int sq = sr[0].getInt(0);
-                int qty = qtys[ol];
-                int newQ = sq - qty;
-                if (newQ < 10) { newQ = newQ + 91; }
-                dbUpdate("UPDATE stock SET s_quantity = ? WHERE s_w_id = ? AND s_i_id = ?", newQ, wId, iid);
-                double amount = price * toDouble(qty);
-                dbUpdate("INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?)", wId, dId, oId, ol, iid, qty, amount);
-                total = total + amount;
-                ol = ol + 1;
-            }
-            total = total * (1.0 + wTax + dTax) * (1.0 - cDisc);
-            return total;
-        }
-
-        int transfer(int fromW, int toW, int iid, int qty) {
-            row[] a = dbQuery("SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?", fromW, iid);
-            int have = a[0].getInt(0);
-            if (have < qty) { return 0 - 1; }
-            dbUpdate("UPDATE stock SET s_quantity = s_quantity - ? WHERE s_w_id = ? AND s_i_id = ?", qty, fromW, iid);
-            dbUpdate("UPDATE stock SET s_quantity = s_quantity + ? WHERE s_w_id = ? AND s_i_id = ?", qty, toW, iid);
-            return have - qty;
-        }
-    }
-"#;
-
-fn scale() -> tpcc::TpccScale {
-    tpcc::TpccScale {
-        warehouses: 8,
-        districts_per_wh: 3,
-        customers_per_district: 10,
-        items: 100,
-    }
-}
-
-fn build_shards(shards: usize, seed: u64) -> Vec<Engine> {
-    let mut engines: Vec<Engine> = (0..shards)
-        .map(|_| {
-            let mut e = Engine::new();
-            tpcc::create_schema(&mut e);
-            e
-        })
-        .collect();
-    tpcc::load_sharded(&mut engines, scale(), seed);
-    engines
-}
-
-/// Canonical state fingerprint: FNV-1a over every shard's sorted table
-/// dumps plus its commit-timestamp horizon. Order-independent within a
-/// table, order-fixed across shards and tables — two engines agree iff
-/// their visible state agrees.
-fn fingerprint(engines: &[Engine]) -> u64 {
-    let mut h = pyxis::lang::fnv::FNV_OFFSET;
-    for e in engines {
-        h = pyxis::lang::fnv::fnv1a_cont(h, &e.current_commit_ts().to_le_bytes());
-        for table in e.table_names() {
-            let mut rows: Vec<String> = e
-                .dump_table(&table)
-                .into_iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            rows.sort();
-            h = pyxis::lang::fnv::fnv1a_cont(h, table.as_bytes());
-            for r in rows {
-                h = pyxis::lang::fnv::fnv1a_cont(h, r.as_bytes());
-            }
-        }
-    }
-    // Mix once more so an empty engine set is not the plain offset.
-    fnv1a(&h.to_le_bytes())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -132,7 +35,7 @@ fn main() {
     let shards: usize = args[1].parse().expect("shard count");
     let seed: u64 = args[2].parse().expect("seed");
 
-    let pyxis = pyxis::core::Pyxis::compile(SRC, pyxis::core::PyxisConfig::default())
+    let pyxis = pyxis::core::Pyxis::compile(tpcc::HOST_SRC, pyxis::core::PyxisConfig::default())
         .expect("host program compiles");
     let part = Arc::new(pyxis.deploy_jdbc());
 
@@ -142,7 +45,7 @@ fn main() {
         move || {
             ShardedServer::new(
                 part,
-                build_shards(shards, seed),
+                tpcc::host_shards(shards, seed),
                 ShardedConfig {
                     shards,
                     coordinators: 2,
@@ -162,7 +65,7 @@ fn main() {
         }
     }
     let report = handle.shutdown();
-    println!("FINGERPRINT {:016x}", fingerprint(&report.engines));
+    println!("FINGERPRINT {:016x}", tpcc::fingerprint(&report.engines));
     println!(
         "COMPLETED {}",
         report.dispatchers.iter().map(|d| d.completed).sum::<u64>() + report.multi_txns

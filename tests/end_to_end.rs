@@ -4,7 +4,6 @@
 use pyxis::core::{Pyxis, PyxisConfig};
 use pyxis::db::Engine;
 use pyxis::partition::Side;
-use pyxis::runtime::cost::RtCosts;
 use pyxis::runtime::session::{run_to_completion, Session};
 use pyxis::runtime::ArgVal;
 use pyxis::sim::{Deployment, SimConfig, Workload};
@@ -42,8 +41,7 @@ fn tpcc_partitions_preserve_semantics() {
         tpcc::create_schema(&mut db);
         tpcc::load(&mut db, scale, 5);
         for req in &fixed_reqs {
-            let mut sess =
-                Session::new(part, req.entry, &req.args, RtCosts::default(), &mut db).unwrap();
+            let mut sess = Session::new(part, req.entry, &req.args, &mut db).unwrap();
             run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
         }
         db.table_names().iter().map(|t| db.dump_table(t)).collect()
@@ -94,7 +92,7 @@ fn tpcc_high_budget_behaves_like_stored_procedure() {
         .with_lines(6, 6)
         .with_rollback_pct(0.0);
     let req = g.next_txn(0);
-    let mut sess = Session::new(&part, req.entry, &req.args, RtCosts::default(), &mut db).unwrap();
+    let mut sess = Session::new(&part, req.entry, &req.args, &mut db).unwrap();
     run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
     assert_eq!(sess.stats.db_round_trips, 0, "{:?}", sess.stats);
     assert!(sess.stats.db_local_calls >= 15);
@@ -106,7 +104,7 @@ fn tpcc_high_budget_behaves_like_stored_procedure() {
     let mut db = Engine::new();
     tpcc::create_schema(&mut db);
     tpcc::load(&mut db, scale, 5);
-    let mut sess = Session::new(&part, req.entry, &req.args, RtCosts::default(), &mut db).unwrap();
+    let mut sess = Session::new(&part, req.entry, &req.args, &mut db).unwrap();
     run_to_completion(&mut sess, &mut db, 10_000_000).unwrap();
     assert!(sess.stats.db_round_trips >= 15, "{:?}", sess.stats);
     assert_eq!(sess.stats.db_local_calls, 0);
@@ -184,7 +182,6 @@ fn micro2_partitions_agree() {
             &part,
             entry,
             &[ArgVal::Int(30), ArgVal::Int(100), ArgVal::Int(30)],
-            RtCosts::default(),
             &mut db,
         )
         .unwrap();

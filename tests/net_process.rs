@@ -4,15 +4,13 @@
 //! of the same closed-loop workload.
 //!
 //! Nothing compiled crosses the wire: both processes derive the same
-//! `CompiledPartition` and the same loaded shards deterministically
-//! from the same seed — the paper's deployment split, with the APP and
-//! DB runtimes in genuinely separate address spaces for the first
-//! time.
+//! `CompiledPartition` (from `tpcc::HOST_SRC`) and the same loaded
+//! shards (`tpcc::host_shards`) deterministically from the same seed —
+//! the paper's deployment split, with the APP and DB runtimes in
+//! genuinely separate address spaces.
 
 #![cfg(unix)]
 
-use pyxis::db::Engine;
-use pyxis::lang::fnv::{fnv1a, fnv1a_cont, FNV_OFFSET};
 use pyxis::runtime::ArgVal;
 use pyxis::server::net::{NetAddr, NetClient, NetClientCfg};
 use pyxis::server::{ShardedConfig, ShardedServer, TxnRequest, Workload};
@@ -27,109 +25,17 @@ const SEED: u64 = 1009;
 /// How long an in-process submit may wait for admission.
 const ADMIT_WAIT: Duration = Duration::from_millis(13);
 
-/// Must match `src/bin/dbhost.rs` exactly: both processes compile the
-/// same program so entry-point ids line up.
-const SRC: &str = r#"
-    class Host {
-        double newOrder(int wId, int dId, int cId, int[] itemIds, int[] qtys) {
-            row[] wr = dbQuery("SELECT w_tax FROM warehouse WHERE w_id = ?", wId);
-            double wTax = wr[0].getDouble(0);
-            dbUpdate("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?", wId, dId);
-            row[] dr = dbQuery("SELECT d_tax, d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?", wId, dId);
-            double dTax = dr[0].getDouble(0);
-            int oId = dr[0].getInt(1) - 1;
-            row[] cr = dbQuery("SELECT c_discount FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?", wId, dId, cId);
-            double cDisc = cr[0].getDouble(0);
-            dbUpdate("INSERT INTO orders VALUES (?, ?, ?, ?, ?)", wId, dId, oId, cId, itemIds.length);
-            dbUpdate("INSERT INTO new_order VALUES (?, ?, ?)", wId, dId, oId);
-            double total = 0.0;
-            int ol = 0;
-            for (int iid : itemIds) {
-                if (iid < 0) {
-                    rollback();
-                    return 0.0 - 1.0;
-                }
-                row[] ir = dbQuery("SELECT i_price FROM item WHERE i_id = ?", iid);
-                double price = ir[0].getDouble(0);
-                row[] sr = dbQuery("SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?", wId, iid);
-                int sq = sr[0].getInt(0);
-                int qty = qtys[ol];
-                int newQ = sq - qty;
-                if (newQ < 10) { newQ = newQ + 91; }
-                dbUpdate("UPDATE stock SET s_quantity = ? WHERE s_w_id = ? AND s_i_id = ?", newQ, wId, iid);
-                double amount = price * toDouble(qty);
-                dbUpdate("INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?)", wId, dId, oId, ol, iid, qty, amount);
-                total = total + amount;
-                ol = ol + 1;
-            }
-            total = total * (1.0 + wTax + dTax) * (1.0 - cDisc);
-            return total;
-        }
-
-        int transfer(int fromW, int toW, int iid, int qty) {
-            row[] a = dbQuery("SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?", fromW, iid);
-            int have = a[0].getInt(0);
-            if (have < qty) { return 0 - 1; }
-            dbUpdate("UPDATE stock SET s_quantity = s_quantity - ? WHERE s_w_id = ? AND s_i_id = ?", qty, fromW, iid);
-            dbUpdate("UPDATE stock SET s_quantity = s_quantity + ? WHERE s_w_id = ? AND s_i_id = ?", qty, toW, iid);
-            return have - qty;
-        }
-    }
-"#;
-
-fn scale() -> tpcc::TpccScale {
-    tpcc::TpccScale {
-        warehouses: 8,
-        districts_per_wh: 3,
-        customers_per_district: 10,
-        items: 100,
-    }
-}
-
-fn build_shards(seed: u64) -> Vec<Engine> {
-    let mut engines: Vec<Engine> = (0..W)
-        .map(|_| {
-            let mut e = Engine::new();
-            tpcc::create_schema(&mut e);
-            e
-        })
-        .collect();
-    tpcc::load_sharded(&mut engines, scale(), seed);
-    engines
-}
-
 fn wh(s: usize) -> i64 {
     (1..=8i64)
         .find(|&k| pyxis::db::shard_of(&pyxis::db::Scalar::Int(k), W) == s)
         .expect("every shard owns a warehouse")
 }
 
-/// Must match `dbhost::fingerprint` exactly.
-fn fingerprint(engines: &[Engine]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for e in engines {
-        h = fnv1a_cont(h, &e.current_commit_ts().to_le_bytes());
-        for table in e.table_names() {
-            let mut rows: Vec<String> = e
-                .dump_table(&table)
-                .into_iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            rows.sort();
-            h = fnv1a_cont(h, table.as_bytes());
-            for r in rows {
-                h = fnv1a_cont(h, r.as_bytes());
-            }
-        }
-    }
-    fnv1a(&h.to_le_bytes())
-}
-
 /// The closed-loop workload both sides run, in identical order.
 fn mixed_requests(pyxis: &pyxis::core::Pyxis, n: usize) -> Vec<TxnRequest> {
     let new_order = pyxis.entry("Host", "newOrder").expect("newOrder");
     let transfer = pyxis.entry("Host", "transfer").expect("transfer");
-    let mut gen = tpcc::NewOrderGen::new(new_order, scale(), 17).with_lines(2, 4);
+    let mut gen = tpcc::NewOrderGen::new(new_order, tpcc::HOST_SCALE, 17).with_lines(2, 4);
     let mut no_i = 0usize;
     (0..n)
         .map(|slot| {
@@ -209,7 +115,7 @@ fn separate_process_db_host_over_uds_matches_in_process_state() {
     let addr = NetAddr::parse(addr_str).expect("dbhost address");
 
     // Drive the workload closed-loop from *this* process over the wire.
-    let pyxis = pyxis::core::Pyxis::compile(SRC, pyxis::core::PyxisConfig::default())
+    let pyxis = pyxis::core::Pyxis::compile(tpcc::HOST_SRC, pyxis::core::PyxisConfig::default())
         .expect("driver compiles the same program");
     let reqs = mixed_requests(&pyxis, 40);
     let mut client = NetClient::connect(&addr, NetClientCfg::default()).expect("connect");
@@ -237,7 +143,7 @@ fn separate_process_db_host_over_uds_matches_in_process_state() {
     let part = Arc::new(pyxis.deploy_jdbc());
     let mut srv = ShardedServer::new(
         part,
-        build_shards(SEED),
+        tpcc::host_shards(W, SEED),
         ShardedConfig {
             shards: W,
             coordinators: 2,
@@ -253,7 +159,7 @@ fn separate_process_db_host_over_uds_matches_in_process_state() {
         assert!(d.error.is_none());
     }
     let (_, report) = srv.shutdown();
-    let oracle_fp = format!("{:016x}", fingerprint(&report.engines));
+    let oracle_fp = format!("{:016x}", tpcc::fingerprint(&report.engines));
 
     assert_eq!(
         served_fp, oracle_fp,

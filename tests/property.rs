@@ -286,7 +286,6 @@ proptest! {
             &part,
             entry,
             &[pyxis::runtime::ArgVal::Int(x)],
-            pyxis::runtime::cost::RtCosts::default(),
             &mut db1,
         )
         .unwrap();
