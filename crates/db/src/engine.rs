@@ -317,9 +317,10 @@ impl Default for Engine {
 ///
 /// * [`Engine`] — one shard (or the whole database in single-shard
 ///   deployments); every method delegates to the inherent fast paths.
-/// * `pyx-server`'s multi-partition lane engine, which routes each
-///   statement to the shard owning its rows and fans transaction
-///   begin/commit/abort out to the shards a transaction touched.
+/// * `pyx-server`'s 2PC coordinator façade (`Coord`), which routes each
+///   statement to the shard owning its rows over the shard workers'
+///   remote-op channels and runs two-phase commit across the shards a
+///   transaction touched.
 ///
 /// Keeping the trait object-safe (and the session generic over it) is what
 /// lets one compiled program run unchanged against a single engine, a
@@ -649,11 +650,14 @@ impl Engine {
             .ok_or_else(|| DbError::Schema(format!("unknown in-doubt gtid {gtid}")))?;
         if commit {
             let ts = self.commit_ts + 1;
-            if self.wal.is_some() {
-                if let Err(msg) = self.wal_append_decide(gtid, true, ts) {
-                    self.in_doubt.insert(gtid, branch);
-                    return Err(DbError::Durability(msg));
-                }
+            let decide = wal::Record::Decide {
+                gtid,
+                commit: true,
+                ts,
+            };
+            if let Err(msg) = self.wal_append(decide, &[]) {
+                self.in_doubt.insert(gtid, branch);
+                return Err(DbError::Durability(msg));
             }
             for op in branch.ops {
                 self.replay_op(op, ts)
@@ -664,9 +668,12 @@ impl Engine {
             self.stats.in_doubt_commits += 1;
             self.stats.commits += 1;
         } else {
-            if self.wal.is_some() && self.wal_failure().is_none() {
-                let _ = self.wal_append_decide(gtid, false, 0);
-            }
+            let abort = wal::Record::Decide {
+                gtid,
+                commit: false,
+                ts: 0,
+            };
+            let _ = self.wal_append(abort, &[]);
             self.stats.in_doubt_aborts += 1;
             self.stats.prepare_aborts += 1;
             self.stats.aborts += 1;
@@ -984,17 +991,22 @@ impl Engine {
         if !t.undo.is_empty() {
             let ts = self.commit_ts + 1;
             let touched = self.touched_rows(&t.undo);
-            if self.wal.is_some() {
-                // A branch whose yes-vote is already durable (prepare
-                // record carries the images) logs only the outcome.
-                let res = match t.gtid {
-                    Some(gtid) => self.wal_append_decide(gtid, true, ts),
-                    None => self.wal_append(ts, &touched),
-                };
-                if let Err(msg) = res {
-                    self.txns.insert(txn, t);
-                    return Err(DbError::Durability(msg));
+            // A branch whose yes-vote is already durable (prepare record
+            // carries the images) logs only the outcome.
+            let (rec, images) = match t.gtid {
+                Some(gtid) => {
+                    let decide = wal::Record::Decide {
+                        gtid,
+                        commit: true,
+                        ts,
+                    };
+                    (decide, &[][..])
                 }
+                None => (wal::Record::Commit { ts }, &touched[..]),
+            };
+            if let Err(msg) = self.wal_append(rec, images) {
+                self.txns.insert(txn, t);
+                return Err(DbError::Durability(msg));
             }
             self.commit_ts = ts;
             self.stamp_touched(&touched, ts);
@@ -1034,7 +1046,7 @@ impl Engine {
         }
         let durable = if self.wal.is_some() && !t.undo.is_empty() {
             let touched = self.touched_rows(&t.undo);
-            self.wal_append_prepare(gtid, &touched)
+            self.wal_append(wal::Record::Prepare { gtid }, &touched)
                 .map_err(DbError::Durability)?;
             true
         } else {
@@ -1076,12 +1088,17 @@ impl Engine {
         touched
     }
 
-    /// Append one redo record covering `touched` at timestamp `ts`,
-    /// flushing per the log's group-commit policy. Must run before
-    /// stamping: the record reads each row's *current* (about-to-commit)
-    /// image, and a failure must leave the version chains untouched.
-    fn wal_append(&mut self, ts: u64, touched: &[(usize, RowId)]) -> Result<(), String> {
-        let mut ops = self.wal.as_mut().expect("caller checked").take_ops();
+    /// Append one redo record of kind `rec` carrying `touched`'s final
+    /// row images (a decide carries none: pass `&[]`), flushing per the
+    /// log's policy (see [`Wal::append`]). A no-op without a log. Must
+    /// run before stamping: the record reads each row's *current*
+    /// (about-to-commit) image, and a failure must leave the version
+    /// chains untouched.
+    fn wal_append(&mut self, rec: wal::Record, touched: &[(usize, RowId)]) -> Result<(), String> {
+        let Some(log) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        let mut ops = log.take_ops();
         for &(ti, rid) in touched {
             let t = &self.tables[ti];
             match t.get_shared(rid) {
@@ -1102,18 +1119,12 @@ impl Engine {
                 }
             }
         }
-        let info = self
-            .wal
-            .as_mut()
-            .expect("caller checked")
-            .append_commit(ts, ops)?;
-        self.stats.wal_records += 1;
-        self.note_append(info);
-        Ok(())
-    }
-
-    /// Stats bookkeeping shared by every WAL append path.
-    fn note_append(&mut self, info: wal::AppendInfo) {
+        let info = log.append(rec, ops)?;
+        *match rec {
+            wal::Record::Commit { .. } => &mut self.stats.wal_records,
+            wal::Record::Prepare { .. } => &mut self.stats.wal_prepare_records,
+            wal::Record::Decide { .. } => &mut self.stats.wal_decide_records,
+        } += 1;
         self.stats.wal_bytes += info.bytes;
         if let Some(n) = info.flushed {
             self.stats.wal_fsyncs += 1;
@@ -1121,49 +1132,6 @@ impl Engine {
                 self.stats.wal_group_batches += 1;
             }
         }
-    }
-
-    /// Append (and flush) one `Prepare` record carrying `touched`'s
-    /// final images under `gtid` — the durable yes-vote. Same
-    /// final-image extraction as [`Engine::wal_append`].
-    fn wal_append_prepare(&mut self, gtid: u64, touched: &[(usize, RowId)]) -> Result<(), String> {
-        let mut ops = self.wal.as_mut().expect("caller checked").take_ops();
-        for &(ti, rid) in touched {
-            let t = &self.tables[ti];
-            match t.get_shared(rid) {
-                Some(img) => ops.push(RedoOp::Put {
-                    table: ti as u32,
-                    row: Arc::clone(img),
-                }),
-                None => {
-                    if let Some(key) = t.deleted_key(rid) {
-                        ops.push(RedoOp::Delete {
-                            table: ti as u32,
-                            key,
-                        });
-                    }
-                }
-            }
-        }
-        let info = self
-            .wal
-            .as_mut()
-            .expect("caller checked")
-            .append_prepare(gtid, ops)?;
-        self.stats.wal_prepare_records += 1;
-        self.note_append(info);
-        Ok(())
-    }
-
-    /// Append one `Decide` record for `gtid` (flushed per the log's
-    /// group-commit policy, like a commit record).
-    fn wal_append_decide(&mut self, gtid: u64, commit: bool, ts: u64) -> Result<(), String> {
-        let Some(wal) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        let info = wal.append_decide(gtid, commit, ts)?;
-        self.stats.wal_decide_records += 1;
-        self.note_append(info);
         Ok(())
     }
 
@@ -1244,7 +1212,12 @@ impl Engine {
             // effort: presumed abort makes a lost abort-decide safe.
             self.stats.prepare_aborts += 1;
             if let Some(gtid) = t.gtid {
-                let _ = self.wal_append_decide(gtid, false, 0);
+                let abort = wal::Record::Decide {
+                    gtid,
+                    commit: false,
+                    ts: 0,
+                };
+                let _ = self.wal_append(abort, &[]);
             }
         }
         let mut c = cost::TXN_END;

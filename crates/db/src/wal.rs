@@ -936,23 +936,38 @@ impl Wal {
         ops
     }
 
-    /// Append one commit record. Returns the encoded length, or the
-    /// sink's error (the caller rolls the transaction back; the log is
-    /// degraded from here on). `synced` in the result reports whether
-    /// this append triggered a group-commit flush.
-    pub(crate) fn append_commit(
-        &mut self,
-        commit_ts: u64,
-        ops: Vec<RedoOp>,
-    ) -> Result<AppendInfo, String> {
+    /// Append one record of kind `rec` carrying `ops` (empty for a
+    /// decide). Returns the encoded length, or the sink's error (the
+    /// caller rolls the transaction back or votes no; the log is degraded
+    /// from here on). A commit, and a commit-decide, advance the appended
+    /// watermark to their commit timestamp (a decided branch's prepared
+    /// images join the committed stream there); a prepare or abort-decide
+    /// is bookkeeping only. A prepare is the participant's yes-vote, which
+    /// may not be acknowledged until it is durable: it **forces a flush**
+    /// (pending records flush with it). Everything else flushes per the
+    /// group-commit policy; `flushed` in the result reports such a flush.
+    pub(crate) fn append(&mut self, rec: Record, ops: Vec<RedoOp>) -> Result<AppendInfo, String> {
         if let Some(e) = &self.failed {
             self.ops = ops;
             return Err(e.clone());
         }
         let mut buf = std::mem::take(&mut self.buf);
-        encode_record(&mut buf, self.shard, commit_ts, &ops);
+        let advance_to = match rec {
+            Record::Commit { ts } => {
+                encode_record(&mut buf, self.shard, ts, &ops);
+                Some(ts)
+            }
+            Record::Prepare { gtid } => {
+                encode_prepare_record(&mut buf, self.shard, gtid, &ops);
+                None
+            }
+            Record::Decide { gtid, commit, ts } => {
+                encode_decide_record(&mut buf, self.shard, gtid, commit, ts);
+                commit.then_some(ts)
+            }
+        };
         let res = self.sink.append(&buf);
-        let len = buf.len();
+        let bytes = buf.len() as u64;
         self.buf = buf;
         self.ops = ops;
         if let Err(e) = res {
@@ -960,94 +975,21 @@ impl Wal {
             self.failed = Some(msg.clone());
             return Err(msg);
         }
-        self.appended_ts = commit_ts;
+        if let Some(ts) = advance_to {
+            self.appended_ts = ts;
+        }
         self.pending += 1;
-        let mut info = AppendInfo {
-            bytes: len as u64,
-            flushed: None,
-        };
-        if self.pending >= self.group_max {
-            // Group-commit flush point reached inside commit itself. A
+        let flushed = if matches!(rec, Record::Prepare { .. }) {
+            self.sync()?
+        } else if self.pending >= self.group_max {
+            // Group-commit flush point reached inside the append. A
             // failure here degrades the log but the in-memory commit
             // stands; the acknowledgement point (`wal_sync`) re-reports.
-            if let Ok(n) = self.sync() {
-                info.flushed = n;
-            }
-        }
-        Ok(info)
-    }
-
-    /// Append one 2PC prepare record and **force a flush**: the record
-    /// is the participant's yes-vote, and the vote may not be
-    /// acknowledged until it is durable (group-commit batching does not
-    /// apply — any pending commit records flush along with it). Errors
-    /// degrade the log; the caller votes no.
-    pub(crate) fn append_prepare(
-        &mut self,
-        gtid: u64,
-        ops: Vec<RedoOp>,
-    ) -> Result<AppendInfo, String> {
-        if let Some(e) = &self.failed {
-            self.ops = ops;
-            return Err(e.clone());
-        }
-        let mut buf = std::mem::take(&mut self.buf);
-        encode_prepare_record(&mut buf, self.shard, gtid, &ops);
-        let res = self.sink.append(&buf);
-        let len = buf.len();
-        self.buf = buf;
-        self.ops = ops;
-        if let Err(e) = res {
-            let msg = format!("wal append failed: {e}");
-            self.failed = Some(msg.clone());
-            return Err(msg);
-        }
-        self.pending += 1;
-        let flushed = self.sync()?;
-        Ok(AppendInfo {
-            bytes: len as u64,
-            flushed,
-        })
-    }
-
-    /// Append one 2PC decide record for `gtid`. A commit-decide advances
-    /// the appended watermark to `commit_ts` (the prepared images become
-    /// part of the committed stream at that timestamp); an abort-decide
-    /// is bookkeeping only. Group-commit batching applies as for
-    /// [`Wal::append_commit`].
-    pub(crate) fn append_decide(
-        &mut self,
-        gtid: u64,
-        commit: bool,
-        commit_ts: u64,
-    ) -> Result<AppendInfo, String> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        let mut buf = std::mem::take(&mut self.buf);
-        encode_decide_record(&mut buf, self.shard, gtid, commit, commit_ts);
-        let res = self.sink.append(&buf);
-        let len = buf.len();
-        self.buf = buf;
-        if let Err(e) = res {
-            let msg = format!("wal append failed: {e}");
-            self.failed = Some(msg.clone());
-            return Err(msg);
-        }
-        if commit {
-            self.appended_ts = commit_ts;
-        }
-        self.pending += 1;
-        let mut info = AppendInfo {
-            bytes: len as u64,
-            flushed: None,
+            self.sync().ok().flatten()
+        } else {
+            None
         };
-        if self.pending >= self.group_max {
-            if let Ok(n) = self.sync() {
-                info.flushed = n;
-            }
-        }
-        Ok(info)
+        Ok(AppendInfo { bytes, flushed })
     }
 
     /// Drop every byte appended past the durable prefix (records the
@@ -1116,8 +1058,20 @@ impl Wal {
     }
 }
 
-/// What one [`Wal::append_commit`] did. `flushed` is `Some(n)` when the
-/// append triggered a successful group-commit flush covering `n` records.
+/// One record for [`Wal::append`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Record {
+    /// A local commit at `ts`.
+    Commit { ts: u64 },
+    /// A 2PC participant's yes-vote under `gtid`.
+    Prepare { gtid: u64 },
+    /// The outcome of `gtid`'s prepared branch (`ts` is written as 0 for
+    /// an abort).
+    Decide { gtid: u64, commit: bool, ts: u64 },
+}
+
+/// What one [`Wal::append`] did. `flushed` is `Some(n)` when the append
+/// flushed a batch of `n` records.
 pub(crate) struct AppendInfo {
     pub bytes: u64,
     pub flushed: Option<usize>,

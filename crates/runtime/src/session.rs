@@ -254,7 +254,10 @@ impl<'a> Session<'a> {
     ) -> Result<Session<'a>, RtError> {
         let prog = &part.il.prog;
         let mut heap = DistHeap::new();
-        let m = prog.method(entry);
+        let m = prog
+            .methods
+            .get(entry.index())
+            .ok_or_else(|| RtError::new(format!("unknown entry method {entry}")))?;
         vm.clear();
         vm.locals.resize(m.locals.len(), Value::Null);
         let mut slot = 0usize;

@@ -19,7 +19,7 @@
 use crate::env::Env;
 use crate::workload::TxnRequest;
 use pyx_db::{Database, Engine, TxnId};
-use pyx_lang::MethodId;
+use pyx_lang::{MethodId, RtError};
 use pyx_pyxil::CompiledPartition;
 use pyx_runtime::monitor::{LoadMonitor, PartitionChoice};
 use pyx_runtime::session::{PreparedSites, Session, VmScratch};
@@ -245,6 +245,10 @@ pub struct Dispatcher<'a> {
     /// outside the event loop ([`Dispatcher::wake_txns`]).
     clock: u64,
     poll_scheduled: bool,
+    /// Requests whose session could not be built (unknown entry, wrong
+    /// argument count), retired by the next [`Dispatcher::poll`] with
+    /// the session's error.
+    refused: VecDeque<TxnDone>,
     switch_log: Vec<SwitchRecord>,
     stats: DispatcherStats,
     /// Recycled VM frame storage: retired sessions return their slabs
@@ -283,6 +287,7 @@ impl<'a> Dispatcher<'a> {
             seq: 0,
             clock: 0,
             poll_scheduled: false,
+            refused: VecDeque::new(),
             switch_log: Vec::new(),
             stats: DispatcherStats::default(),
             scratch_pool: Vec::new(),
@@ -322,6 +327,9 @@ impl<'a> Dispatcher<'a> {
 
     /// Earliest pending internal event, if any.
     pub fn next_event_at(&self) -> Option<u64> {
+        if !self.refused.is_empty() {
+            return Some(self.clock);
+        }
         self.heap.peek().map(|r| r.0 .0)
     }
 
@@ -365,6 +373,8 @@ impl<'a> Dispatcher<'a> {
     /// Submit a request. Starts a session if capacity allows, otherwise
     /// queues it; a full queue rejects (backpressure). Plans were prepared
     /// at dispatcher construction, so admission never touches the engine.
+    /// A request no session can be built for (unknown entry, wrong
+    /// argument count) retires at the next poll with the session's error.
     pub fn submit(&mut self, now: u64, req: TxnRequest, tag: u64) -> Admit {
         if self.active >= self.cfg.max_sessions {
             if self.queue.len() >= self.cfg.queue_cap {
@@ -389,21 +399,21 @@ impl<'a> Dispatcher<'a> {
 
     /// A session for `req` on the partition [`Dispatcher::choose`] picks,
     /// running in `scratch`'s frame slab under wait-die age `age`.
-    /// Returns the session and whether it runs the low-budget partition.
+    /// Returns the session and whether it runs the low-budget partition,
+    /// or the session's error for a request its entry cannot run.
     fn new_session(
         &mut self,
         req: &TxnRequest,
         scratch: VmScratch,
         age: Option<u64>,
-    ) -> (Session<'a>, bool) {
+    ) -> Result<(Session<'a>, bool), RtError> {
         let (part, sites, low_budget) = self.choose(req.entry);
-        let mut sess = Session::with_prepared(part, req.entry, &req.args, sites, scratch)
-            .expect("session construction");
+        let mut sess = Session::with_prepared(part, req.entry, &req.args, sites, scratch)?;
         if !self.cfg.snapshot_reads {
             sess.set_snapshot_reads(false);
         }
         sess.set_txn_age(age);
-        (sess, low_budget)
+        Ok((sess, low_budget))
     }
 
     fn start_session(
@@ -415,7 +425,23 @@ impl<'a> Dispatcher<'a> {
         restarts: u32,
     ) {
         let scratch = self.scratch_pool.pop().unwrap_or_default();
-        let (sess, low_budget) = self.new_session(&req, scratch, None);
+        let (sess, low_budget) = match self.new_session(&req, scratch, None) {
+            Ok(built) => built,
+            Err(e) => {
+                // Requests come from outside (sockets): one that names an
+                // unknown entry or passes the wrong arguments must retire
+                // once, with the session's error, and leave the thread
+                // serving.
+                self.stats.completed += 1;
+                self.refused.push_back(TxnDone {
+                    submitted_ns,
+                    started_ns: now,
+                    finished_ns: now,
+                    ..TxnDone::failed(tag, req.entry, req.label, e.to_string())
+                });
+                return;
+            }
+        };
         let live = Live {
             sess,
             tag,
@@ -444,6 +470,9 @@ impl<'a> Dispatcher<'a> {
     /// Process the next internal event. Call whenever
     /// [`Dispatcher::next_event_at`] is due by the caller's clock.
     pub fn poll(&mut self, engine: &mut dyn Database, env: &mut dyn Env) -> Polled {
+        if let Some(d) = self.refused.pop_front() {
+            return Polled::Done(d);
+        }
         let Some(std::cmp::Reverse((now, _, ev))) = self.heap.pop() else {
             return Polled::Idle;
         };
@@ -559,7 +588,10 @@ impl<'a> Dispatcher<'a> {
                 let age = live.sess.txn_age();
                 // The dead session's frame slab seeds the restarted one.
                 let recycled = live.sess.take_scratch();
-                let (fresh, low_budget) = self.new_session(&req, recycled, age);
+                let (fresh, low_budget) = match self.new_session(&req, recycled, age) {
+                    Ok(built) => built,
+                    Err(e) => return self.retire(now, sid, Some(e.to_string())),
+                };
                 let live = self.sessions[sid].as_mut().expect("live session");
                 live.sess = fresh;
                 live.low_budget = low_budget;
@@ -598,8 +630,12 @@ impl<'a> Dispatcher<'a> {
             result: live.sess.result.clone(),
             error,
         };
-        // A freed slot admits the oldest queued request immediately.
-        if let Some(q) = self.queue.pop_front() {
+        // A freed slot admits the oldest queued request immediately (and
+        // the next, if that one is refused and never takes the slot).
+        while self.active < self.cfg.max_sessions {
+            let Some(q) = self.queue.pop_front() else {
+                break;
+            };
             self.start_session(now, q.submitted_ns, q.req, q.tag, 0);
         }
         Polled::Done(done)

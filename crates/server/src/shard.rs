@@ -43,8 +43,8 @@
 //!   channel. The participant set is exactly the set of open branches.
 //! * **Statement execution** — the coordinator sends each statement to
 //!   its participant's worker, which executes it between local
-//!   dispatcher events while *holding its own engine lock* — single-shard
-//!   sessions on other shards never stall. A statement that would block
+//!   dispatcher events on the engine it owns — single-shard sessions on
+//!   other shards never stall. A statement that would block
 //!   on a row lock is **parked** worker-side and retried until the lock
 //!   frees or wait-die kills it (the reply is then a deadlock, and the
 //!   coordinator's dispatcher restarts the whole transaction with its
@@ -102,8 +102,10 @@
 //! and base load, fed the shard's redo stream through a
 //! [`LogFeed`] published at the durability ack
 //! ([`ShardedServer::attach_shard_wals_with_feeds`] +
-//! [`ShardedServer::spawn_replicas`]). A replica thread tails the feed
-//! incrementally ([`RedoTailer`] → [`Engine::apply_redo`]) and serves
+//! [`ShardedServer::spawn_replicas`]). A replica runs the same thread
+//! body as a primary, in a replica role: between polls it tails the
+//! feed incrementally ([`RedoTailer`] → [`Engine::apply_redo`]) where a
+//! primary serves coordinators' remote ops, and it serves
 //! **read-only routable** requests as lock-free MVCC snapshots at its
 //! applied horizon — a committed durable prefix of the primary, so a
 //! replica answer is always one the primary itself would have given at
@@ -120,6 +122,9 @@
 //!
 //! Workers fail **crash-stop**: a shard (or replica) thread dies at an
 //! arbitrary point and loses everything except its durably synced log.
+//! Primaries and replicas run the same thread body, which owns its
+//! engine and runs its serving loop under `catch_unwind`, so a dying
+//! thread — a panic or an injected kill — still hands its engine back.
 //! The reap path detects the death, drains what the worker shipped
 //! before dying, synthesizes "outcome unknown" error results for its
 //! in-flight transactions, and marks the shard unavailable. What
@@ -146,7 +151,8 @@
 //! * **Respawn from the log**: with no promotable replica, the factory
 //!   rebuilds the shard (schema + base load + [`Engine::recover`] over
 //!   the durable bytes) and the supervisor re-anchors the stolen log
-//!   the same way.
+//!   the same way. The log, and the transaction-id floor the successor
+//!   must not reuse, come from the engine the dead thread handed back.
 //! * **In-doubt resolution**: recovered prepared branches re-hold their
 //!   exclusive locks; the supervisor settles each against the
 //!   coordinator pool's decision registry — a globally-unique gtid (the
@@ -161,15 +167,16 @@
 //!   entry, so the coordinator — which may still collect the remaining
 //!   yes-votes — finds the veto and aborts the surviving branches
 //!   rather than committing a transaction one shard already aborted.
-//! * **Availability**: the healed shard swaps in under the same engine
-//!   slot and fresh channels (coordinators reach it through the shared
-//!   link table), and the shard flips back to accepting writes. Callers
-//!   ride through the window with [`ShardedServer::submit_by_deadline`];
-//!   per-shard MTTR and in-doubt counts land in
-//!   [`ShardedReport::recoveries`]. A heal attempt that fails stashes
-//!   the stolen log back on the dead engine slot (the durable handle is
-//!   never silently dropped), records a [`HealFailure`], and is retried
-//!   by later reap passes up to [`HEAL_RETRY_CAP`] attempts.
+//! * **Availability**: the healed shard's new thread takes over the
+//!   shard's worker slot with fresh channels (coordinators reach it
+//!   through the shared link table) and the shard's horizon cell, and
+//!   the shard flips back to accepting writes. Callers ride through the
+//!   window with [`ShardedServer::submit_by_deadline`]; per-shard MTTR
+//!   and in-doubt counts land in [`ShardedReport::recoveries`]. A heal
+//!   attempt that fails stashes the stolen log back on the dead engine,
+//!   which stays parked in the shard's worker slot (the durable handle
+//!   is never silently dropped), records a [`HealFailure`], and is
+//!   retried by later reap passes up to [`HEAL_RETRY_CAP`] attempts.
 //!
 //! During failover, reads: bounded-staleness replica reads keep serving
 //! at their applied horizons (monotone, frozen at the durable watermark
@@ -293,10 +300,10 @@ pub struct ShardRecovery {
 }
 
 /// One failed heal attempt ([`ShardedReport::heal_failures`]). The
-/// stolen durable log was stashed back on the dead engine slot, so the
-/// log handle (and replica feed) survive the failure; recoverable
-/// failures are retried by later reap passes up to [`HEAL_RETRY_CAP`]
-/// attempts.
+/// stolen durable log was stashed back on the dead engine, parked in the
+/// shard's worker slot, so the log handle (and replica feed) survive the
+/// failure; recoverable failures are retried by later reap passes up to
+/// [`HEAL_RETRY_CAP`] attempts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealFailure {
     /// The shard whose heal attempt failed.
@@ -347,7 +354,9 @@ enum Msg {
     Shutdown,
     /// Test hook: die abruptly after reporting `after_done` more results,
     /// dropping everything else on the floor — the fault the graceful
-    /// worker-death path exists to absorb.
+    /// worker-death path exists to absorb. The kill unwinds the serving
+    /// loop as a panic would (minus the panic hook's report), so it runs
+    /// the same engine hand-back path as a real panic.
     Crash {
         after_done: usize,
     },
@@ -452,11 +461,6 @@ struct CoordStats {
 /// tracks them.
 const COORD: usize = usize::MAX;
 
-/// Results-channel index base for replica workers: replica `i` reports
-/// as `REPLICA_BASE + i`, keeping replica outcomes distinguishable from
-/// primary-shard outcomes for outstanding-request bookkeeping.
-const REPLICA_BASE: usize = 1 << 32;
-
 /// Live channel endpoints for one shard worker. Coordinators (and the
 /// supervisor's own submits) read the *current* endpoints through the
 /// shared link table on every rpc, so a worker respawned after a death
@@ -466,6 +470,18 @@ const REPLICA_BASE: usize = 1 << 32;
 struct ShardLink {
     msg: SyncSender<Msg>,
     remote: Sender<RemoteOp>,
+}
+
+impl ShardLink {
+    /// Endpoints nobody serves (their receivers are gone), so an rpc
+    /// through them reports a dead participant. A shard's link holds
+    /// these only until its primary's first thread starts.
+    fn closed() -> ShardLink {
+        ShardLink {
+            msg: mpsc::sync_channel(0).0,
+            remote: mpsc::channel().0,
+        }
+    }
 }
 
 type ShardLinks = Arc<Vec<Mutex<ShardLink>>>;
@@ -510,25 +526,59 @@ enum GtidState {
 /// could turn a later recovery of that shard into a lost commit.)
 type Decisions = Arc<Mutex<HashMap<u64, GtidState>>>;
 
-/// One log-shipping read replica: a dedicated thread owning a replica
-/// engine, tailing its shard's durable redo feed and serving read-only
-/// snapshot traffic at the applied horizon.
-struct ReplicaSlot {
-    /// Primary shard this replica follows.
+/// One shard thread, as the server tracks it: a shard's primary or one
+/// of its log-shipping replicas. The worker table holds the primaries
+/// first (worker `s` serves shard `s`), then the replicas; a worker's
+/// index is also its id on the results channel.
+struct Worker {
+    /// The shard this thread serves (primary) or follows (replica).
     shard: usize,
     tx: SyncSender<Msg>,
-    /// `None` once the replica was consumed by a promotion.
-    handle: Option<JoinHandle<(Engine, RedoTailer, DispatcherStats)>>,
-    /// The shard's durable redo feed (kept for the promotion-time final
-    /// catch-up).
-    feed: LogFeed,
-    /// The replica's applied commit timestamp, published by its worker
-    /// after every catch-up (the staleness-admission input).
-    applied: Arc<AtomicU64>,
-    /// tag → (entry, label) of submitted-but-unretired reads, so a dead
-    /// replica's losses surface as error results.
+    /// `None` once a promotion consumed this replica.
+    thread: Option<Thread>,
+    /// The commit timestamp the thread publishes: a primary's durable
+    /// horizon, a replica's applied one (the two inputs of
+    /// bounded-staleness admission).
+    horizon: Arc<AtomicU64>,
+    /// tag → (entry, label) of every submitted-but-unretired request, so
+    /// a dead worker's losses surface as error results.
     outstanding: HashMap<u64, (MethodId, &'static str)>,
+    /// The thread stopped and the reaper reported its losses.
     dead: bool,
+}
+
+/// A worker's thread: running (or stopped but not yet joined), or the
+/// [`Exit`] it handed back, which a failed heal parks here for the retry
+/// and for [`ShardedReport::engines`].
+enum Thread {
+    Running(JoinHandle<Exit>),
+    Stopped(Box<Exit>),
+}
+
+/// What a shard thread hands back when it stops, even after a panic.
+struct Exit {
+    engine: Engine,
+    /// A cleanly stopped replica's redo tailer: its parked prepares are a
+    /// promoted replica's in-doubt branches. `None` for a primary, and
+    /// for a replica whose feed failed or whose thread was killed.
+    tailer: Option<RedoTailer>,
+    stats: DispatcherStats,
+}
+
+impl Worker {
+    /// The thread stopped, and the reaper has not yet seen it.
+    fn stopped(&self) -> bool {
+        !self.dead && matches!(&self.thread, Some(Thread::Running(h)) if h.is_finished())
+    }
+
+    /// Join the thread, or take what it already handed back. `None` once
+    /// a promotion consumed this replica.
+    fn take_exit(&mut self) -> Option<Exit> {
+        Some(match self.thread.take()? {
+            Thread::Running(h) => h.join().expect("shard threads hand their engine back"),
+            Thread::Stopped(exit) => *exit,
+        })
+    }
 }
 
 /// High bit marking a virtual (coordinator) transaction id; shards
@@ -539,21 +589,17 @@ const VIRTUAL_BIT: u64 = 1 << 63;
 
 /// The shard-per-core server. See module docs.
 pub struct ShardedServer {
-    engines: Vec<Arc<Mutex<Engine>>>,
-    txs: Vec<SyncSender<Msg>>,
-    /// Remote-op channels to each worker; coordinators read the current
-    /// endpoints through `links`. The server keeps the originals so the
-    /// channel outlives any one coordinator.
-    remote_txs: Vec<Sender<RemoteOp>>,
+    /// Every shard thread: the primaries (worker `s` serves shard `s`),
+    /// then the replicas.
+    workers: Vec<Worker>,
     /// Shared link table: the live channel endpoints per shard,
-    /// rewritten by the supervisor when it respawns a worker.
+    /// rewritten whenever a primary's thread starts.
     links: ShardLinks,
     /// Commit-decision registry shared with the coordinator pool (see
     /// [`Decisions`]) — the in-doubt resolution source at failover.
     decisions: Decisions,
     done_rx: Receiver<(usize, TxnDone)>,
     done_tx: Sender<(usize, TxnDone)>,
-    handles: Vec<JoinHandle<DispatcherStats>>,
     part: Arc<CompiledPartition>,
     cfg: ShardedConfig,
     in_flight: u64,
@@ -562,12 +608,6 @@ pub struct ShardedServer {
     /// while concurrent retriers inside one run decorrelate instead of
     /// hammering a recovering shard in lockstep.
     retry_rng: u64,
-    /// Per shard: tag → (entry, label) of every submitted-but-unretired
-    /// request, so a dead worker's losses can be surfaced as error
-    /// results instead of hanging the server.
-    outstanding: Vec<HashMap<u64, (MethodId, &'static str)>>,
-    /// Shards whose worker has died; submits to them are `Unavailable`.
-    dead: Vec<bool>,
     // -- self-healing supervision (opt-in) --
     /// Promote a replica when a primary dies (see module docs).
     self_heal: bool,
@@ -579,7 +619,8 @@ pub struct ShardedServer {
     /// Completed failovers, in order.
     recoveries: Vec<ShardRecovery>,
     /// Failed heal attempts, in order (diagnostics; the stolen log is
-    /// stashed back on the dead engine so a later attempt can retry).
+    /// stashed back on the dead engine, parked in the shard's worker
+    /// slot, so a later attempt can retry).
     heal_failures: Vec<HealFailure>,
     /// Heal attempts per shard, capping [`HEAL_RETRY_CAP`] retries.
     heal_attempts: Vec<u32>,
@@ -587,14 +628,10 @@ pub struct ShardedServer {
     /// pass retries them until the attempt cap.
     heal_retry: Vec<usize>,
     // -- read replicas --
-    replicas: Vec<ReplicaSlot>,
-    /// Replica indices (into `replicas`) serving each shard.
+    /// Worker indices of the live replicas serving each shard.
     replica_of_shard: Vec<Vec<usize>>,
     /// Per-shard round-robin cursor over that shard's replicas.
     replica_rr: Vec<usize>,
-    /// Per-shard primary durable commit timestamp, published by the
-    /// shard worker (the other staleness-admission input).
-    primary_durable: Vec<Arc<AtomicU64>>,
     replica_reads: u64,
     replica_fallbacks: u64,
     /// Results ready to deliver ahead of the channel: drained while
@@ -624,99 +661,122 @@ impl ShardedServer {
     ) -> ShardedServer {
         assert_eq!(engines.len(), cfg.shards, "one engine per shard");
         assert!(cfg.shards > 0, "at least one shard");
-        let engines: Vec<Arc<Mutex<Engine>>> = engines
-            .into_iter()
-            .map(|e| Arc::new(Mutex::new(e)))
-            .collect();
         let (done_tx, done_rx) = mpsc::channel();
-        let mut txs = Vec::with_capacity(cfg.shards);
-        let mut remote_txs = Vec::with_capacity(cfg.shards);
-        let mut handles = Vec::with_capacity(cfg.shards);
-        let primary_durable: Vec<Arc<AtomicU64>> = (0..cfg.shards)
-            .map(|_| Arc::new(AtomicU64::new(0)))
-            .collect();
-        for (i, engine) in engines.iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel(cfg.channel_cap);
-            let (rtx, rrx) = mpsc::channel();
-            txs.push(tx);
-            remote_txs.push(rtx);
-            let engine = Arc::clone(engine);
-            let part = Arc::clone(&part);
-            let done = done_tx.clone();
-            let dcfg = cfg.dispatcher;
-            let durable = Arc::clone(&primary_durable[i]);
-            let handle = std::thread::Builder::new()
-                .name(format!("pyx-shard-{i}"))
-                .spawn(move || worker(i, engine, part, dcfg, rx, rrx, done, durable))
-                .expect("spawn shard worker");
-            handles.push(handle);
-        }
-        let links: ShardLinks = Arc::new(
-            txs.iter()
-                .zip(&remote_txs)
-                .map(|(t, r)| {
-                    Mutex::new(ShardLink {
-                        msg: t.clone(),
-                        remote: r.clone(),
-                    })
-                })
-                .collect(),
-        );
-        let decisions: Decisions = Arc::new(Mutex::new(HashMap::new()));
         let (job_tx, jrx) = mpsc::sync_channel(cfg.channel_cap);
-        let jrx = Arc::new(Mutex::new(jrx));
-        let ages = Arc::new(AtomicU64::new(1));
-        let n = cfg.coordinators.max(1);
-        let mut coord_handles = Vec::with_capacity(n);
-        for c in 0..n {
-            let part = Arc::clone(&part);
-            let dcfg = cfg.dispatcher;
-            let jobs = Arc::clone(&jrx);
-            let links = Arc::clone(&links);
-            let done = done_tx.clone();
-            let ages = Arc::clone(&ages);
-            let decisions = Arc::clone(&decisions);
-            let h = std::thread::Builder::new()
-                .name(format!("pyx-coord-{c}"))
-                .spawn(move || coordinator(part, dcfg, jobs, links, done, ages, decisions))
-                .expect("spawn coordinator");
-            coord_handles.push(h);
-        }
-        ShardedServer {
-            engines,
-            txs,
-            remote_txs,
-            links,
-            decisions,
+        let mut srv = ShardedServer {
+            workers: Vec::with_capacity(cfg.shards),
+            links: Arc::new(
+                (0..cfg.shards)
+                    .map(|_| Mutex::new(ShardLink::closed()))
+                    .collect(),
+            ),
+            decisions: Arc::default(),
             done_rx,
             done_tx,
-            handles,
             part,
             cfg,
             in_flight: 0,
             retry_rng: 0x9E37_79B9_7F4A_7C15,
-            outstanding: (0..cfg.shards).map(|_| HashMap::new()).collect(),
-            dead: vec![false; cfg.shards],
             self_heal: false,
             respawn: None,
             recoveries: Vec::new(),
             heal_failures: Vec::new(),
             heal_attempts: vec![0; cfg.shards],
             heal_retry: Vec::new(),
-            replicas: Vec::new(),
             replica_of_shard: vec![Vec::new(); cfg.shards],
             replica_rr: vec![0; cfg.shards],
-            primary_durable,
             replica_reads: 0,
             replica_fallbacks: 0,
             ready: VecDeque::new(),
             job_tx,
-            coord_handles,
+            coord_handles: Vec::new(),
             hold_next: None,
             hold_next_prepare: None,
             multi_txns: 0,
             multi_participants: 0,
+        };
+        for (s, engine) in engines.into_iter().enumerate() {
+            srv.spawn(s, engine, None);
         }
+        let jrx = Arc::new(Mutex::new(jrx));
+        let ages = Arc::new(AtomicU64::new(1));
+        for c in 0..cfg.coordinators.max(1) {
+            let part = Arc::clone(&srv.part);
+            let dcfg = cfg.dispatcher;
+            let jobs = Arc::clone(&jrx);
+            let links = Arc::clone(&srv.links);
+            let done = srv.done_tx.clone();
+            let ages = Arc::clone(&ages);
+            let decisions = Arc::clone(&srv.decisions);
+            let h = std::thread::Builder::new()
+                .name(format!("pyx-coord-{c}"))
+                .spawn(move || coordinator(part, dcfg, jobs, links, done, ages, decisions))
+                .expect("spawn coordinator");
+            srv.coord_handles.push(h);
+        }
+        srv
+    }
+
+    /// Start a shard thread — the one place every shard thread starts.
+    /// Without a `feed` it is shard `shard`'s primary, taking worker slot
+    /// `shard` (a healed primary replaces the dead one and keeps its
+    /// horizon cell, so replica staleness admission carries over) and
+    /// publishing its remote-op endpoint in the link table, where
+    /// coordinators find it. With a `feed` it is a new replica of
+    /// `shard`, tailing that feed. Returns the worker's index.
+    fn spawn(&mut self, shard: usize, engine: Engine, feed: Option<LogFeed>) -> usize {
+        let (tx, rx) = mpsc::sync_channel(self.cfg.channel_cap);
+        let (idx, role, name) = match feed {
+            None => {
+                let (remote, rrx) = mpsc::channel();
+                *self.links[shard]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner) = ShardLink {
+                    msg: tx.clone(),
+                    remote,
+                };
+                let role = Role::Primary {
+                    remote: rrx,
+                    parked: Vec::new(),
+                };
+                (shard, role, format!("pyx-shard-{shard}"))
+            }
+            Some(feed) => {
+                let idx = self.workers.len();
+                let role = Role::Replica {
+                    feed,
+                    tailer: RedoTailer::new(),
+                    buf: Vec::new(),
+                };
+                (idx, role, format!("pyx-replica-{shard}-{idx}"))
+            }
+        };
+        let horizon = match self.workers.get(idx) {
+            Some(w) => Arc::clone(&w.horizon),
+            None => Arc::new(AtomicU64::new(0)),
+        };
+        let part = Arc::clone(&self.part);
+        let dcfg = self.cfg.dispatcher;
+        let done = self.done_tx.clone();
+        let published = Arc::clone(&horizon);
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || run_worker(idx, engine, role, part, dcfg, rx, done, published))
+            .expect("spawn shard worker");
+        let worker = Worker {
+            shard,
+            tx,
+            thread: Some(Thread::Running(handle)),
+            horizon,
+            outstanding: HashMap::new(),
+            dead: false,
+        };
+        if idx < self.workers.len() {
+            self.workers[idx] = worker;
+        } else {
+            self.workers.push(worker);
+        }
+        idx
     }
 
     /// Attach one write-ahead log per shard before serving: shard `i`
@@ -788,30 +848,8 @@ impl ShardedServer {
         );
         for (s, engines) in replicas.into_iter().enumerate() {
             for engine in engines {
-                let idx = self.replicas.len();
-                let (tx, rx) = mpsc::sync_channel(self.cfg.channel_cap);
-                let feed = feeds[s].clone();
-                let part = Arc::clone(&self.part);
-                let done = self.done_tx.clone();
-                let dcfg = self.cfg.dispatcher;
-                let applied = Arc::new(AtomicU64::new(0));
-                let applied2 = Arc::clone(&applied);
-                let handle = std::thread::Builder::new()
-                    .name(format!("pyx-replica-{s}-{idx}"))
-                    .spawn(move || {
-                        replica_worker(idx, engine, feed, part, dcfg, rx, done, applied2)
-                    })
-                    .expect("spawn replica worker");
-                self.replicas.push(ReplicaSlot {
-                    shard: s,
-                    tx,
-                    handle: Some(handle),
-                    feed: feeds[s].clone(),
-                    applied,
-                    outstanding: HashMap::new(),
-                    dead: false,
-                });
-                self.replica_of_shard[s].push(idx);
+                let i = self.spawn(s, engine, Some(feeds[s].clone()));
+                self.replica_of_shard[s].push(i);
             }
         }
     }
@@ -820,12 +858,12 @@ impl ShardedServer {
     /// horizon: `(shard, lag)` per live replica, in spawn order.
     /// Diagnostics for tests and the lag benchmark.
     pub fn replica_lags(&self) -> Vec<(usize, u64)> {
-        self.replicas
+        self.workers[self.cfg.shards..]
             .iter()
             .filter(|r| !r.dead)
             .map(|r| {
-                let durable = self.primary_durable[r.shard].load(Ordering::Acquire);
-                let applied = r.applied.load(Ordering::Acquire);
+                let durable = self.workers[r.shard].horizon.load(Ordering::Acquire);
+                let applied = r.horizon.load(Ordering::Acquire);
                 (r.shard, durable.saturating_sub(applied))
             })
             .collect()
@@ -834,10 +872,10 @@ impl ShardedServer {
     /// Shards whose worker has died (requests to them return
     /// [`Admit::Unavailable`]).
     pub fn dead_shards(&self) -> Vec<usize> {
-        self.dead
+        self.workers[..self.cfg.shards]
             .iter()
             .enumerate()
-            .filter_map(|(i, &d)| d.then_some(i))
+            .filter_map(|(i, w)| w.dead.then_some(i))
             .collect()
     }
 
@@ -845,7 +883,7 @@ impl ShardedServer {
     /// reporting `after_done` more results. See [`Msg::Crash`].
     #[doc(hidden)]
     pub fn inject_worker_crash(&mut self, shard: usize, after_done: usize) {
-        let _ = self.txs[shard].send(Msg::Crash { after_done });
+        let _ = self.workers[shard].tx.send(Msg::Crash { after_done });
     }
 
     /// Opt in to replica promotion: when a primary worker dies and the
@@ -913,13 +951,10 @@ impl ShardedServer {
                     self.reap_dead_workers();
                     let wait = jittered(&mut self.retry_rng, backoff).min(deadline - now);
                     if self.in_flight > self.ready.len() as u64 {
-                        if let Ok((s, d)) = self.done_rx.recv_timeout(wait) {
-                            self.unregister(s, d.tag);
+                        if let Ok((i, d)) = self.done_rx.recv_timeout(wait) {
+                            self.unregister(i, d.tag);
                             self.ready.push_back(d);
-                            while let Ok((s, d)) = self.done_rx.try_recv() {
-                                self.unregister(s, d.tag);
-                                self.ready.push_back(d);
-                            }
+                            self.drain_results();
                         }
                     } else {
                         std::thread::sleep(wait);
@@ -1061,19 +1096,24 @@ impl ShardedServer {
         }
     }
 
+    /// Send `req` to worker `i` and track it as outstanding there. A
+    /// full or closed channel hands the message back.
+    fn send_to(&mut self, i: usize, req: TxnRequest, tag: u64) -> Result<(), TrySendError<Msg>> {
+        let (entry, label) = (req.entry, req.label);
+        let w = &mut self.workers[i];
+        w.tx.try_send(Msg::Submit { req, tag })?;
+        w.outstanding.insert(tag, (entry, label));
+        self.in_flight += 1;
+        Ok(())
+    }
+
     /// Submit a routed request to shard `s`'s primary worker.
     fn submit_primary(&mut self, s: usize, req: TxnRequest, tag: u64) -> Admit {
-        if self.dead[s] {
+        if self.workers[s].dead {
             return Admit::Unavailable;
         }
-        let entry = req.entry;
-        let label = req.label;
-        match self.txs[s].try_send(Msg::Submit { req, tag }) {
-            Ok(()) => {
-                self.in_flight += 1;
-                self.outstanding[s].insert(tag, (entry, label));
-                Admit::Started
-            }
+        match self.send_to(s, req, tag) {
+            Ok(()) => Admit::Started,
             Err(TrySendError::Full(_)) => Admit::Rejected,
             Err(TrySendError::Disconnected(_)) => {
                 // The worker died between our last liveness check
@@ -1098,25 +1138,19 @@ impl ShardedServer {
         tag: u64,
     ) -> Result<Admit, TxnRequest> {
         let n = self.replica_of_shard[s].len();
-        let durable = self.primary_durable[s].load(Ordering::Acquire);
+        let durable = self.workers[s].horizon.load(Ordering::Acquire);
         let mut req = req;
         for probe in 0..n {
-            let slot = self.replica_of_shard[s][(self.replica_rr[s] + probe) % n];
-            let r = &self.replicas[slot];
-            if r.dead {
+            let i = self.replica_of_shard[s][(self.replica_rr[s] + probe) % n];
+            let r = &self.workers[i];
+            if r.dead
+                || durable.saturating_sub(r.horizon.load(Ordering::Acquire)) > REPLICA_LAG_LIMIT
+            {
                 continue;
             }
-            let lag = durable.saturating_sub(r.applied.load(Ordering::Acquire));
-            if lag > REPLICA_LAG_LIMIT {
-                continue;
-            }
-            let entry = req.entry;
-            let label = req.label;
-            match r.tx.try_send(Msg::Submit { req, tag }) {
+            match self.send_to(i, req, tag) {
                 Ok(()) => {
                     self.replica_rr[s] = (self.replica_rr[s] + probe + 1) % n;
-                    self.in_flight += 1;
-                    self.replicas[slot].outstanding.insert(tag, (entry, label));
                     self.replica_reads += 1;
                     return Ok(Admit::Started);
                 }
@@ -1168,15 +1202,19 @@ impl ShardedServer {
     }
 
     /// Remove a retired result's outstanding-request entry, whichever
-    /// tier (`s`) reported it: primary shard, replica, or a coordinator.
-    fn unregister(&mut self, s: usize, tag: u64) {
-        if s == COORD {
-            return;
+    /// worker (`i`) reported it; coordinators track none.
+    fn unregister(&mut self, i: usize, tag: u64) {
+        if i != COORD {
+            self.workers[i].outstanding.remove(&tag);
         }
-        if s >= REPLICA_BASE {
-            self.replicas[s - REPLICA_BASE].outstanding.remove(&tag);
-        } else {
-            self.outstanding[s].remove(&tag);
+    }
+
+    /// Move every result already on the results channel to the ready
+    /// queue.
+    fn drain_results(&mut self) {
+        while let Ok((i, d)) = self.done_rx.try_recv() {
+            self.unregister(i, d.tag);
+            self.ready.push_back(d);
         }
     }
 
@@ -1187,55 +1225,33 @@ impl ShardedServer {
     /// primaries are then repaired in place (see [`ShardedServer::heal_shard`]).
     fn reap_dead_workers(&mut self) {
         // Retry heals that failed recoverably on an earlier pass (the
-        // stolen log was stashed back on the dead engine slot; another
+        // stolen log was stashed back on the parked dead engine; another
         // replica or a recovered factory may succeed now).
         for s in std::mem::take(&mut self.heal_retry) {
             self.heal_shard(s);
         }
-        let any_primary = self
-            .handles
-            .iter()
-            .enumerate()
-            .any(|(i, h)| !self.dead[i] && h.is_finished());
-        let any_replica = self
-            .replicas
-            .iter()
-            .any(|r| !r.dead && r.handle.as_ref().is_some_and(JoinHandle::is_finished));
-        if !any_primary && !any_replica {
+        let stopped: Vec<usize> = (0..self.workers.len())
+            .filter(|&i| self.workers[i].stopped())
+            .collect();
+        if stopped.is_empty() {
             return;
         }
-        // Results sent before the death may still sit in the channel;
-        // deliver them ahead of the synthesized errors so nothing real
-        // is double-reported.
-        while let Ok((s, d)) = self.done_rx.try_recv() {
-            self.unregister(s, d.tag);
-            self.ready.push_back(d);
-        }
+        // A stopped thread sends nothing more, so everything it sent is
+        // on the channel now: deliver it ahead of the synthesized errors
+        // so nothing real is double-reported.
+        self.drain_results();
         let mut newly_dead: Vec<usize> = Vec::new();
-        for (i, h) in self.handles.iter().enumerate() {
-            if self.dead[i] || !h.is_finished() {
-                continue;
-            }
-            self.dead[i] = true;
-            newly_dead.push(i);
-            fail_outstanding(
-                &mut self.outstanding[i],
-                false,
-                &format!("shard {i} worker died; transaction outcome unknown"),
-                &mut self.ready,
-            );
-        }
-        for r in self.replicas.iter_mut() {
-            if r.dead || !r.handle.as_ref().is_some_and(JoinHandle::is_finished) {
-                continue;
-            }
-            r.dead = true;
-            fail_outstanding(
-                &mut r.outstanding,
-                true,
-                &format!("shard {} replica died; read not served", r.shard),
-                &mut self.ready,
-            );
+        for i in stopped {
+            let w = &mut self.workers[i];
+            w.dead = true;
+            let primary = i < self.cfg.shards;
+            let error = if primary {
+                newly_dead.push(i);
+                format!("shard {i} worker died; transaction outcome unknown")
+            } else {
+                format!("shard {} replica died; read not served", w.shard)
+            };
+            fail_outstanding(&mut w.outstanding, !primary, &error, &mut self.ready);
         }
         for s in newly_dead {
             self.heal_shard(s);
@@ -1248,17 +1264,17 @@ impl ShardedServer {
         self.replica_of_shard[s]
             .iter()
             .copied()
-            .filter(|&i| !self.replicas[i].dead)
-            .max_by_key(|&i| self.replicas[i].applied.load(Ordering::Acquire))
+            .filter(|&i| !self.workers[i].dead)
+            .max_by_key(|&i| self.workers[i].horizon.load(Ordering::Acquire))
     }
 
     /// Supervise one newly dead shard: steal its log, build a successor
     /// (replica promotion, else the respawn factory), re-anchor the log
     /// at the durable watermark, resolve in-doubt branches against the
-    /// coordinator decision registry, and swap the healed shard in under
-    /// fresh channels. Any failure leaves the shard dead (submits keep
-    /// reporting [`Admit::Unavailable`]) — healing never trades
-    /// correctness for availability — but is recorded in
+    /// coordinator decision registry, and start the healed shard's
+    /// thread under fresh channels. Any failure leaves the shard dead
+    /// (submits keep reporting [`Admit::Unavailable`]) — healing never
+    /// trades correctness for availability — but is recorded in
     /// [`ShardedServer::heal_failures`] with the stolen log stashed
     /// back, and retried on later reap passes up to [`HEAL_RETRY_CAP`]
     /// attempts.
@@ -1269,43 +1285,42 @@ impl ShardedServer {
         let attempt = self.heal_attempts[s] + 1;
         self.heal_attempts[s] = attempt;
         let start = Instant::now();
-        // Steal the dead primary's log: sink, replica feed, and
-        // durability watermarks move to the successor; the dead engine
-        // is discarded with the old Arc slot below.
-        let old = Arc::clone(&self.engines[s]);
-        let (wal, txn_floor) = {
-            let mut g = old.lock().unwrap_or_else(PoisonError::into_inner);
-            let Some(wal) = g.take_wal() else {
-                // Volatile shard: nothing durable to recover from, and
-                // nothing a retry could find — terminal.
-                self.heal_failures.push(HealFailure {
-                    shard: s,
-                    attempt,
-                    reason: format!("shard {s} has no durable log to recover from"),
-                });
-                return;
-            };
-            (wal, g.txn_id_floor())
+        // The dead thread handed its engine back. Steal its log — sink,
+        // replica feed and durability watermarks move to the successor —
+        // and its transaction-id floor.
+        let mut dead = self.workers[s]
+            .take_exit()
+            .expect("a primary is never consumed");
+        let built = match dead.engine.take_wal() {
+            // Volatile shard: nothing durable to recover from, and
+            // nothing a retry could find — terminal.
+            None => Err(format!("shard {s} has no durable log to recover from")),
+            Some(wal) => {
+                let floor = dead.engine.txn_id_floor();
+                self.build_successor(s, wal, floor).map_err(|boxed| {
+                    let (wal, reason) = *boxed;
+                    // The durable handle (and its replica feed) must
+                    // survive a failed attempt: stash it back, and queue
+                    // a bounded retry.
+                    dead.engine.set_wal(wal);
+                    if attempt < HEAL_RETRY_CAP {
+                        self.heal_retry.push(s);
+                    }
+                    reason
+                })
+            }
         };
-        let (mut engine, promoted) = match self.build_successor(s, wal, txn_floor) {
+        let (mut engine, promoted) = match built {
             Ok(built) => built,
-            Err(boxed) => {
-                let (wal, reason) = *boxed;
-                // Stash the stolen log back on the dead engine slot —
-                // the durable handle (and its replica feed) must
-                // survive a failed attempt — record why, and queue a
-                // bounded retry.
-                old.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .set_wal(wal);
+            Err(reason) => {
+                // The dead engine, log and all, stays parked in the slot
+                // for the retry and for `ShardedReport::engines`.
+                self.workers[s].thread = Some(Thread::Stopped(Box::new(dead)));
                 self.heal_failures.push(HealFailure {
                     shard: s,
                     attempt,
                     reason,
                 });
-                if attempt < HEAL_RETRY_CAP {
-                    self.heal_retry.push(s);
-                }
                 return;
             }
         };
@@ -1343,29 +1358,9 @@ impl ShardedServer {
                 }
             }
         }
-        // Swap the healed shard in: fresh engine slot, fresh channels
-        // (rewired into the shared link table), same durable-ts cell so
-        // replica staleness admission carries over.
-        let arc = Arc::new(Mutex::new(engine));
-        self.engines[s] = Arc::clone(&arc);
-        let (tx, rx) = mpsc::sync_channel(self.cfg.channel_cap);
-        let (rtx, rrx) = mpsc::channel();
-        let part = Arc::clone(&self.part);
-        let done = self.done_tx.clone();
-        let dcfg = self.cfg.dispatcher;
-        let durable = Arc::clone(&self.primary_durable[s]);
-        let handle = std::thread::Builder::new()
-            .name(format!("pyx-shard-{s}"))
-            .spawn(move || worker(s, arc, part, dcfg, rx, rrx, done, durable))
-            .expect("spawn shard worker");
-        self.handles[s] = handle; // the dead handle has already finished
-        self.txs[s] = tx.clone();
-        self.remote_txs[s] = rtx.clone();
-        *self.links[s].lock().unwrap_or_else(PoisonError::into_inner) = ShardLink {
-            msg: tx,
-            remote: rtx,
-        };
-        self.dead[s] = false;
+        // Swap the healed shard in: a fresh thread and channels (the link
+        // table points coordinators at them), same horizon cell.
+        self.spawn(s, engine, None);
         self.recoveries.push(ShardRecovery {
             shard: s,
             promoted,
@@ -1429,36 +1424,31 @@ impl ShardedServer {
     }
 
     /// Consume shard `s`'s most-caught-up replica as the failover
-    /// successor: drain it to the durable watermark and adopt its
-    /// parked prepares as in-doubt branches. `None` on any stream error
-    /// (the shard then stays dead).
+    /// successor: stop it — its clean stop takes a final catch-up, which
+    /// lands it on the durable watermark, as the dead primary's feed is
+    /// complete — and adopt its parked prepares as in-doubt branches.
+    /// `None` if its feed failed or it did not stop cleanly (the shard
+    /// then stays dead).
     fn promote_replica(&mut self, s: usize) -> Option<Engine> {
-        let slot = self.best_replica(s)?;
-        let r = &mut self.replicas[slot];
-        let _ = r.tx.send(Msg::Shutdown);
+        let i = self.best_replica(s)?;
+        self.replica_of_shard[s].retain(|&j| j != i);
+        let _ = self.workers[i].tx.send(Msg::Shutdown);
+        let exit = self.workers[i].take_exit();
+        // Reads the replica served before stopping are on the results
+        // channel; deliver them, and fail the ones queued behind the
+        // shutdown — their only results, so before any early return.
+        self.drain_results();
+        let r = &mut self.workers[i];
         r.dead = true; // consumed: never serves reads again
-        let handle = r.handle.take();
-        let feed = r.feed.clone();
-        // Surface reads queued behind the shutdown as errors BEFORE any
-        // early return below: the reaper skips dead slots, so losses
-        // synthesized here are the only results those callers ever get
-        // — skipping them (e.g. on a panicked replica's failed join)
-        // would leave a `recv_done` caller waiting forever.
         fail_outstanding(
             &mut r.outstanding,
             true,
             &format!("shard {s} replica promoted; read not served"),
             &mut self.ready,
         );
-        self.replica_of_shard[s].retain(|&i| i != slot);
-        let (mut engine, mut tailer, _stats) = handle?.join().ok()?;
-        // Final catch-up: the feed is complete (the primary is dead and
-        // its unsynced tail will be discarded), so this lands the
-        // replica exactly on the durable watermark.
-        let mut buf = Vec::new();
-        tailer.catch_up_feed(&feed, &mut engine, &mut buf).ok()?;
-        tailer.adopt_pending(&mut engine).ok()?;
-        Some(engine)
+        let mut exit = exit?;
+        exit.tailer?.adopt_pending(&mut exit.engine).ok()?;
+        Some(exit.engine)
     }
 
     /// Collect every outstanding transaction.
@@ -1473,11 +1463,11 @@ impl ShardedServer {
     /// Stop the workers and hand back the shard engines and counters.
     /// Outstanding results are drained first, then coordinators are
     /// joined (they need live workers for any in-flight 2PC ops), then
-    /// the workers. Tolerates dead workers: a crashed worker contributes
-    /// default dispatcher stats, and its engine is recovered even from a
-    /// poisoned mutex (the in-memory state may hold uncommitted work —
-    /// durable state lives in the write-ahead log, which is exactly what
-    /// recovery replays).
+    /// the primaries, then the replicas. Tolerates dead workers: every
+    /// shard thread hands its engine back however it stopped, with the
+    /// dispatcher counters it had (the in-memory state of a dead one may
+    /// hold uncommitted work — durable state lives in the write-ahead
+    /// log, which is exactly what recovery replays).
     pub fn shutdown(mut self) -> (Vec<TxnDone>, ShardedReport) {
         let rest = self.drain();
         drop(self.job_tx); // coordinators drain their queue and exit
@@ -1488,42 +1478,30 @@ impl ShardedServer {
             self.multi_participants += s.participants;
             participant_deaths += s.participant_deaths;
         }
-        for tx in &self.txs {
-            let _ = tx.send(Msg::Shutdown);
-        }
-        let dispatchers: Vec<DispatcherStats> = self
-            .handles
-            .drain(..)
-            .map(|h| h.join().unwrap_or_default())
-            .collect();
-        drop(self.txs);
-        drop(self.remote_txs);
         // Replicas stop only after every primary has joined (all WAL
-        // syncs done, feeds final): each replica's shutdown-time final
-        // catch-up then lands exactly on the primary's durable prefix.
-        let mut replica_engines = Vec::with_capacity(self.replicas.len());
-        let mut replica_dispatchers = Vec::with_capacity(self.replicas.len());
-        for r in self.replicas.drain(..) {
-            let _ = r.tx.send(Msg::Shutdown);
-            drop(r.tx);
-            if let Some(h) = r.handle {
-                if let Ok((engine, _tailer, stats)) = h.join() {
-                    replica_engines.push((r.shard, engine));
-                    replica_dispatchers.push(stats);
+        // syncs done, feeds final): each replica's final catch-up then
+        // lands exactly on the primary's durable prefix.
+        let shards = self.cfg.shards;
+        let (mut engines, mut dispatchers) = (Vec::new(), Vec::new());
+        let (mut replica_engines, mut replica_dispatchers) = (Vec::new(), Vec::new());
+        for tier in [0..shards, shards..self.workers.len()] {
+            for w in &self.workers[tier.clone()] {
+                let _ = w.tx.send(Msg::Shutdown);
+            }
+            for i in tier {
+                // `None`: a replica that a promotion consumed.
+                let Some(exit) = self.workers[i].take_exit() else {
+                    continue;
+                };
+                if i < shards {
+                    engines.push(exit.engine);
+                    dispatchers.push(exit.stats);
+                } else {
+                    replica_engines.push((self.workers[i].shard, exit.engine));
+                    replica_dispatchers.push(exit.stats);
                 }
             }
         }
-        let engines = self
-            .engines
-            .drain(..)
-            .map(|e| {
-                Arc::try_unwrap(e)
-                    .map_err(|_| ())
-                    .expect("worker dropped its engine handle")
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-            })
-            .collect();
         (
             rest,
             ShardedReport {
@@ -1603,24 +1581,26 @@ fn settle_commit_legs(dec: &mut HashMap<u64, GtidState>, gtid: u64, legs: u32) {
 /// If the sync fails, write commits in the batch are reported as
 /// durability errors (conservatively — some may have been flushed by an
 /// earlier sync; the log cannot say which without per-commit
-/// bookkeeping, and under-acknowledging is the safe direction). Returns
-/// `true` when an injected crash countdown expired mid-flush: the worker
-/// must die on the spot, dropping the rest of the batch.
+/// bookkeeping, and under-acknowledging is the safe direction). A
+/// replica has no log, so for it this only reports the batch. Results go
+/// out under worker id `idx`. When an injected crash countdown expires
+/// mid-flush, the worker dies on the spot ([`crash`]), dropping the rest
+/// of the batch.
 fn flush_dones(
-    shard: usize,
+    idx: usize,
     engine: &mut Engine,
     batch: &mut Vec<TxnDone>,
     done: &Sender<(usize, TxnDone)>,
     crash_after: &mut Option<usize>,
-) -> bool {
+) {
     if batch.is_empty() {
-        return false;
+        return;
     }
     let sync_err = engine.wal_sync().err();
     for mut d in batch.drain(..) {
         if let Some(n) = crash_after {
             if *n == 0 {
-                return true;
+                crash();
             }
             *n -= 1;
         }
@@ -1629,9 +1609,8 @@ fn flush_dones(
                 d.error = Some(e.to_string());
             }
         }
-        let _ = done.send((shard, d));
+        let _ = done.send((idx, d));
     }
-    false
 }
 
 /// Serve one remote op against this worker's engine. `Exec` ops that
@@ -1753,222 +1732,202 @@ fn remote_pump(
     progress
 }
 
-/// One shard worker: pull requests while the dispatcher has admission
-/// room, serve cross-shard remote ops between local events, drive the
-/// event loop, ship retirements to the results channel (batched through
-/// [`flush_dones`], the group-commit acknowledgement point). The worker
-/// takes its engine lock once and holds it for its whole incarnation:
-/// nothing else touches a live shard's engine (coordinators go through
-/// the remote-op channel). The lock hands the engine back — poisoned,
-/// not lost, if the worker panicked — to [`ShardedServer::heal_shard`]
-/// and [`ShardedServer::shutdown`].
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    shard: usize,
-    engine: Arc<Mutex<Engine>>,
-    part: Arc<CompiledPartition>,
-    cfg: DispatcherConfig,
-    rx: Receiver<Msg>,
-    rrx: Receiver<RemoteOp>,
-    done: Sender<(usize, TxnDone)>,
-    durable: Arc<AtomicU64>,
-) -> DispatcherStats {
-    // Publish the shard's durable commit timestamp for replica
-    // staleness admission. Volatile engines (no WAL) publish the commit
-    // counter itself — every in-memory commit is as "durable" as this
-    // deployment gets.
-    let publish = |g: &Engine, durable: &AtomicU64| {
-        durable.store(
-            g.wal_durable_ts().unwrap_or_else(|| g.current_commit_ts()),
-            Ordering::Release,
-        );
-    };
-    let mut guard = engine.lock().expect("engine mutex poisoned");
-    let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut *guard, cfg);
-    let mut env = InstantEnv;
-    let mut open = true;
-    let mut batch: Vec<TxnDone> = Vec::new();
-    let mut crash_after: Option<usize> = None;
-    let mut parked: Vec<RemoteOp> = Vec::new();
-    loop {
-        publish(&guard, &durable);
-        remote_pump(&mut guard, &mut disp, &rrx, &mut parked);
-        // Admit as much queued work as the dispatcher will take.
-        while open
-            && (disp.active_sessions() < cfg.max_sessions || disp.queue_len() < cfg.queue_cap)
-        {
-            match rx.try_recv() {
-                Ok(Msg::Submit { req, tag }) => {
-                    disp.submit(0, req, tag);
+/// What sets a primary's thread apart from a replica's: the work
+/// between polls, how it waits when idle, and what it hands back.
+enum Role {
+    /// A shard primary: serves the coordinators' remote ops (parking
+    /// statements that would block) and publishes its durable commit
+    /// timestamp.
+    Primary {
+        remote: Receiver<RemoteOp>,
+        parked: Vec<RemoteOp>,
+    },
+    /// A log-shipping replica: tails its shard's durable redo feed into
+    /// its engine ([`Engine::apply_redo`]) and publishes its applied
+    /// commit timestamp.
+    Replica {
+        feed: LogFeed,
+        tailer: RedoTailer,
+        buf: Vec<u8>,
+    },
+}
+
+impl Role {
+    /// The work between polls. `false` stops the thread: a replica
+    /// whose feed is corrupt cannot converge, and must stop serving
+    /// rather than answer from a frozen horizon forever.
+    fn between_polls(
+        &mut self,
+        engine: &mut Engine,
+        disp: &mut Dispatcher<'_>,
+        horizon: &AtomicU64,
+    ) -> bool {
+        match self {
+            Role::Primary { remote, parked } => {
+                // Volatile engines (no WAL) publish the commit counter
+                // itself — every in-memory commit is as "durable" as
+                // this deployment gets.
+                let durable = engine.wal_durable_ts();
+                horizon.store(
+                    durable.unwrap_or_else(|| engine.current_commit_ts()),
+                    Ordering::Release,
+                );
+                remote_pump(engine, disp, remote, parked);
+            }
+            Role::Replica { feed, tailer, buf } => {
+                // Apply whatever the primary has made durable since last
+                // look. Open snapshots pin GC through the ordinary
+                // refcount horizon, so applying redo between polls never
+                // prunes a version an in-flight read can still observe.
+                if tailer.catch_up_feed(feed, engine, buf).is_err() {
+                    return false;
                 }
-                Ok(Msg::Wake) => {} // remote ops are pumped every iteration
-                Ok(Msg::Crash { after_done }) => {
-                    crash_after = Some(after_done);
-                    if after_done == 0 {
-                        return disp.stats();
-                    }
-                }
-                Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => open = false,
-                Err(TryRecvError::Empty) => break,
+                horizon.store(engine.current_commit_ts(), Ordering::Release);
             }
         }
-        match disp.poll(&mut *guard, &mut env) {
-            // Consecutive retirements batch up; the next non-Done poll
-            // flushes them behind one log sync.
-            Polled::Done(d) => batch.push(d),
-            Polled::Progress => {
-                if flush_dones(shard, &mut guard, &mut batch, &done, &mut crash_after) {
-                    return disp.stats();
-                }
-            }
-            Polled::Idle => {
-                if flush_dones(shard, &mut guard, &mut batch, &done, &mut crash_after) {
-                    return disp.stats();
-                }
-                if !open {
-                    break;
-                }
+        true
+    }
+
+    /// Wait for the next message once the dispatcher is idle; `None`
+    /// when the thread should loop instead.
+    fn idle_wait(
+        &mut self,
+        engine: &mut Engine,
+        disp: &mut Dispatcher<'_>,
+        rx: &Receiver<Msg>,
+    ) -> Option<Msg> {
+        match self {
+            Role::Primary { remote, parked } => {
                 // Final remote check before sleeping: a Wake consumed by
-                // the drain loop above may stand for an op that arrived
+                // the admission drain may stand for an op that arrived
                 // after this iteration's pump (ops are sent before their
                 // nudge, so seeing the nudge means the op is visible).
                 // Anything completed can have knock-on effects — loop.
-                if remote_pump(&mut guard, &mut disp, &rrx, &mut parked) {
-                    continue;
+                if remote_pump(engine, disp, remote, parked) {
+                    return None;
                 }
-                // Fully drained: sleep until the next message arrives.
-                // Parked ops are safe to sleep on: the dispatcher is
-                // idle, so their blocker is a remote branch whose
-                // coordinator will send the releasing commit/abort —
-                // with a Wake nudge.
-                match rx.recv() {
-                    Ok(Msg::Submit { req, tag }) => {
-                        disp.submit(0, req, tag);
-                    }
-                    Ok(Msg::Wake) => {}
-                    Ok(Msg::Crash { after_done }) => {
-                        crash_after = Some(after_done);
-                        if after_done == 0 {
-                            return disp.stats();
-                        }
-                    }
-                    Ok(Msg::Shutdown) | Err(_) => open = false,
-                }
+                // Fully drained: block until the next message. Parked
+                // ops are safe to sleep on: the dispatcher is idle, so
+                // their blocker is a remote branch whose coordinator will
+                // send the releasing commit/abort — with a Wake nudge.
+                Some(rx.recv().unwrap_or(Msg::Shutdown))
             }
+            // Redo arrives out of band through the feed, so a replica
+            // sleeps only briefly before tailing again.
+            Role::Replica { .. } => match rx.recv_timeout(std::time::Duration::from_micros(200)) {
+                Ok(msg) => Some(msg),
+                Err(mpsc::RecvTimeoutError::Timeout) => None,
+                Err(mpsc::RecvTimeoutError::Disconnected) => Some(Msg::Shutdown),
+            },
         }
     }
-    disp.stats()
 }
 
-/// Replica serving loop: tail the shard's durable redo feed into the
-/// *owned* engine (no mutex — nothing else touches a replica's engine)
-/// and serve read-only snapshot requests at the applied horizon.
-/// Returns the engine (so shutdown can fingerprint it against the
-/// primary) and the tailer (whose parked prepares are a promoted
-/// replica's in-doubt set). Returns early — which the reaper observes
-/// as replica death — if the ship stream is corrupt: a replica that
-/// cannot converge must stop serving rather than answer from a frozen
-/// horizon forever.
-#[allow(clippy::too_many_arguments)]
-fn replica_worker(
+/// Act on one request-channel message; `false` once it says stop.
+fn on_msg(msg: Msg, disp: &mut Dispatcher<'_>, crash_after: &mut Option<usize>) -> bool {
+    match msg {
+        Msg::Submit { req, tag } => {
+            disp.submit(0, req, tag);
+        }
+        Msg::Wake => {} // remote ops are pumped every iteration
+        Msg::Crash { after_done: 0 } => crash(),
+        Msg::Crash { after_done } => *crash_after = Some(after_done),
+        Msg::Shutdown => return false,
+    }
+    true
+}
+
+/// Kill this shard thread the way a panic would, minus the panic hook's
+/// report: unwind to [`run_worker`]'s `catch_unwind`.
+fn crash() -> ! {
+    std::panic::resume_unwind(Box::new("injected shard worker crash"))
+}
+
+/// The serving loop of one shard thread, whatever its role: admit
+/// requests while the dispatcher has room, do the role's work between
+/// polls, drive the dispatcher, and ship retirements to the results
+/// channel in batches through [`flush_dones`], the group-commit
+/// acknowledgement point. Returns whether the thread stopped cleanly.
+fn serve(
     idx: usize,
-    mut engine: Engine,
-    feed: LogFeed,
-    part: Arc<CompiledPartition>,
-    cfg: DispatcherConfig,
-    rx: Receiver<Msg>,
-    done: Sender<(usize, TxnDone)>,
-    applied: Arc<AtomicU64>,
-) -> (Engine, RedoTailer, DispatcherStats) {
-    let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut engine, cfg);
-    let mut env = InstantEnv;
-    let mut tailer = RedoTailer::new();
-    let mut buf: Vec<u8> = Vec::new();
+    engine: &mut Engine,
+    disp: &mut Dispatcher<'_>,
+    role: &mut Role,
+    rx: &Receiver<Msg>,
+    done: &Sender<(usize, TxnDone)>,
+    horizon: &AtomicU64,
+) -> bool {
+    let cfg = *disp.config();
     let mut open = true;
     let mut batch: Vec<TxnDone> = Vec::new();
     let mut crash_after: Option<usize> = None;
     loop {
-        // Apply whatever the primary has made durable since last look.
-        // Open snapshots pin GC through the ordinary refcount horizon,
-        // so applying redo between polls never prunes a version an
-        // in-flight read can still observe.
-        if tailer.catch_up_feed(&feed, &mut engine, &mut buf).is_err() {
-            return (engine, tailer, disp.stats());
+        if !role.between_polls(engine, disp, horizon) {
+            return false;
         }
-        applied.store(engine.current_commit_ts(), Ordering::Release);
         while open
             && (disp.active_sessions() < cfg.max_sessions || disp.queue_len() < cfg.queue_cap)
         {
-            match rx.try_recv() {
-                Ok(Msg::Submit { req, tag }) => {
-                    disp.submit(0, req, tag);
-                }
-                Ok(Msg::Wake) => {}
-                Ok(Msg::Crash { after_done }) => {
-                    crash_after = Some(after_done);
-                    if after_done == 0 {
-                        return (engine, tailer, disp.stats());
-                    }
-                }
-                Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => open = false,
+            let msg = match rx.try_recv() {
+                Ok(msg) => msg,
                 Err(TryRecvError::Empty) => break,
-            }
+                Err(TryRecvError::Disconnected) => Msg::Shutdown,
+            };
+            open = on_msg(msg, disp, &mut crash_after);
         }
-        match disp.poll(&mut engine, &mut env) {
+        match disp.poll(engine, &mut InstantEnv) {
+            // Consecutive retirements batch up; the next non-Done poll
+            // flushes them behind one log sync.
             Polled::Done(d) => batch.push(d),
-            Polled::Progress => {
-                // `flush_dones` syncs the WAL before acknowledging;
-                // replicas have none, so wal_sync is a no-op and this
-                // just reports the batch under the replica's id.
-                if flush_dones(
-                    REPLICA_BASE + idx,
-                    &mut engine,
-                    &mut batch,
-                    &done,
-                    &mut crash_after,
-                ) {
-                    return (engine, tailer, disp.stats());
-                }
-            }
+            Polled::Progress => flush_dones(idx, engine, &mut batch, done, &mut crash_after),
             Polled::Idle => {
-                if flush_dones(
-                    REPLICA_BASE + idx,
-                    &mut engine,
-                    &mut batch,
-                    &done,
-                    &mut crash_after,
-                ) {
-                    return (engine, tailer, disp.stats());
-                }
+                flush_dones(idx, engine, &mut batch, done, &mut crash_after);
                 if !open {
-                    break;
+                    // One last step on the way out: a replica's final
+                    // catch-up (its primary has stopped, so the feed is
+                    // complete) lands it on the durable prefix.
+                    return role.between_polls(engine, disp, horizon);
                 }
-                // Unlike a primary, a replica may not block forever on
-                // its request channel: redo arrives out of band through
-                // the feed, so sleep briefly and tail again.
-                match rx.recv_timeout(std::time::Duration::from_micros(200)) {
-                    Ok(Msg::Submit { req, tag }) => {
-                        disp.submit(0, req, tag);
-                    }
-                    Ok(Msg::Wake) => {}
-                    Ok(Msg::Crash { after_done }) => {
-                        crash_after = Some(after_done);
-                        if after_done == 0 {
-                            return (engine, tailer, disp.stats());
-                        }
-                    }
-                    Ok(Msg::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
+                if let Some(msg) = role.idle_wait(engine, disp, rx) {
+                    open = on_msg(msg, disp, &mut crash_after);
                 }
             }
         }
     }
-    // Final drain: the primary has shut down (feed complete), so this
-    // brings the replica to the full durable prefix before the engine is
-    // returned for fingerprinting.
-    let _ = tailer.catch_up_feed(&feed, &mut engine, &mut buf);
-    applied.store(engine.current_commit_ts(), Ordering::Release);
-    (engine, tailer, disp.stats())
+}
+
+/// The body of every shard thread, primary or replica by `role`. The
+/// thread owns its engine by value — nothing else touches a live
+/// shard's engine; coordinators go through the remote-op channel — and
+/// runs [`serve`] once under `catch_unwind`, so it hands the engine back
+/// however the loop ends: a shutdown, a failed feed, an injected kill or
+/// a panic. Its request and remote-op receivers close when it returns,
+/// which is how submitters and coordinators learn it stopped.
+#[allow(clippy::too_many_arguments)]
+fn run_worker(
+    idx: usize,
+    mut engine: Engine,
+    mut role: Role,
+    part: Arc<CompiledPartition>,
+    cfg: DispatcherConfig,
+    rx: Receiver<Msg>,
+    done: Sender<(usize, TxnDone)>,
+    horizon: Arc<AtomicU64>,
+) -> Exit {
+    let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut engine, cfg);
+    let clean = catch_unwind(AssertUnwindSafe(|| {
+        serve(idx, &mut engine, &mut disp, &mut role, &rx, &done, &horizon)
+    }))
+    .unwrap_or(false);
+    let tailer = match role {
+        Role::Replica { tailer, .. } if clean => Some(tailer),
+        _ => None,
+    };
+    Exit {
+        engine,
+        tailer,
+        stats: disp.stats(),
+    }
 }
 
 /// Route one row image to its owning shard, or replicate it to every

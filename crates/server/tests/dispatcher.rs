@@ -391,3 +391,78 @@ fn contended_mix_restarts_on_recycled_scratch() {
         .sum();
     assert_eq!(sum, (0..16).map(|i| 100 * i).sum::<i64>() + 16);
 }
+
+/// Admission check: a request whose argument count does not match its
+/// entry retires once, with the session's own error, while the requests
+/// around it run normally.
+#[test]
+fn mismatched_arguments_retire_with_the_session_error() {
+    let s = setup();
+    let mut engine = make_db();
+    let mut disp = Dispatcher::new(
+        Deployment::Fixed(&s.jdbc),
+        &mut engine,
+        DispatcherConfig::default(),
+    );
+    let no_args = TxnRequest {
+        args: Vec::new(),
+        ..req(s.bump, 0)
+    };
+    for (tag, r) in [(0, req(s.bump, 5)), (1, no_args), (2, req(s.put, 6))] {
+        assert_eq!(disp.submit(0, r, tag), Admit::Started);
+    }
+    let mut done = disp.run_until_idle(&mut engine, &mut InstantEnv);
+    done.sort_by_key(|d| d.tag);
+    let errors: Vec<Option<&str>> = done.iter().map(|d| d.error.as_deref()).collect();
+    assert_eq!(
+        errors,
+        [
+            None,
+            Some("runtime error: entry `bump` expects 1 args, got 0"),
+            None
+        ]
+    );
+    assert_eq!(disp.stats().completed, 3);
+}
+
+/// Admission check: a request naming an entry id past the program's
+/// method table retires once with an error — here straight off the
+/// admission queue, handing its session slot to the request behind it.
+#[test]
+fn unknown_entry_retires_with_an_error() {
+    let s = setup();
+    let mut engine = make_db();
+    let mut disp = Dispatcher::new(
+        Deployment::Fixed(&s.jdbc),
+        &mut engine,
+        DispatcherConfig {
+            max_sessions: 1,
+            ..DispatcherConfig::default()
+        },
+    );
+    assert_eq!(disp.submit(0, req(s.bump, 1), 0), Admit::Started);
+    let unknown = req(pyx_lang::MethodId(9999), 1);
+    assert_eq!(disp.submit(0, unknown, 1), Admit::Queued { depth: 1 });
+    assert_eq!(
+        disp.submit(0, req(s.bump, 1), 2),
+        Admit::Queued { depth: 2 }
+    );
+    let done = disp.run_until_idle(&mut engine, &mut InstantEnv);
+    let retired: Vec<(u64, Option<&str>)> =
+        done.iter().map(|d| (d.tag, d.error.as_deref())).collect();
+    assert_eq!(
+        retired,
+        [
+            (0, None),
+            (1, Some("runtime error: unknown entry method 9999")),
+            (2, None)
+        ]
+    );
+    assert_eq!(disp.active_sessions() + disp.queue_len(), 0);
+    let row = engine
+        .dump_table("kv")
+        .into_iter()
+        .find(|r| r[0] == Scalar::Int(1))
+        .unwrap();
+    assert_eq!(row[1], Scalar::Int(102), "both good bumps applied");
+}

@@ -3,7 +3,8 @@
 //! the `InstantEnv`-priced oracle) and through the real socket path
 //! (`NetServer` + `NetClient` over UDS and TCP) must retire identical
 //! per-transaction outcomes and leave byte-identical engine state. A
-//! fault-free link must be invisible.
+//! fault-free link must be invisible. Requests no session can be built
+//! for retire with an error over the wire and harm nothing else.
 
 use pyx_db::{shard_of, Engine, Scalar};
 use pyx_pyxil::CompiledPartition;
@@ -332,6 +333,74 @@ fn concurrent_clients_each_get_exactly_once_streams() {
     assert!(total_ok > 0);
     let report = handle.shutdown();
     assert!(report.dispatchers.iter().map(|s| s.completed).sum::<u64>() > 0);
+}
+
+/// Admission check over the wire: a routed and a cross-shard request
+/// with too few arguments, and a request naming an unknown entry, each
+/// retire once with the session's own error, and the good requests
+/// between and after them succeed. No shard worker dies over them, so
+/// nothing is left dead or healed.
+#[test]
+fn malformed_requests_over_the_socket_retire_with_errors() {
+    let (pyxis, part) = compile();
+    let new_order = pyxis.entry("Serve", "newOrder").expect("newOrder");
+    let transfer = pyxis.entry("Serve", "transfer").expect("transfer");
+    let part = Arc::new(part);
+    let seed = 31;
+    let addr = NetAddr::parse("tcp:127.0.0.1:0").unwrap();
+    let listener = Listener::bind(&addr).expect("bind");
+    let handle = NetServer::serve(
+        listener,
+        move || {
+            ShardedServer::new(
+                part,
+                build_shards(seed),
+                ShardedConfig {
+                    shards: W,
+                    coordinators: 2,
+                    ..ShardedConfig::default()
+                },
+            )
+        },
+        NetServerCfg::default(),
+    );
+    let bad = |entry, label, route| TxnRequest {
+        entry,
+        args: vec![ArgVal::Int(wh(0))],
+        label,
+        route,
+    };
+    let mut good = mixed_requests(&pyxis, 8).into_iter().map(|r| (r, None));
+    let mut reqs: Vec<(TxnRequest, Option<&str>)> = good.by_ref().take(1).collect();
+    reqs.push((
+        bad(new_order, "short-routed", Some(wh(0))),
+        Some("runtime error: entry `newOrder` expects 5 args, got 1"),
+    ));
+    reqs.extend(good.by_ref().take(1));
+    reqs.push((
+        bad(transfer, "short-cross", None),
+        Some("runtime error: entry `transfer` expects 4 args, got 1"),
+    ));
+    reqs.extend(good.by_ref().take(1));
+    reqs.push((
+        bad(pyx_lang::MethodId(9999), "unknown", Some(wh(1))),
+        Some("runtime error: unknown entry method 9999"),
+    ));
+    reqs.extend(good);
+
+    let mut client = NetClient::connect(handle.addr(), NetClientCfg::default()).expect("connect");
+    for (tag, (r, want)) in reqs.iter().enumerate() {
+        client.submit(r.clone(), tag as u64);
+        let d = client.recv_done().expect("every request retires");
+        assert_eq!(d.tag, tag as u64);
+        assert_eq!(d.error.as_deref(), *want, "txn {tag} ({})", r.label);
+    }
+    client.close();
+    let (dead, recoveries) = handle.with_server(|s| (s.dead_shards(), s.recoveries().len()));
+    assert!(dead.is_empty(), "no worker died: {dead:?}");
+    assert_eq!(recoveries, 0, "nothing needed healing");
+    let report = handle.shutdown();
+    assert_eq!(report.multi_txns, 3, "two good transfers and the short one");
 }
 
 /// `SocketEnv` prices events with real measured round trips: nonzero,

@@ -13,12 +13,17 @@
 //!   durability failure.
 //! * **Reads survive primary death**: after the primary worker dies,
 //!   routed read-only requests still admit to replicas and retire.
+//! * **Replica death falls back to the primary**: a replica whose feed
+//!   fails its checksum stops; the reaper reports its lost reads, later
+//!   reads fall back to the primary, and its engine still comes back at
+//!   shutdown.
 
-use pyx_db::wal::LogFeed;
-use pyx_db::{Engine, FaultPlan, FaultySink, MemSink};
+use pyx_db::wal::{FeedSink, LogFeed};
+use pyx_db::{Engine, FaultPlan, FaultySink, MemSink, Wal};
 use pyx_server::{Admit, ShardedConfig, ShardedServer, TxnDone, Workload};
 use pyx_workloads::tpcw;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 // The browsing interactions walk a hardcoded 10 000-item catalogue
 // (`% 10000 + 1` promo/related links), so the item count must stay at
@@ -42,13 +47,19 @@ struct Cluster {
 
 /// One-shard read-mostly TPC-W server with a WAL whose feeds are ready
 /// for [`ShardedServer::spawn_replicas`].
-fn cluster(mut make_sink: impl FnMut(usize) -> Box<dyn pyx_db::LogSink>) -> Cluster {
+fn cluster(make_sink: impl FnMut(usize) -> Box<dyn pyx_db::LogSink>) -> Cluster {
+    let mut engines = vec![fresh_tpcw(7)];
+    let feeds = ShardedServer::attach_shard_wals_with_feeds(&mut engines, 1, make_sink);
+    cluster_over(engines, feeds)
+}
+
+/// One-shard read-mostly TPC-W server over `engines`, whose WAL already
+/// publishes `feeds`.
+fn cluster_over(engines: Vec<Engine>, feeds: Vec<LogFeed>) -> Cluster {
     let pyxis = pyx_core::Pyxis::compile(tpcw::SRC_READ_MOSTLY, pyx_core::PyxisConfig::default())
         .expect("read-mostly TPC-W compiles");
     let entries = tpcw::ReadMostlyEntries::find(&pyxis.prog);
     let part = Arc::new(pyxis.deploy_jdbc());
-    let mut engines = vec![fresh_tpcw(7)];
-    let feeds = ShardedServer::attach_shard_wals_with_feeds(&mut engines, 1, &mut make_sink);
     let srv = ShardedServer::new(
         part,
         engines,
@@ -214,4 +225,67 @@ fn reads_survive_primary_death() {
     }
     let (_, report) = c.srv.shutdown();
     assert!(report.replica_reads >= 40);
+}
+
+/// Replica death: a byte flipped in the shipped stream fails the
+/// replica tailer's checksum, so the replica stops rather than serve
+/// from a frozen horizon. The reaper reports the reads it lost as
+/// "replica died" errors, later reads fall back to the primary, and the
+/// dead replica's engine still comes back at shutdown.
+#[test]
+fn corrupt_feed_kills_the_replica_and_reads_fall_back() {
+    // The flip lands in the log itself, which the primary never reads
+    // back: it keeps committing while the shipped copy fails the
+    // replica's checksum.
+    let sink = FeedSink::new(MemSink::new());
+    let feed = sink.feed();
+    let plan = FaultPlan {
+        flip: Some((2_000, 0xFF)),
+        ..FaultPlan::default()
+    };
+    let mut primary = fresh_tpcw(7);
+    primary.set_wal(Wal::new(Box::new(FaultySink::new(sink, plan))));
+    let mut c = cluster_over(vec![primary], vec![feed]);
+    c.srv.spawn_replicas(&c.feeds, vec![vec![fresh_tpcw(7)]]);
+
+    let mut mix = tpcw::ReadMostlyMix::new(c.entries, scale(), 10, 42).routed();
+    let mut tag = 0u64;
+    let t0 = Instant::now();
+    while !c.srv.replica_lags().is_empty() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "the corrupt feed never stopped the replica"
+        );
+        assert_eq!(c.srv.submit(mix.next_txn(0), tag), Admit::Started);
+        tag += 1;
+        let d = c.srv.recv_done().expect("one in flight");
+        if let Some(e) = &d.error {
+            assert!(
+                e.contains("replica died"),
+                "txn {} ({}): {e}",
+                d.tag,
+                d.label
+            );
+        }
+        c.srv.reap_now();
+    }
+
+    let mut reads = tpcw::ReadMostlyMix::new(c.entries, scale(), 0, 77).routed();
+    for i in 0..40u64 {
+        assert_eq!(c.srv.submit(reads.next_txn(0), 10_000 + i), Admit::Started);
+        let d = c.srv.recv_done().expect("one in flight");
+        assert!(d.error.is_none(), "fallback read failed: {:?}", d.error);
+    }
+    assert!(c.srv.dead_shards().is_empty(), "the primary never died");
+    let (rest, report) = c.srv.shutdown();
+    assert!(rest.is_empty());
+    assert!(
+        report.replica_fallbacks >= 40,
+        "{}",
+        report.replica_fallbacks
+    );
+    assert_eq!(report.replica_engines.len(), 1, "the dead replica's engine");
+    let (shard, replica) = &report.replica_engines[0];
+    assert_eq!(*shard, 0);
+    assert!(replica.current_commit_ts() < report.engines[0].current_commit_ts());
 }
