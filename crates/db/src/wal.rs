@@ -89,6 +89,7 @@
 //! [`crate::DbError::Durability`], and [`crate::Engine::wal_sync`] keeps
 //! reporting the failure so an acknowledgement point can surface it.
 
+use pyx_lang::codec::{encode_scalar, Reader};
 use pyx_lang::fnv::fnv1a;
 use pyx_lang::Scalar;
 use std::io::{Read, Seek, Write};
@@ -108,13 +109,6 @@ pub const KIND_PREPARE: u8 = 1;
 pub const KIND_DECIDE: u8 = 2;
 /// Byte length of a decide record's payload: `[commit: u8][ts: u64]`.
 const DECIDE_PAYLOAD_LEN: usize = 9;
-
-// Scalar tags (same values as the control-transfer wire protocol).
-const T_NULL: u8 = 0;
-const T_INT: u8 = 1;
-const T_DOUBLE: u8 = 2;
-const T_BOOL: u8 = 3;
-const T_STR: u8 = 4;
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -191,75 +185,11 @@ pub struct ScanOutcome {
     pub error: Option<String>,
 }
 
-fn encode_scalar(out: &mut Vec<u8>, s: &Scalar) {
-    match s {
-        Scalar::Null => out.push(T_NULL),
-        Scalar::Int(x) => {
-            out.push(T_INT);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Scalar::Double(x) => {
-            out.push(T_DOUBLE);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Scalar::Bool(x) => {
-            out.push(T_BOOL);
-            out.push(u8::from(*x));
-        }
-        Scalar::Str(s) => {
-            out.push(T_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-struct Reader<'b> {
-    buf: &'b [u8],
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.buf.len() < n {
-            return Err("truncated payload".into());
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-}
-
-fn decode_scalar(r: &mut Reader) -> Result<Scalar, String> {
-    Ok(match r.u8()? {
-        T_NULL => Scalar::Null,
-        T_INT => Scalar::Int(i64::from_le_bytes(r.take(8)?.try_into().unwrap())),
-        T_DOUBLE => Scalar::Double(f64::from_bits(u64::from_le_bytes(
-            r.take(8)?.try_into().unwrap(),
-        ))),
-        T_BOOL => Scalar::Bool(r.u8()? != 0),
-        T_STR => {
-            let n = r.u32()? as usize;
-            let bytes = r.take(n)?;
-            let s = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8 string".to_string())?;
-            Scalar::Str(s.into())
-        }
-        t => return Err(format!("unknown scalar tag {t}")),
-    })
-}
-
-fn decode_scalars(r: &mut Reader) -> Result<Vec<Scalar>, String> {
+fn decode_scalars(r: &mut Reader<String>) -> Result<Vec<Scalar>, String> {
     let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        out.push(decode_scalar(r)?);
+        out.push(r.scalar()?);
     }
     Ok(out)
 }
@@ -338,7 +268,7 @@ pub fn encode_decide_record(
 }
 
 fn decode_ops(buf: &[u8], n_ops: usize) -> Result<Vec<RedoOp>, String> {
-    let mut r = Reader { buf };
+    let mut r = Reader::new(buf, str::to_string);
     let mut ops = Vec::with_capacity(n_ops.min(1 << 16));
     for _ in 0..n_ops {
         let tag = r.u8()?;
@@ -680,6 +610,8 @@ struct FeedBuf {
     /// Bytes covered by a successful `sync` — the only bytes a replica
     /// may ever observe.
     durable: Vec<u8>,
+    /// Run after each publish of new durable bytes.
+    wakers: Vec<Box<dyn Fn() + Send>>,
 }
 
 /// Reader handle onto a [`FeedSink`]'s durable prefix. Cloneable; each
@@ -704,6 +636,15 @@ impl LogFeed {
         out.extend_from_slice(&g.durable[offset..]);
         g.durable.len() - offset
     }
+
+    /// Run `waker` each time the sink publishes new durable bytes, right
+    /// after they become readable here — so a tailer can block between
+    /// publishes instead of polling. Wakers run under the feed's lock
+    /// and must not read the feed themselves.
+    pub fn on_publish(&self, waker: impl Fn() + Send + 'static) {
+        let mut g = self.0.lock().expect("no feed holder panics");
+        g.wakers.push(Box::new(waker));
+    }
 }
 
 /// A [`LogSink`] decorator that publishes the log's **durable prefix**
@@ -711,7 +652,8 @@ impl LogFeed {
 /// become visible after the inner sink's `sync` succeeds — the ship
 /// point for replication is the durability acknowledgement, never the
 /// raw append, so a replica can never apply a commit the primary could
-/// still lose in a crash.
+/// still lose in a crash. Each publish runs the feed's wakers
+/// ([`LogFeed::on_publish`]).
 pub struct FeedSink<S: LogSink> {
     inner: S,
     feed: Arc<Mutex<FeedBuf>>,
@@ -743,8 +685,11 @@ impl<S: LogSink> LogSink for FeedSink<S> {
 
     fn sync(&mut self) -> std::io::Result<()> {
         self.inner.sync()?;
-        let mut g = self.feed.lock().unwrap();
-        g.durable.append(&mut self.volatile);
+        if !self.volatile.is_empty() {
+            let mut g = self.feed.lock().expect("no feed holder panics");
+            g.durable.append(&mut self.volatile);
+            g.wakers.iter().for_each(|wake| wake());
+        }
         Ok(())
     }
 

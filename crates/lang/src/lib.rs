@@ -15,13 +15,15 @@
 //!   the **normalized IR** ([`nir`]) that every downstream phase (profiler,
 //!   static analysis, partitioner, PyxIL compiler, runtime) consumes, and
 //! * runtime value types shared by the interpreter and the distributed
-//!   runtime ([`value`]).
+//!   runtime ([`value`]), and the scalar byte encoding the WAL and the
+//!   wire protocol share ([`codec`]).
 //!
 //! Normalization flattens nested expressions into temporaries so that every
 //! statement performs at most one call and one heap access — mirroring the
 //! "normalized source" the paper's instrumentor emits (Fig. 1).
 
 pub mod ast;
+pub mod codec;
 pub mod fnv;
 pub mod ids;
 pub mod lexer;

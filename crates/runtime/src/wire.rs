@@ -46,8 +46,9 @@
 //!   size of every value equals [`pyx_lang::Value::wire_size`], which keeps
 //!   the §4.2 cost model and the wire format in exact agreement.
 
+use pyx_lang::codec::{encode_scalar, Reader};
 use pyx_lang::fnv::{fnv1a, fnv1a_cont};
-use pyx_lang::{Oid, RtError, Scalar, Value};
+use pyx_lang::{Oid, RtError, Value};
 use pyx_partition::Side;
 use std::sync::Arc;
 
@@ -241,7 +242,7 @@ impl Frame {
             return Err(err("checksum mismatch"));
         }
 
-        let mut r = Reader { buf: payload };
+        let mut r = Reader::new(payload, |m| RtError::new(format!("wire: {m}")));
         let mut sync = Vec::with_capacity(n_sync);
         for _ in 0..n_sync {
             let tag = r.u8()?;
@@ -386,37 +387,14 @@ impl FrameAssembler {
     }
 }
 
-// Value tags. Scalars reuse the same tags as values (a row cell can never
-// be a reference or a nested row).
-const T_NULL: u8 = 0;
-const T_INT: u8 = 1;
-const T_DOUBLE: u8 = 2;
-const T_BOOL: u8 = 3;
-const T_STR: u8 = 4;
+// Value tags past the scalar ones, which values reuse (a row cell can
+// never be a reference or a nested row).
 const T_OBJ: u8 = 5;
 const T_ARR: u8 = 6;
 const T_ROW: u8 = 7;
 
 fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => out.push(T_NULL),
-        Value::Int(x) => {
-            out.push(T_INT);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::Double(x) => {
-            out.push(T_DOUBLE);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Bool(x) => {
-            out.push(T_BOOL);
-            out.push(u8::from(*x));
-        }
-        Value::Str(s) => {
-            out.push(T_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
         Value::Obj(oid) => {
             out.push(T_OBJ);
             out.extend_from_slice(&oid.0.to_le_bytes());
@@ -432,110 +410,35 @@ fn encode_value(out: &mut Vec<u8>, v: &Value) {
                 encode_scalar(out, c);
             }
         }
+        scalar => encode_scalar(out, &scalar.to_scalar().expect("a scalar value")),
     }
 }
 
-fn encode_scalar(out: &mut Vec<u8>, s: &Scalar) {
-    match s {
-        Scalar::Null => out.push(T_NULL),
-        Scalar::Int(x) => {
-            out.push(T_INT);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Scalar::Double(x) => {
-            out.push(T_DOUBLE);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Scalar::Bool(x) => {
-            out.push(T_BOOL);
-            out.push(u8::from(*x));
-        }
-        Scalar::Str(s) => {
-            out.push(T_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
+fn decode_value(r: &mut Reader<RtError>) -> Result<Value, RtError> {
+    let tag = r.u8()?;
+    if let Some(s) = r.scalar_after(tag)? {
+        return Ok(Value::from_scalar(&s));
     }
-}
-
-struct Reader<'b> {
-    buf: &'b [u8],
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], RtError> {
-        if self.buf.len() < n {
-            return Err(RtError::new("wire: truncated payload"));
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, RtError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, RtError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, RtError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-fn decode_value(r: &mut Reader) -> Result<Value, RtError> {
-    Ok(match r.u8()? {
-        T_NULL => Value::Null,
-        T_INT => Value::Int(i64::from_le_bytes(r.take(8)?.try_into().unwrap())),
-        T_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(
-            r.take(8)?.try_into().unwrap(),
-        ))),
-        T_BOOL => Value::Bool(r.u8()? != 0),
-        T_STR => {
-            let n = r.u32()? as usize;
-            let bytes = r.take(n)?;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|_| RtError::new("wire: invalid UTF-8 string"))?;
-            Value::Str(s.into())
-        }
+    Ok(match tag {
         T_OBJ => Value::Obj(Oid(r.u64()?)),
         T_ARR => Value::Arr(Oid(r.u64()?)),
         T_ROW => {
             let n = r.u32()? as usize;
             let mut cols = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                cols.push(decode_scalar(r)?);
+                cols.push(r.scalar()?);
             }
             Value::Row(Arc::new(cols))
         }
-        _ => return Err(RtError::new("wire: unknown value tag")),
-    })
-}
-
-fn decode_scalar(r: &mut Reader) -> Result<Scalar, RtError> {
-    Ok(match r.u8()? {
-        T_NULL => Scalar::Null,
-        T_INT => Scalar::Int(i64::from_le_bytes(r.take(8)?.try_into().unwrap())),
-        T_DOUBLE => Scalar::Double(f64::from_bits(u64::from_le_bytes(
-            r.take(8)?.try_into().unwrap(),
-        ))),
-        T_BOOL => Scalar::Bool(r.u8()? != 0),
-        T_STR => {
-            let n = r.u32()? as usize;
-            let bytes = r.take(n)?;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|_| RtError::new("wire: invalid UTF-8 string"))?;
-            Scalar::Str(s.into())
-        }
-        _ => Err(RtError::new("wire: unknown scalar tag"))?,
+        _ => return Err(r.error("unknown value tag")),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pyx_lang::codec::T_NULL;
+    use pyx_lang::Scalar;
 
     fn roundtrip(f: &Frame) -> Frame {
         let bytes = f.encode();

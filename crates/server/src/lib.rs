@@ -53,6 +53,13 @@
 //!   single-shard traffic, then runs prepare/commit across just those
 //!   participants. Coordinator ages come from one shared counter,
 //!   extending wait-die across shards. See [`shard`] for the protocol.
+//! * **Waiting and deaths:** an idle shard thread blocks on its request
+//!   channel; out-of-band work — a coordinator's remote op, or durable
+//!   log bytes a replica should tail — sends it a wake message. Results
+//!   come back on one channel, and a thread's exit is its last message
+//!   there, sent by a drop guard even when it panics. Whichever reader
+//!   of the channel gets the exit reaps the worker and, if configured,
+//!   heals its shard on the spot; nothing polls for liveness.
 //!
 //! # Network failure model (socket serving)
 //!

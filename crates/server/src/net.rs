@@ -12,11 +12,14 @@
 //! * [`FrameConn`] — length-delimited frame streaming over one socket:
 //!   `encode_into` on send, incremental reassembly via
 //!   [`FrameAssembler`] on receive, read/write deadlines throughout.
-//! * [`NetServer`] — the DB host: an accept loop plus per-connection
-//!   reader/writer threads around one owner event loop that admits
-//!   transactions into the [`ShardedServer`] (via the non-sleeping
-//!   [`ShardedServer::submit_by_deadline`]) and routes retirements back
-//!   to the connection that asked.
+//! * [`NetServer`] — the DB host: an accept thread plus per-connection
+//!   reader/writer threads, each blocked on its socket, around one owner
+//!   event loop that admits transactions into the [`ShardedServer`] (via
+//!   [`ShardedServer::submit_by_deadline`], which waits on retirements
+//!   rather than sleeping) and routes retirements back to the connection
+//!   that asked. Shutdown wakes the accept thread with a connection of
+//!   its own; the owner ends a connection's threads by shutting its
+//!   socket down.
 //! * [`NetClient`] — the partition-tolerant APP-host client: bounded
 //!   reconnect with jittered exponential backoff (the backoff
 //!   [`ShardedServer::submit_by_deadline`] retries admission with),
@@ -154,14 +157,6 @@ impl Listener {
                     .ok_or_else(|| io::Error::other("unnamed uds"))?;
                 Ok(NetAddr::Uds(p.to_path_buf()))
             }
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            Listener::Uds(l) => l.set_nonblocking(nb),
         }
     }
 
@@ -917,7 +912,7 @@ const SUBMIT_DEADLINE: Duration = Duration::from_millis(500);
 const SESSION_RETAIN: Duration = Duration::from_secs(60);
 
 enum ConnEvent {
-    Opened(u64, SyncSender<Vec<u8>>),
+    Opened(u64, SyncSender<Vec<u8>>, Stream),
     Hello(u64, u64),
     Submit(u64, NetSubmit),
     Bye(u64),
@@ -931,7 +926,18 @@ enum Ctl {
 
 struct ConnState {
     writer: SyncSender<Vec<u8>>,
+    /// The connection's socket, shut down when the owner drops the
+    /// connection: that ends its reader (which holds a writer clone for
+    /// echo replies, so closing the writer channel alone would not) and
+    /// then its writer.
+    socket: Stream,
     client: Option<u64>,
+}
+
+impl Drop for ConnState {
+    fn drop(&mut self) {
+        self.socket.shutdown();
+    }
 }
 
 #[derive(Default)]
@@ -981,11 +987,15 @@ impl NetServerHandle {
     /// Stop accepting, drain every in-flight transaction, shut the
     /// sharded server down, and hand back its report.
     pub fn shutdown(self) -> ShardedReport {
+        // The accept loop blocks in `accept`: raise the flag, then wake
+        // it with one connection of our own. Should even that connect
+        // fail, the thread is left blocked rather than joined.
         self.stop.store(true, Ordering::SeqCst);
+        if Stream::connect(&self.addr, Duration::from_secs(1)).is_ok() {
+            let _ = self.accept_join.join();
+        }
         let _ = self.ctl_tx.send(Ctl::Shutdown);
-        let report = self.join.join().expect("net server owner loop");
-        let _ = self.accept_join.join();
-        report
+        self.join.join().expect("net server owner loop")
     }
 }
 
@@ -1020,13 +1030,10 @@ impl NetServer {
                 .expect("spawn accept loop")
         };
 
-        let join = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("pyx-net-owner".into())
-                .spawn(move || owner_loop(make_srv(), ev_rx, ctl_rx, stop))
-                .expect("spawn owner loop")
-        };
+        let join = std::thread::Builder::new()
+            .name("pyx-net-owner".into())
+            .spawn(move || owner_loop(make_srv(), ev_rx, ctl_rx))
+            .expect("spawn owner loop");
 
         NetServerHandle {
             addr,
@@ -1038,24 +1045,27 @@ impl NetServer {
     }
 }
 
+/// Accept connections, blocked in `accept`, until
+/// [`NetServerHandle::shutdown`] raises `stop` and wakes it.
 fn accept_loop(
     listener: Listener,
     stop: Arc<AtomicBool>,
     ev_tx: Sender<ConnEvent>,
     cfg: NetServerCfg,
 ) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
     let mut next_conn = 1u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok(stream) => {
-                let conn_id = next_conn;
+                spawn_conn(next_conn, stream, &ev_tx, &cfg);
                 next_conn += 1;
-                spawn_conn(conn_id, stream, &ev_tx, &stop, &cfg);
             }
-            Err(e) if timed_out(&e) => std::thread::sleep(Duration::from_millis(2)),
+            // A failed accept (out of descriptors, say) backs off
+            // instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -1066,15 +1076,10 @@ fn accept_loop(
 /// wedging the owner loop), and a reader thread decoding frames and
 /// forwarding protocol events to the owner. Echo requests are answered
 /// directly on the reader thread — [`SocketEnv`] round trips never wait
-/// on the owner loop.
-fn spawn_conn(
-    conn_id: u64,
-    stream: Stream,
-    ev_tx: &Sender<ConnEvent>,
-    stop: &Arc<AtomicBool>,
-    cfg: &NetServerCfg,
-) {
-    let Ok(wstream) = stream.try_clone() else {
+/// on the owner loop. Both threads block on their socket until the
+/// owner shuts it down (see [`ConnState`]) or the peer closes it.
+fn spawn_conn(conn_id: u64, stream: Stream, ev_tx: &Sender<ConnEvent>, cfg: &NetServerCfg) {
+    let (Ok(wstream), Ok(socket)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
     let (wtx, wrx) = mpsc::sync_channel::<Vec<u8>>(256);
@@ -1097,80 +1102,70 @@ fn spawn_conn(
         });
 
     let ev_tx = ev_tx.clone();
-    let stop = Arc::clone(stop);
-    if ev_tx.send(ConnEvent::Opened(conn_id, wtx.clone())).is_err() {
+    if ev_tx
+        .send(ConnEvent::Opened(conn_id, wtx.clone(), socket))
+        .is_err()
+    {
         return;
     }
     let _ = std::thread::Builder::new()
         .name(format!("pyx-net-r{conn_id}"))
         .spawn(move || {
-            // Short read timeout so the thread notices server stop
-            // promptly; peer liveness is the client's problem.
-            let Ok(mut conn) = FrameConn::new(stream, Duration::from_millis(50)) else {
+            // No read deadline: peer liveness is the client's problem,
+            // and the owner ends this thread by shutting the socket down.
+            let Ok(mut conn) = FrameConn::new(stream, io_timeout) else {
                 let _ = ev_tx.send(ConnEvent::Gone(conn_id));
                 return;
             };
-            loop {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
+            let _ = conn.stream.set_read_timeout(None);
+            let last = loop {
                 match conn.recv() {
-                    Ok(Recv::Timeout) => continue,
-                    Ok(Recv::Closed) | Err(_) => {
-                        let _ = ev_tx.send(ConnEvent::Gone(conn_id));
-                        break;
-                    }
-                    Ok(Recv::Frame(f)) => match f.kind {
-                        FrameKind::Transfer => {
-                            let Ok(op) = slot_i64(&f, 0) else {
-                                let _ = ev_tx.send(ConnEvent::Gone(conn_id));
-                                break;
-                            };
-                            match op {
-                                OP_HELLO => {
-                                    let Ok(id) = slot_i64(&f, 1) else {
-                                        let _ = ev_tx.send(ConnEvent::Gone(conn_id));
-                                        break;
-                                    };
-                                    let _ = ev_tx.send(ConnEvent::Hello(conn_id, id as u64));
-                                }
-                                OP_ECHO_REQ => {
-                                    let resp = slot_i64(&f, 1).unwrap_or(0).max(0) as usize;
-                                    let reply =
-                                        pad_frame(control_frame(Side::Db, OP_ECHO_REPLY, 0), resp);
-                                    if wtx.try_send(reply.encode()).is_err() {
-                                        let _ = ev_tx.send(ConnEvent::Gone(conn_id));
-                                        break;
-                                    }
-                                }
-                                OP_BYE => {
-                                    let _ = ev_tx.send(ConnEvent::Bye(conn_id));
-                                    break;
-                                }
-                                _ => {
-                                    let _ = ev_tx.send(ConnEvent::Gone(conn_id));
-                                    break;
-                                }
-                            }
+                    Ok(Recv::Frame(f)) => match frame_event(conn_id, &f, &wtx) {
+                        Ok(Some(ev)) => {
+                            let _ = ev_tx.send(ev);
                         }
-                        FrameKind::Entry => match parse_submit(&f) {
-                            Ok(sub) => {
-                                let _ = ev_tx.send(ConnEvent::Submit(conn_id, sub));
-                            }
-                            Err(_) => {
-                                let _ = ev_tx.send(ConnEvent::Gone(conn_id));
-                                break;
-                            }
-                        },
-                        FrameKind::Return => {
-                            // Clients don't send Done frames.
-                            let _ = ev_tx.send(ConnEvent::Gone(conn_id));
-                            break;
-                        }
+                        Ok(None) => {}
+                        Err(last) => break last,
                     },
+                    Ok(Recv::Timeout) => {}
+                    Ok(Recv::Closed) | Err(_) => break ConnEvent::Gone(conn_id),
                 }
-            }
+            };
+            let _ = ev_tx.send(last);
         });
+}
+
+/// What one client frame means to its connection's reader: an event to
+/// forward, nothing (an echo request it answered on `wtx` itself), or —
+/// as `Err` — the connection's last event: a bye, or `Gone` for a frame
+/// no client sends.
+fn frame_event(
+    conn_id: u64,
+    f: &Frame,
+    wtx: &SyncSender<Vec<u8>>,
+) -> Result<Option<ConnEvent>, ConnEvent> {
+    let gone = |_| ConnEvent::Gone(conn_id);
+    match f.kind {
+        FrameKind::Entry => parse_submit(f)
+            .map(|sub| Some(ConnEvent::Submit(conn_id, sub)))
+            .map_err(gone),
+        FrameKind::Transfer => match slot_i64(f, 0).map_err(gone)? {
+            OP_HELLO => {
+                let client = slot_i64(f, 1).map_err(gone)?;
+                Ok(Some(ConnEvent::Hello(conn_id, client as u64)))
+            }
+            OP_ECHO_REQ => {
+                let resp = slot_i64(f, 1).unwrap_or(0).max(0) as usize;
+                let reply = pad_frame(control_frame(Side::Db, OP_ECHO_REPLY, 0), resp);
+                let sent = wtx.try_send(reply.encode());
+                sent.map(|()| None).map_err(|_| ConnEvent::Gone(conn_id))
+            }
+            OP_BYE => Err(ConnEvent::Bye(conn_id)),
+            _ => Err(ConnEvent::Gone(conn_id)),
+        },
+        // Clients don't send Done frames.
+        FrameKind::Return => Err(ConnEvent::Gone(conn_id)),
+    }
 }
 
 struct Owner {
@@ -1183,11 +1178,14 @@ struct Owner {
     labels: HashMap<String, &'static str>,
 }
 
+/// The owner thread, the only one that touches the [`ShardedServer`].
+/// Each turn applies control messages, waits up to 1 ms for connection
+/// events — the loop's one timer; a retirement does not cut it short —
+/// and then retires what the shards finished.
 fn owner_loop(
     srv: ShardedServer,
     ev_rx: Receiver<ConnEvent>,
     ctl_rx: Receiver<Ctl>,
-    stop: Arc<AtomicBool>,
 ) -> ShardedReport {
     let mut o = Owner {
         srv,
@@ -1199,7 +1197,6 @@ fn owner_loop(
     };
     let mut shutting_down = false;
     let mut last_sweep = Instant::now();
-    let mut last_reap = Instant::now();
     loop {
         // Control first: shutdown and test hooks take effect before the
         // next admission.
@@ -1221,17 +1218,12 @@ fn owner_loop(
             Err(mpsc::RecvTimeoutError::Disconnected) => shutting_down = true,
         }
         // Retire everything the shards finished (including what a
-        // waiting admission drained onto the ready queue).
+        // waiting admission filed on the ready queue). A worker's death
+        // arrives the same way, as its exit report: reading it reaps the
+        // worker, heals its shard if configured, and retires what it
+        // lost — no one has to drive a failover.
         while let Some(d) = o.srv.try_recv_done() {
             o.route_done(d);
-        }
-        // Reap dead workers on a short tick so a self-healing server
-        // fails over without anyone driving it: 2PC traffic is admitted
-        // to coordinators even while a participant is down, so the
-        // admission path alone would never notice the corpse.
-        if last_reap.elapsed() > Duration::from_millis(5) {
-            o.srv.reap_now();
-            last_reap = Instant::now();
         }
         if last_sweep.elapsed() > Duration::from_secs(1) {
             o.sweep_sessions();
@@ -1240,13 +1232,8 @@ fn owner_loop(
         if shutting_down && o.srv.in_flight() == 0 {
             break;
         }
-        if shutting_down {
-            // Make dead-worker losses surface so in_flight can reach 0.
-            o.srv.reap_now();
-        }
     }
-    stop.store(true, Ordering::SeqCst);
-    o.conns.clear(); // writer channels close; writer threads exit
+    o.conns.clear(); // shuts every socket down; its threads exit
     let (_rest, report) = o.srv.shutdown();
     report
 }
@@ -1254,11 +1241,12 @@ fn owner_loop(
 impl Owner {
     fn handle_event(&mut self, ev: ConnEvent) {
         match ev {
-            ConnEvent::Opened(id, writer) => {
+            ConnEvent::Opened(id, writer, socket) => {
                 self.conns.insert(
                     id,
                     ConnState {
                         writer,
+                        socket,
                         client: None,
                     },
                 );

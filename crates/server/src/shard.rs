@@ -21,7 +21,8 @@
 //!   touches — `Session`s, their `Rc`-shared prepared-site tables,
 //!   session heaps, the dispatcher's scratch pools. No runtime `Rc` ever
 //!   crosses a thread boundary. Each coordinator thread builds its *own*
-//!   dispatcher, and with it its own prepared-site table, at startup.
+//!   dispatcher, and with it its own prepared-site table, at startup —
+//!   before [`ShardedServer::new`] returns.
 //!
 //! # Cross-shard transactions: two-phase commit
 //!
@@ -105,7 +106,10 @@
 //! [`ShardedServer::spawn_replicas`]). A replica runs the same thread
 //! body as a primary, in a replica role: between polls it tails the
 //! feed incrementally ([`RedoTailer`] → [`Engine::apply_redo`]) where a
-//! primary serves coordinators' remote ops, and it serves
+//! primary serves coordinators' remote ops. Both roles block when idle:
+//! each publish of durable bytes wakes the shard's replicas (a waker
+//! registered on the feed sends them a `Msg::Wake`), as a coordinator's
+//! nudge wakes a primary. A replica serves
 //! **read-only routable** requests as lock-free MVCC snapshots at its
 //! applied horizon — a committed durable prefix of the primary, so a
 //! replica answer is always one the primary itself would have given at
@@ -125,9 +129,12 @@
 //! Primaries and replicas run the same thread body, which owns its
 //! engine and runs its serving loop under `catch_unwind`, so a dying
 //! thread — a panic or an injected kill — still hands its engine back.
-//! The reap path detects the death, drains what the worker shipped
-//! before dying, synthesizes "outcome unknown" error results for its
-//! in-flight transactions, and marks the shard unavailable. What
+//! A death arrives as a report: a thread's last message on the results
+//! channel is its exit, sent by a drop guard however the thread ends,
+//! so every result it shipped is ahead of it. Whichever reader of the
+//! channel reads the exit reaps the worker on the spot: it synthesizes
+//! "outcome unknown" error results for the transactions still
+//! outstanding there and marks the shard (or replica) unavailable. What
 //! *survives* is exactly the shard log's durable prefix: every locally
 //! acknowledged commit, every cross-shard commit decision, and — because
 //! [`Engine::prepare_commit`] force-flushes a `Prepare` record before
@@ -137,9 +144,12 @@
 //! ## Self-healing (opt-in supervision)
 //!
 //! With [`ShardedServer::enable_self_healing`] and/or a
-//! [`ShardedServer::set_respawn_factory`] configured, the reap path
-//! becomes a supervisor: a dead shard is repaired *online*, while the
-//! other shards keep serving.
+//! [`ShardedServer::set_respawn_factory`] configured, the reap becomes
+//! a supervisor: a dead shard is repaired *online*, at the reap, while
+//! the other shards keep serving. One heal walks the successor
+//! candidates once, as configured — each live replica in horizon
+//! order, then the respawn factory — and keeps the first one the log
+//! accepts.
 //!
 //! * **Replica promotion** (preferred): the most-caught-up live replica
 //!   is shut down, drained to the primary's durable watermark, and
@@ -147,8 +157,9 @@
 //!   *refuses* a successor not exactly at the durable watermark, so a
 //!   promoted replica can never serve behind what the dead primary
 //!   acknowledged). Prepares parked in its redo tailer become in-doubt
-//!   branches ([`Engine::adopt_in_doubt`]).
-//! * **Respawn from the log**: with no promotable replica, the factory
+//!   branches ([`Engine::adopt_in_doubt`]). A refused replica is
+//!   consumed, and the walk moves on to the next one.
+//! * **Respawn from the log**: once no replica is left, the factory
 //!   rebuilds the shard (schema + base load + [`Engine::recover`] over
 //!   the durable bytes) and the supervisor re-anchors the stolen log
 //!   the same way. The log, and the transaction-id floor the successor
@@ -172,11 +183,12 @@
 //!   through the shared link table) and the shard's horizon cell, and
 //!   the shard flips back to accepting writes. Callers ride through the
 //!   window with [`ShardedServer::submit_by_deadline`]; per-shard MTTR
-//!   and in-doubt counts land in [`ShardedReport::recoveries`]. A heal
-//!   attempt that fails stashes the stolen log back on the dead engine,
-//!   which stays parked in the shard's worker slot (the durable handle
-//!   is never silently dropped), records a [`HealFailure`], and is
-//!   retried by later reap passes up to [`HEAL_RETRY_CAP`] attempts.
+//!   and in-doubt counts land in [`ShardedReport::recoveries`]. Each
+//!   candidate that fails records a [`HealFailure`]. When every
+//!   candidate failed, the heal stashes the stolen log back on the dead
+//!   engine, which stays parked in the shard's worker slot (the durable
+//!   handle is never silently dropped), and the shard stays dead: no
+//!   timer retries it.
 //!
 //! During failover, reads: bounded-staleness replica reads keep serving
 //! at their applied horizons (monotone, frozen at the durable watermark
@@ -198,7 +210,6 @@ use pyx_db::{
 };
 use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
-use std::collections::hash_map::Entry as HashEntry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -269,9 +280,9 @@ pub struct ShardedReport {
     /// One entry per shard failover the supervisor performed (empty
     /// unless self-healing was configured), in recovery order.
     pub recoveries: Vec<ShardRecovery>,
-    /// One entry per *failed* heal attempt, in order. A shard may
-    /// appear several times (each retry that fails records again) and
-    /// may later succeed (also appearing in `recoveries`).
+    /// One entry per successor candidate a heal tried and lost, in
+    /// order. A heal that walks past refused candidates records each of
+    /// them, and may still succeed (also appearing in `recoveries`).
     pub heal_failures: Vec<HealFailure>,
     /// Coordinator rpc legs that observed a dead participant worker
     /// (counted per observation: a transaction whose cleanup also hits
@@ -299,26 +310,21 @@ pub struct ShardRecovery {
     pub resolved_abort: u64,
 }
 
-/// One failed heal attempt ([`ShardedReport::heal_failures`]). The
-/// stolen durable log was stashed back on the dead engine, parked in the
-/// shard's worker slot, so the log handle (and replica feed) survive the
-/// failure; recoverable failures are retried by later reap passes up to
-/// [`HEAL_RETRY_CAP`] attempts.
+/// One successor candidate a heal lost ([`ShardedReport::heal_failures`]):
+/// a replica that could not be promoted or that the log refused, the
+/// respawn factory, or — when no candidate was even tried — the log
+/// itself. A heal tries each candidate once; when all of them fail, the
+/// stolen durable log is stashed back on the dead engine, parked in the
+/// shard's worker slot, so the log handle (and replica feed) survive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealFailure {
-    /// The shard whose heal attempt failed.
+    /// The shard whose heal lost this candidate.
     pub shard: usize,
-    /// 1-based attempt number for this shard.
+    /// 1-based position of the candidate in its heal's walk.
     pub attempt: u32,
-    /// Why the attempt failed.
+    /// The candidate, and why it failed.
     pub reason: String,
 }
-
-/// Maximum heal attempts per dead shard. A failed promotion consumes
-/// the replica it tried, so retries walk the remaining replicas and
-/// then the respawn factory; the cap keeps a deterministic failure
-/// (degraded log, factory that always refuses) from looping forever.
-const HEAL_RETRY_CAP: u32 = 3;
 
 impl ShardedReport {
     /// Engine counters summed over all primary shards (replicas are
@@ -346,10 +352,12 @@ enum Msg {
         req: TxnRequest,
         tag: u64,
     },
-    /// Nudge: a coordinator put an op on this worker's remote channel.
-    /// Sent *after* the op, so a worker that sees the nudge is
-    /// guaranteed to see the op on its next remote-channel drain. A
-    /// no-op when the worker is already awake.
+    /// Nudge: work arrived out of band — a coordinator put an op on this
+    /// primary's remote channel, or the shard's log published durable
+    /// bytes for this replica to tail (the waker [`ShardedServer`]
+    /// registers on the feed). Sent *after* the work, so a worker that
+    /// sees the nudge is guaranteed to see the work between its next
+    /// polls. A no-op when the worker is already awake.
     Wake,
     Shutdown,
     /// Test hook: die abruptly after reporting `after_done` more results,
@@ -461,6 +469,31 @@ struct CoordStats {
 /// tracks them.
 const COORD: usize = usize::MAX;
 
+/// One message on the results channel, sent under the sender's worker
+/// index ([`COORD`] for a coordinator).
+enum Report {
+    /// A retired transaction.
+    Done(TxnDone),
+    /// The worker's thread stopped. [`ExitGuard`] sends it last, so
+    /// every result the thread shipped is ahead of it on the channel.
+    Exit,
+}
+
+type Results = Sender<(usize, Report)>;
+
+/// Sends its worker's [`Report::Exit`] when dropped, however the thread
+/// body ends: a return or an unwind.
+struct ExitGuard {
+    idx: usize,
+    done: Results,
+}
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        let _ = self.done.send((self.idx, Report::Exit));
+    }
+}
+
 /// Live channel endpoints for one shard worker. Coordinators (and the
 /// supervisor's own submits) read the *current* endpoints through the
 /// shared link table on every rpc, so a worker respawned after a death
@@ -524,7 +557,75 @@ enum GtidState {
 /// worker — a durability fault, not a death — never settles its
 /// count; such entries are retained deliberately, since dropping them
 /// could turn a later recovery of that shard into a lost commit.)
-type Decisions = Arc<Mutex<HashMap<u64, GtidState>>>;
+///
+/// Each transition is one method under one lock acquisition.
+#[derive(Clone, Default)]
+struct Decisions(Arc<Mutex<HashMap<u64, GtidState>>>);
+
+impl Decisions {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, GtidState>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Open `gtid`'s voting window, before its first prepare rpc.
+    fn open(&self, gtid: u64) {
+        self.lock().insert(gtid, GtidState::Voting);
+    }
+
+    /// Forget `gtid` after a veto: absence is presumed abort.
+    fn forget(&self, gtid: u64) {
+        self.lock().remove(&gtid);
+    }
+
+    /// The decision point, once every yes-vote is in: record commit
+    /// with `legs` unsettled participant legs and return `true`, unless
+    /// a heal vetoed the gtid mid-vote — then forget it and return
+    /// `false`.
+    fn decide(&self, gtid: u64, legs: u32) -> bool {
+        let mut dec = self.lock();
+        if dec.get(&gtid) == Some(&GtidState::Abort) {
+            dec.remove(&gtid);
+            return false;
+        }
+        dec.insert(gtid, GtidState::Commit { outstanding: legs });
+        true
+    }
+
+    /// Settle `legs` acknowledged commit legs of `gtid`. The entry goes
+    /// once every leg has settled (acknowledged by the coordinator, or
+    /// resolved at a heal), so the registry cannot grow without bound
+    /// under worker churn, while a leg that may still be in doubt
+    /// somewhere keeps its commit entry.
+    fn settle(&self, gtid: u64, legs: u32) {
+        let mut dec = self.lock();
+        if let Some(GtidState::Commit { outstanding }) = dec.get_mut(&gtid) {
+            *outstanding = outstanding.saturating_sub(legs);
+            if *outstanding == 0 {
+                dec.remove(&gtid);
+            }
+        }
+    }
+
+    /// A heal's verdict on a recovered in-doubt branch of `gtid`:
+    /// commit only if the gtid was decided commit. A gtid still voting
+    /// is vetoed — the abort is written into its entry, atomically with
+    /// the coordinator's [`Decisions::decide`].
+    fn resolve(&self, gtid: u64) -> bool {
+        let mut dec = self.lock();
+        match dec.get(&gtid) {
+            Some(GtidState::Commit { .. }) => true,
+            Some(GtidState::Voting) => {
+                dec.insert(gtid, GtidState::Abort);
+                false
+            }
+            Some(GtidState::Abort) | None => false,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
 
 /// One shard thread, as the server tracks it: a shard's primary or one
 /// of its log-shipping replicas. The worker table holds the primaries
@@ -543,13 +644,14 @@ struct Worker {
     /// tag → (entry, label) of every submitted-but-unretired request, so
     /// a dead worker's losses surface as error results.
     outstanding: HashMap<u64, (MethodId, &'static str)>,
-    /// The thread stopped and the reaper reported its losses.
+    /// The thread's exit was reaped (its losses reported), or a
+    /// promotion consumed it.
     dead: bool,
 }
 
 /// A worker's thread: running (or stopped but not yet joined), or the
-/// [`Exit`] it handed back, which a failed heal parks here for the retry
-/// and for [`ShardedReport::engines`].
+/// [`Exit`] it handed back, which a failed heal parks here for
+/// [`ShardedReport::engines`].
 enum Thread {
     Running(JoinHandle<Exit>),
     Stopped(Box<Exit>),
@@ -566,11 +668,6 @@ struct Exit {
 }
 
 impl Worker {
-    /// The thread stopped, and the reaper has not yet seen it.
-    fn stopped(&self) -> bool {
-        !self.dead && matches!(&self.thread, Some(Thread::Running(h)) if h.is_finished())
-    }
-
     /// Join the thread, or take what it already handed back. `None` once
     /// a promotion consumed this replica.
     fn take_exit(&mut self) -> Option<Exit> {
@@ -598,8 +695,8 @@ pub struct ShardedServer {
     /// Commit-decision registry shared with the coordinator pool (see
     /// [`Decisions`]) — the in-doubt resolution source at failover.
     decisions: Decisions,
-    done_rx: Receiver<(usize, TxnDone)>,
-    done_tx: Sender<(usize, TxnDone)>,
+    done_rx: Receiver<(usize, Report)>,
+    done_tx: Results,
     part: Arc<CompiledPartition>,
     cfg: ShardedConfig,
     in_flight: u64,
@@ -618,15 +715,8 @@ pub struct ShardedServer {
     respawn: Option<Box<dyn FnMut(usize) -> Option<Engine> + Send>>,
     /// Completed failovers, in order.
     recoveries: Vec<ShardRecovery>,
-    /// Failed heal attempts, in order (diagnostics; the stolen log is
-    /// stashed back on the dead engine, parked in the shard's worker
-    /// slot, so a later attempt can retry).
+    /// Successor candidates heals lost, in order (diagnostics).
     heal_failures: Vec<HealFailure>,
-    /// Heal attempts per shard, capping [`HEAL_RETRY_CAP`] retries.
-    heal_attempts: Vec<u32>,
-    /// Shards whose last heal attempt failed recoverably; the reap
-    /// pass retries them until the attempt cap.
-    heal_retry: Vec<usize>,
     // -- read replicas --
     /// Worker indices of the live replicas serving each shard.
     replica_of_shard: Vec<Vec<usize>>,
@@ -634,10 +724,9 @@ pub struct ShardedServer {
     replica_rr: Vec<usize>,
     replica_reads: u64,
     replica_fallbacks: u64,
-    /// Results ready to deliver ahead of the channel: drained while
-    /// reaping a dead worker or while [`ShardedServer::submit_by_deadline`]
-    /// waits, plus the synthesized error results. Counted in `in_flight`
-    /// until delivered.
+    /// Results read off the channel and not yet delivered, plus the
+    /// synthesized error results of reaped workers. Counted in
+    /// `in_flight` until delivered.
     ready: VecDeque<TxnDone>,
     // -- 2PC coordinator pool --
     job_tx: SyncSender<CoordJob>,
@@ -653,7 +742,8 @@ impl ShardedServer {
     /// own dispatcher over the shared compiled partition. `engines` must
     /// all carry the same schema, with rows already routed by
     /// [`pyx_db::TableDef::shard_key`] (see `load_row_sharded`), plus
-    /// the coordinator pool that runs cross-shard requests.
+    /// the coordinator pool that runs cross-shard requests. Returns once
+    /// every coordinator has prepared its statements on every shard.
     pub fn new(
         part: Arc<CompiledPartition>,
         engines: Vec<Engine>,
@@ -670,7 +760,7 @@ impl ShardedServer {
                     .map(|_| Mutex::new(ShardLink::closed()))
                     .collect(),
             ),
-            decisions: Arc::default(),
+            decisions: Decisions::default(),
             done_rx,
             done_tx,
             part,
@@ -681,8 +771,6 @@ impl ShardedServer {
             respawn: None,
             recoveries: Vec::new(),
             heal_failures: Vec::new(),
-            heal_attempts: vec![0; cfg.shards],
-            heal_retry: Vec::new(),
             replica_of_shard: vec![Vec::new(); cfg.shards],
             replica_rr: vec![0; cfg.shards],
             replica_reads: 0,
@@ -700,20 +788,30 @@ impl ShardedServer {
         }
         let jrx = Arc::new(Mutex::new(jrx));
         let ages = Arc::new(AtomicU64::new(1));
+        let (warm_tx, warm_rx) = mpsc::channel::<()>();
         for c in 0..cfg.coordinators.max(1) {
             let part = Arc::clone(&srv.part);
             let dcfg = cfg.dispatcher;
             let jobs = Arc::clone(&jrx);
-            let links = Arc::clone(&srv.links);
+            let coord = Coord::new(
+                Arc::clone(&srv.links),
+                Arc::clone(&ages),
+                srv.decisions.clone(),
+            );
             let done = srv.done_tx.clone();
-            let ages = Arc::clone(&ages);
-            let decisions = Arc::clone(&srv.decisions);
+            let warm = warm_tx.clone();
             let h = std::thread::Builder::new()
                 .name(format!("pyx-coord-{c}"))
-                .spawn(move || coordinator(part, dcfg, jobs, links, done, ages, decisions))
+                .spawn(move || coordinator(part, dcfg, jobs, coord, done, warm))
                 .expect("spawn coordinator");
             srv.coord_handles.push(h);
         }
+        // Return only once every coordinator is warm (each drops its
+        // `warm` sender then): preparing a statement needs every shard
+        // alive, so a shard that died mid-warm-up would leave that
+        // coordinator unable to run statements it never prepared.
+        drop(warm_tx);
+        let _ = warm_rx.recv();
         srv
     }
 
@@ -723,7 +821,8 @@ impl ShardedServer {
     /// horizon cell, so replica staleness admission carries over) and
     /// publishing its remote-op endpoint in the link table, where
     /// coordinators find it. With a `feed` it is a new replica of
-    /// `shard`, tailing that feed. Returns the worker's index.
+    /// `shard`, tailing that feed, which wakes it on every publish.
+    /// Returns the worker's index.
     fn spawn(&mut self, shard: usize, engine: Engine, feed: Option<LogFeed>) -> usize {
         let (tx, rx) = mpsc::sync_channel(self.cfg.channel_cap);
         let (idx, role, name) = match feed {
@@ -743,6 +842,10 @@ impl ShardedServer {
             }
             Some(feed) => {
                 let idx = self.workers.len();
+                let wake = tx.clone();
+                feed.on_publish(move || {
+                    let _ = wake.try_send(Msg::Wake);
+                });
                 let role = Role::Replica {
                     feed,
                     tailer: RedoTailer::new(),
@@ -896,8 +999,8 @@ impl ShardedServer {
         self.self_heal = true;
     }
 
-    /// Opt in to respawn-from-log: when a dead shard has no promotable
-    /// replica, `factory(shard)` must rebuild its engine — same schema
+    /// Opt in to respawn-from-log: once a heal has no replica left to
+    /// try, `factory(shard)` must rebuild its engine — same schema
     /// and base load, then [`Engine::recover`] over the shard's durable
     /// log bytes — *without* a WAL attached; the supervisor re-anchors
     /// the dead primary's own log onto it ([`pyx_db::Wal::resume_at`])
@@ -916,25 +1019,28 @@ impl ShardedServer {
         &self.recoveries
     }
 
-    /// Detect and (if configured) heal dead workers now, instead of
-    /// waiting for the next `recv_done` liveness poll. Chaos drivers
-    /// call this to bound detection latency.
+    /// Apply pending exits now: read whatever is already on the results
+    /// channel, and reap (and, if configured, heal) each worker whose
+    /// exit report is among it. Every reader of the channel does this as
+    /// it goes; callers that read no results — a chaos driver waiting
+    /// for a failover — call this instead.
     pub fn reap_now(&mut self) {
-        self.reap_dead_workers();
+        while let Ok(msg) = self.done_rx.try_recv() {
+            self.file(msg);
+        }
     }
 
     /// [`ShardedServer::submit`], retried until admitted or `deadline`
     /// passes. Retries [`Admit::Rejected`] (backpressure: draining
     /// retirements is precisely what frees worker-channel capacity) and
-    /// [`Admit::Unavailable`] (a failover window: each retry first runs
-    /// the reap/heal pass). The wait between attempts is spent
-    /// *working*, never sleeping while work is in flight: it blocks on
-    /// the done channel and moves each retirement onto the ready queue,
-    /// where the next [`ShardedServer::recv_done`] /
-    /// [`ShardedServer::try_recv_done`] delivers it exactly once. Only
-    /// when every in-flight transaction has already retired does the
-    /// wait degrade to a bounded sleep. Backoff is exponential from
-    /// 50µs, capped at 50ms, with deterministic multiplicative jitter in
+    /// [`Admit::Unavailable`] (a failover window: a dead shard's exit
+    /// report, read while waiting, heals it). The wait between attempts
+    /// is spent *working*: it blocks on the results channel for at most
+    /// the backoff, files each retirement on the ready queue, where the
+    /// next [`ShardedServer::recv_done`] /
+    /// [`ShardedServer::try_recv_done`] delivers it exactly once, and
+    /// reaps each exit it reads. Backoff is exponential from 50µs,
+    /// capped at 50ms, with deterministic multiplicative jitter in
     /// `[0.5, 1.0)` drawn from a seeded xorshift — reproducible
     /// schedules, but concurrent retriers fan out instead of stampeding
     /// a recovering shard in phase. Returns the final admission (the
@@ -948,16 +1054,10 @@ impl ShardedServer {
                     if now >= deadline {
                         return admit;
                     }
-                    self.reap_dead_workers();
                     let wait = jittered(&mut self.retry_rng, backoff).min(deadline - now);
-                    if self.in_flight > self.ready.len() as u64 {
-                        if let Ok((i, d)) = self.done_rx.recv_timeout(wait) {
-                            self.unregister(i, d.tag);
-                            self.ready.push_back(d);
-                            self.drain_results();
-                        }
-                    } else {
-                        std::thread::sleep(wait);
+                    if let Ok(msg) = self.done_rx.recv_timeout(wait) {
+                        self.file(msg);
+                        self.reap_now();
                     }
                     backoff = (backoff * 2).min(std::time::Duration::from_millis(50));
                 }
@@ -967,28 +1067,13 @@ impl ShardedServer {
     }
 
     /// Non-blocking [`ShardedServer::recv_done`]: deliver one retired
-    /// transaction if one is ready, else return immediately. Event
-    /// loops (the socket server) interleave this with connection I/O
-    /// instead of parking on the done channel.
+    /// transaction if one is ready, else return immediately. It still
+    /// reads the results channel when nothing is in flight, so a worker
+    /// that dies idle is reaped here. Event loops (the socket server)
+    /// interleave this with connection I/O instead of parking on the
+    /// results channel.
     pub fn try_recv_done(&mut self) -> Option<TxnDone> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        if let Some(d) = self.ready.pop_front() {
-            self.in_flight -= 1;
-            return Some(d);
-        }
-        match self.done_rx.try_recv() {
-            Ok((s, d)) => {
-                self.unregister(s, d.tag);
-                self.in_flight -= 1;
-                Some(d)
-            }
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                unreachable!("server holds a done_tx clone")
-            }
-        }
+        self.next_done(false)
     }
 
     /// Test hook: pause the *next* submitted cross-shard transaction
@@ -1032,13 +1117,10 @@ impl ShardedServer {
     /// once every transaction has settled — the registry-leak probe.
     #[doc(hidden)]
     pub fn pending_decisions(&self) -> usize {
-        self.decisions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.decisions.len()
     }
 
-    /// Failed heal attempts so far (also in
+    /// Successor candidates heals lost so far (also in
     /// [`ShardedReport::heal_failures`] at shutdown).
     pub fn heal_failures(&self) -> &[HealFailure] {
         &self.heal_failures
@@ -1115,13 +1197,9 @@ impl ShardedServer {
         match self.send_to(s, req, tag) {
             Ok(()) => Admit::Started,
             Err(TrySendError::Full(_)) => Admit::Rejected,
-            Err(TrySendError::Disconnected(_)) => {
-                // The worker died between our last liveness check
-                // and now; reap it so its in-flight losses surface
-                // as error results on the next `recv_done`.
-                self.reap_dead_workers();
-                Admit::Unavailable
-            }
+            // The thread stopped: its exit report is on the results
+            // channel, and the next reader reaps it.
+            Err(TrySendError::Disconnected(_)) => Admit::Unavailable,
         }
     }
 
@@ -1166,95 +1244,70 @@ impl ShardedServer {
     }
 
     /// Block until the next transaction retires (`None` when nothing is
-    /// in flight). The server itself holds a `done_tx` clone (healed
-    /// workers and replicas are spawned from it), so a crashed worker can
-    /// never disconnect the channel — poll worker liveness on a timeout
-    /// instead. A dead worker's lost transactions come back as **error
+    /// in flight). The server itself holds a results sender (healed
+    /// workers and replicas are spawned from it), so the channel never
+    /// disconnects: a worker's death arrives on it as an exit report,
+    /// after everything the worker shipped, and this reaps it on the
+    /// spot. A dead worker's lost transactions come back as **error
     /// results** (outcome unknown: the transaction may or may not have
     /// committed before the crash) and its shard is marked unavailable;
     /// the server itself keeps serving.
     /// (A worker death mid-2PC is reported by the coordinator itself —
     /// it observes the closed reply channel and aborts the survivors.)
     pub fn recv_done(&mut self) -> Option<TxnDone> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        loop {
-            if let Some(d) = self.ready.pop_front() {
-                self.in_flight -= 1;
-                return Some(d);
-            }
-            match self
-                .done_rx
-                .recv_timeout(std::time::Duration::from_millis(500))
-            {
-                Ok((s, d)) => {
-                    self.unregister(s, d.tag);
-                    self.in_flight -= 1;
-                    return Some(d);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => self.reap_dead_workers(),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("server holds a done_tx clone")
-                }
-            }
-        }
+        self.next_done(true)
     }
 
-    /// Remove a retired result's outstanding-request entry, whichever
-    /// worker (`i`) reported it; coordinators track none.
-    fn unregister(&mut self, i: usize, tag: u64) {
-        if i != COORD {
-            self.workers[i].outstanding.remove(&tag);
-        }
-    }
-
-    /// Move every result already on the results channel to the ready
-    /// queue.
-    fn drain_results(&mut self) {
-        while let Ok((i, d)) = self.done_rx.try_recv() {
-            self.unregister(i, d.tag);
-            self.ready.push_back(d);
-        }
-    }
-
-    /// Detect newly dead workers (primary or replica): drain any results
-    /// they shipped before dying, then synthesize an error result for
-    /// each transaction that will never report, and mark the shard (or
-    /// replica) unavailable. With self-healing configured, newly dead
-    /// primaries are then repaired in place (see [`ShardedServer::heal_shard`]).
-    fn reap_dead_workers(&mut self) {
-        // Retry heals that failed recoverably on an earlier pass (the
-        // stolen log was stashed back on the parked dead engine; another
-        // replica or a recovered factory may succeed now).
-        for s in std::mem::take(&mut self.heal_retry) {
-            self.heal_shard(s);
-        }
-        let stopped: Vec<usize> = (0..self.workers.len())
-            .filter(|&i| self.workers[i].stopped())
-            .collect();
-        if stopped.is_empty() {
-            return;
-        }
-        // A stopped thread sends nothing more, so everything it sent is
-        // on the channel now: deliver it ahead of the synthesized errors
-        // so nothing real is double-reported.
-        self.drain_results();
-        let mut newly_dead: Vec<usize> = Vec::new();
-        for i in stopped {
-            let w = &mut self.workers[i];
-            w.dead = true;
-            let primary = i < self.cfg.shards;
-            let error = if primary {
-                newly_dead.push(i);
-                format!("shard {i} worker died; transaction outcome unknown")
+    /// Deliver the next ready result, reading the results channel until
+    /// one is ready — blocking while anything is in flight if `block`,
+    /// else only taking what is already there.
+    fn next_done(&mut self, block: bool) -> Option<TxnDone> {
+        while self.ready.is_empty() {
+            let msg = if block && self.in_flight > 0 {
+                self.done_rx.recv().ok()
             } else {
-                format!("shard {} replica died; read not served", w.shard)
+                self.done_rx.try_recv().ok()
             };
-            fail_outstanding(&mut w.outstanding, !primary, &error, &mut self.ready);
+            self.file(msg?);
         }
-        for s in newly_dead {
-            self.heal_shard(s);
+        self.in_flight -= 1;
+        self.ready.pop_front()
+    }
+
+    /// Act on one results-channel message: file a result on the ready
+    /// queue, clearing its outstanding entry (coordinators track none),
+    /// or reap the worker an exit came from.
+    fn file(&mut self, (i, report): (usize, Report)) {
+        match report {
+            Report::Done(d) => {
+                if i != COORD {
+                    self.workers[i].outstanding.remove(&d.tag);
+                }
+                self.ready.push_back(d);
+            }
+            Report::Exit => self.reap(i),
+        }
+    }
+
+    /// Reap worker `i`, whose exit was read. Channel order filed every
+    /// result it shipped before its exit, so what is still outstanding
+    /// there will never report: retire each as an error, mark the worker
+    /// dead, and heal a dead primary (see [`ShardedServer::heal_shard`]).
+    /// A heal reads nothing off the channel, so it never runs inside
+    /// another.
+    fn reap(&mut self, i: usize) {
+        let primary = i < self.cfg.shards;
+        let w = &mut self.workers[i];
+        w.dead = true;
+        let error = match (primary, &w.thread) {
+            (true, _) => format!("shard {i} worker died; transaction outcome unknown"),
+            // A promotion took this replica's thread.
+            (false, None) => format!("shard {} replica promoted; read not served", w.shard),
+            (false, Some(_)) => format!("shard {} replica died; read not served", w.shard),
+        };
+        fail_outstanding(&mut w.outstanding, !primary, &error, &mut self.ready);
+        if primary {
+            self.heal_shard(i);
         }
     }
 
@@ -1268,22 +1321,26 @@ impl ShardedServer {
             .max_by_key(|&i| self.workers[i].horizon.load(Ordering::Acquire))
     }
 
-    /// Supervise one newly dead shard: steal its log, build a successor
-    /// (replica promotion, else the respawn factory), re-anchor the log
-    /// at the durable watermark, resolve in-doubt branches against the
-    /// coordinator decision registry, and start the healed shard's
-    /// thread under fresh channels. Any failure leaves the shard dead
-    /// (submits keep reporting [`Admit::Unavailable`]) — healing never
-    /// trades correctness for availability — but is recorded in
-    /// [`ShardedServer::heal_failures`] with the stolen log stashed
-    /// back, and retried on later reap passes up to [`HEAL_RETRY_CAP`]
-    /// attempts.
+    fn heal_failed(&mut self, shard: usize, attempt: u32, reason: String) {
+        self.heal_failures.push(HealFailure {
+            shard,
+            attempt,
+            reason,
+        });
+    }
+
+    /// Supervise newly dead shard `s`: steal its log, build a successor
+    /// around it ([`ShardedServer::build_successor`]), resolve in-doubt
+    /// branches against the coordinator decision registry, and start the
+    /// healed shard's thread under fresh channels. When no candidate
+    /// succeeds the shard stays dead (submits keep reporting
+    /// [`Admit::Unavailable`]) — healing never trades correctness for
+    /// availability — with the stolen log stashed back on the dead
+    /// engine.
     fn heal_shard(&mut self, s: usize) {
         if !self.self_heal && self.respawn.is_none() {
             return; // supervision not configured: the shard stays dead
         }
-        let attempt = self.heal_attempts[s] + 1;
-        self.heal_attempts[s] = attempt;
         let start = Instant::now();
         // The dead thread handed its engine back. Steal its log — sink,
         // replica feed and durability watermarks move to the successor —
@@ -1291,70 +1348,44 @@ impl ShardedServer {
         let mut dead = self.workers[s]
             .take_exit()
             .expect("a primary is never consumed");
+        let floor = dead.engine.txn_id_floor();
         let built = match dead.engine.take_wal() {
-            // Volatile shard: nothing durable to recover from, and
-            // nothing a retry could find — terminal.
-            None => Err(format!("shard {s} has no durable log to recover from")),
-            Some(wal) => {
-                let floor = dead.engine.txn_id_floor();
-                self.build_successor(s, wal, floor).map_err(|boxed| {
-                    let (wal, reason) = *boxed;
-                    // The durable handle (and its replica feed) must
-                    // survive a failed attempt: stash it back, and queue
-                    // a bounded retry.
-                    dead.engine.set_wal(wal);
-                    if attempt < HEAL_RETRY_CAP {
-                        self.heal_retry.push(s);
-                    }
-                    reason
-                })
+            None => {
+                self.heal_failed(
+                    s,
+                    1,
+                    format!("shard {s} has no durable log to recover from"),
+                );
+                Err(())
             }
+            // The durable handle (and its replica feed) survives a
+            // failed heal: stash it back.
+            Some(wal) => self
+                .build_successor(s, wal, floor)
+                .map_err(|wal| dead.engine.set_wal(*wal)),
         };
-        let (mut engine, promoted) = match built {
-            Ok(built) => built,
-            Err(reason) => {
-                // The dead engine, log and all, stays parked in the slot
-                // for the retry and for `ShardedReport::engines`.
-                self.workers[s].thread = Some(Thread::Stopped(Box::new(dead)));
-                self.heal_failures.push(HealFailure {
-                    shard: s,
-                    attempt,
-                    reason,
-                });
-                return;
-            }
+        let Ok((mut engine, promoted)) = built else {
+            // The dead engine, log and all, stays parked in the slot for
+            // `ShardedReport::engines`.
+            self.workers[s].thread = Some(Thread::Stopped(Box::new(dead)));
+            return;
         };
         // Settle in-doubt branches with the coordinator pool's decision
-        // registry. The verdict for each branch is taken under the
-        // registry lock, making it atomic with a coordinator's decision
-        // point: a gtid still *voting* is presumed abort AND the abort
-        // is written into its entry, so the coordinator finds the veto
-        // when its votes complete and aborts the survivors instead of
-        // committing (see [`GtidState`]).
+        // registry. Each verdict is atomic with a coordinator's decision
+        // point: a gtid still *voting* is presumed abort AND vetoed, so
+        // the coordinator aborts the survivors when its votes complete
+        // instead of committing (see [`Decisions::resolve`]).
         let gtids = engine.in_doubt_gtids();
         let in_doubt = gtids.len() as u64;
         let (mut resolved_commit, mut resolved_abort) = (0u64, 0u64);
-        {
-            let mut dec = self
-                .decisions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for gtid in gtids {
-                let commit = match dec.get(&gtid).copied() {
-                    Some(GtidState::Commit { .. }) => true,
-                    Some(GtidState::Voting) => {
-                        dec.insert(gtid, GtidState::Abort);
-                        false
-                    }
-                    Some(GtidState::Abort) | None => false,
-                };
-                if engine.resolve_prepared(gtid, commit).is_ok() {
-                    if commit {
-                        resolved_commit += 1;
-                        settle_commit_legs(&mut dec, gtid, 1);
-                    } else {
-                        resolved_abort += 1;
-                    }
+        for gtid in gtids {
+            let commit = self.decisions.resolve(gtid);
+            if engine.resolve_prepared(gtid, commit).is_ok() {
+                if commit {
+                    resolved_commit += 1;
+                    self.decisions.settle(gtid, 1);
+                } else {
+                    resolved_abort += 1;
                 }
             }
         }
@@ -1371,18 +1402,20 @@ impl ShardedServer {
         });
     }
 
-    /// Build shard `s`'s successor engine around the stolen log:
-    /// truncate the log medium to its durable prefix, promote a replica
-    /// (else run the respawn factory), and re-anchor the log at the
-    /// durable watermark. Returns the successor (with the log attached)
-    /// and whether it came from a promotion; on failure the log is
-    /// handed back to the caller for stashing, with the reason.
+    /// Build shard `s`'s successor around the stolen log: truncate the
+    /// log medium to its durable prefix, then walk the candidates once —
+    /// each live replica in horizon order (with self-healing on), then
+    /// the respawn factory — and re-anchor the log on the first one
+    /// whose applied horizon is the durable watermark. Each candidate
+    /// lost records a [`HealFailure`]. Returns the successor, log
+    /// attached, and whether it was a promotion; on failure the log
+    /// comes back for stashing.
     fn build_successor(
         &mut self,
         s: usize,
         mut wal: Wal,
         txn_floor: u64,
-    ) -> Result<(Engine, bool), Box<(Wal, String)>> {
+    ) -> Result<(Engine, bool), Box<Wal>> {
         // Drop the dead incarnation's unsynced tail from the medium
         // BEFORE any successor reads it: with a file sink, appended-
         // but-unsynced bytes are already visible to a file reader
@@ -1391,62 +1424,68 @@ impl ShardedServer {
         // `resume_at` demands — and the shard would stay dead exactly
         // in the group-commit case failover exists for.
         if let Err(e) = wal.discard_unsynced() {
-            return Err(Box::new((wal, e)));
+            self.heal_failed(s, 1, format!("shard {s}: {e}"));
+            return Err(Box::new(wal));
         }
-        let promoted = self.self_heal && self.best_replica(s).is_some();
-        let healed = if promoted {
-            self.promote_replica(s)
-        } else if let Some(factory) = self.respawn.as_mut() {
-            factory(s)
-        } else {
-            None
-        };
-        let Some(mut engine) = healed else {
-            let reason = if promoted {
-                format!("shard {s}: replica promotion failed (stream error or replica panic)")
-            } else if self.respawn.is_some() {
-                format!("shard {s}: respawn factory declined to rebuild the engine")
-            } else {
-                format!("shard {s}: no live replica and no respawn factory")
+        let (mut attempt, mut factory_tried) = (0, false);
+        loop {
+            attempt += 1;
+            let replica = self.best_replica(s).filter(|_| self.self_heal);
+            let (candidate, built, lost) = match replica {
+                Some(i) => (
+                    format!("replica {i}"),
+                    self.promote_replica(s, i),
+                    "its feed failed or it did not stop cleanly",
+                ),
+                None if self.respawn.is_some() && !factory_tried => {
+                    factory_tried = true;
+                    let factory = self.respawn.as_mut().expect("checked above");
+                    let built = factory(s);
+                    ("respawn factory".into(), built, "it declined to rebuild")
+                }
+                None => {
+                    if attempt == 1 {
+                        let why = format!("shard {s}: no live replica and no respawn factory");
+                        self.heal_failed(s, 1, why);
+                    }
+                    return Err(Box::new(wal));
+                }
             };
-            return Err(Box::new((wal, reason)));
-        };
-        // The successor must not reuse transaction ids the dead
-        // incarnation handed to coordinators (stale cleanup aborts).
-        engine.reserve_txn_ids(txn_floor);
-        // Promotion-at-durable-watermark rule: refuse a successor whose
-        // applied horizon is not exactly the durable prefix.
-        if let Err(e) = wal.resume_at(engine.current_commit_ts()) {
-            return Err(Box::new((wal, e)));
+            let accepted = match built {
+                None => Err(lost.to_string()),
+                Some(mut engine) => {
+                    // The successor must not reuse transaction ids the
+                    // dead incarnation handed to coordinators (stale
+                    // cleanup aborts).
+                    engine.reserve_txn_ids(txn_floor);
+                    // Promotion-at-durable-watermark rule: refuse a
+                    // successor whose applied horizon is not exactly the
+                    // durable prefix.
+                    wal.resume_at(engine.current_commit_ts()).map(|()| engine)
+                }
+            };
+            match accepted {
+                Ok(mut engine) => {
+                    engine.set_wal(wal);
+                    return Ok((engine, replica.is_some()));
+                }
+                Err(why) => self.heal_failed(s, attempt, format!("shard {s}: {candidate}: {why}")),
+            }
         }
-        engine.set_wal(wal);
-        Ok((engine, promoted))
     }
 
-    /// Consume shard `s`'s most-caught-up replica as the failover
-    /// successor: stop it — its clean stop takes a final catch-up, which
-    /// lands it on the durable watermark, as the dead primary's feed is
-    /// complete — and adopt its parked prepares as in-doubt branches.
-    /// `None` if its feed failed or it did not stop cleanly (the shard
-    /// then stays dead).
-    fn promote_replica(&mut self, s: usize) -> Option<Engine> {
-        let i = self.best_replica(s)?;
+    /// Consume replica `i` of shard `s` as the failover successor: stop
+    /// it — its clean stop takes a final catch-up, which lands it on the
+    /// durable watermark, as the dead primary's feed is complete — and
+    /// adopt its parked prepares as in-doubt branches. `None` if its
+    /// feed failed or it did not stop cleanly. The reads it served before
+    /// stopping are on the results channel, ahead of its exit; reaping
+    /// that exit fails the reads queued behind the shutdown.
+    fn promote_replica(&mut self, s: usize, i: usize) -> Option<Engine> {
         self.replica_of_shard[s].retain(|&j| j != i);
+        self.workers[i].dead = true; // consumed: never serves reads again
         let _ = self.workers[i].tx.send(Msg::Shutdown);
-        let exit = self.workers[i].take_exit();
-        // Reads the replica served before stopping are on the results
-        // channel; deliver them, and fail the ones queued behind the
-        // shutdown — their only results, so before any early return.
-        self.drain_results();
-        let r = &mut self.workers[i];
-        r.dead = true; // consumed: never serves reads again
-        fail_outstanding(
-            &mut r.outstanding,
-            true,
-            &format!("shard {s} replica promoted; read not served"),
-            &mut self.ready,
-        );
-        let mut exit = exit?;
+        let mut exit = self.workers[i].take_exit()?;
         exit.tailer?.adopt_pending(&mut exit.engine).ok()?;
         Some(exit.engine)
     }
@@ -1554,26 +1593,6 @@ fn fail_outstanding(
     }
 }
 
-/// Settle `legs` acknowledged commit legs of `gtid` in the decision
-/// registry. The entry goes once every leg has settled (acknowledged
-/// by the coordinator, or resolved by a heal pass), so the registry
-/// cannot grow without bound under worker churn, while a leg that may
-/// still be in doubt somewhere keeps its commit entry.
-fn settle_commit_legs(dec: &mut HashMap<u64, GtidState>, gtid: u64, legs: u32) {
-    if let HashEntry::Occupied(mut e) = dec.entry(gtid) {
-        let settled = match e.get_mut() {
-            GtidState::Commit { outstanding } => {
-                *outstanding = outstanding.saturating_sub(legs);
-                *outstanding == 0
-            }
-            _ => false,
-        };
-        if settled {
-            e.remove();
-        }
-    }
-}
-
 /// Flush retired transactions to the results channel, syncing the
 /// write-ahead log first — the **acknowledgement point**: under group
 /// commit a transaction's redo record may still sit in the OS page cache
@@ -1590,7 +1609,7 @@ fn flush_dones(
     idx: usize,
     engine: &mut Engine,
     batch: &mut Vec<TxnDone>,
-    done: &Sender<(usize, TxnDone)>,
+    done: &Results,
     crash_after: &mut Option<usize>,
 ) {
     if batch.is_empty() {
@@ -1609,7 +1628,7 @@ fn flush_dones(
                 d.error = Some(e.to_string());
             }
         }
-        let _ = done.send((idx, d));
+        let _ = done.send((idx, Report::Done(d)));
     }
 }
 
@@ -1789,37 +1808,29 @@ impl Role {
     }
 
     /// Wait for the next message once the dispatcher is idle; `None`
-    /// when the thread should loop instead.
+    /// when the thread should loop instead. Both roles block: out-of-band
+    /// work — a coordinator's op, a published feed — sends a
+    /// [`Msg::Wake`].
     fn idle_wait(
         &mut self,
         engine: &mut Engine,
         disp: &mut Dispatcher<'_>,
         rx: &Receiver<Msg>,
     ) -> Option<Msg> {
-        match self {
-            Role::Primary { remote, parked } => {
-                // Final remote check before sleeping: a Wake consumed by
-                // the admission drain may stand for an op that arrived
-                // after this iteration's pump (ops are sent before their
-                // nudge, so seeing the nudge means the op is visible).
-                // Anything completed can have knock-on effects — loop.
-                if remote_pump(engine, disp, remote, parked) {
-                    return None;
-                }
-                // Fully drained: block until the next message. Parked
-                // ops are safe to sleep on: the dispatcher is idle, so
-                // their blocker is a remote branch whose coordinator will
-                // send the releasing commit/abort — with a Wake nudge.
-                Some(rx.recv().unwrap_or(Msg::Shutdown))
+        // A primary's final remote check before sleeping: a Wake consumed
+        // by the admission drain may stand for an op that arrived after
+        // this iteration's pump (ops are sent before their nudge, so
+        // seeing the nudge means the op is visible). Anything completed
+        // can have knock-on effects — loop. Parked ops are safe to sleep
+        // on: the dispatcher is idle, so their blocker is a remote branch
+        // whose coordinator will send the releasing commit/abort — with
+        // a Wake nudge.
+        if let Role::Primary { remote, parked } = self {
+            if remote_pump(engine, disp, remote, parked) {
+                return None;
             }
-            // Redo arrives out of band through the feed, so a replica
-            // sleeps only briefly before tailing again.
-            Role::Replica { .. } => match rx.recv_timeout(std::time::Duration::from_micros(200)) {
-                Ok(msg) => Some(msg),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => Some(Msg::Shutdown),
-            },
         }
+        Some(rx.recv().unwrap_or(Msg::Shutdown))
     }
 }
 
@@ -1854,7 +1865,7 @@ fn serve(
     disp: &mut Dispatcher<'_>,
     role: &mut Role,
     rx: &Receiver<Msg>,
-    done: &Sender<(usize, TxnDone)>,
+    done: &Results,
     horizon: &AtomicU64,
 ) -> bool {
     let cfg = *disp.config();
@@ -1902,7 +1913,8 @@ fn serve(
 /// runs [`serve`] once under `catch_unwind`, so it hands the engine back
 /// however the loop ends: a shutdown, a failed feed, an injected kill or
 /// a panic. Its request and remote-op receivers close when it returns,
-/// which is how submitters and coordinators learn it stopped.
+/// which is how submitters and coordinators learn it stopped; the server
+/// learns it from the exit report its [`ExitGuard`] sends.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     idx: usize,
@@ -1911,9 +1923,13 @@ fn run_worker(
     part: Arc<CompiledPartition>,
     cfg: DispatcherConfig,
     rx: Receiver<Msg>,
-    done: Sender<(usize, TxnDone)>,
+    done: Results,
     horizon: Arc<AtomicU64>,
 ) -> Exit {
+    let _exit = ExitGuard {
+        idx,
+        done: done.clone(),
+    };
     let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut engine, cfg);
     let clean = catch_unwind(AssertUnwindSafe(|| {
         serve(idx, &mut engine, &mut disp, &mut role, &rx, &done, &horizon)
@@ -2247,14 +2263,18 @@ impl Coord {
         }
     }
 
-    /// Abort every open branch, ignoring errors (used by panic cleanup
-    /// and the session leak-check; [`Database::abort`] reports them).
-    fn abort_open_branches(&mut self) {
+    /// Abort every open branch, reporting the first failure: a veto, a
+    /// vetoed decision, [`Database::abort`], and the leak-check after a
+    /// session that never reached commit or abort.
+    fn abort_branches(&mut self) -> Result<(), DbError> {
+        let mut err = Ok(());
         for s in 0..self.branches.len() {
             if let Some(t) = self.branches[s].take() {
-                let _ = self.rpc(s, |reply| RemoteOp::Abort { txn: t, reply });
+                let r = self.rpc(s, |reply| RemoteOp::Abort { txn: t, reply });
+                err = err.and(r.map(|_| ()));
             }
         }
+        err
     }
 
     /// The commit protocol. Participants = shards with an open branch.
@@ -2282,14 +2302,11 @@ impl Coord {
             // participant can durably prepare. A participant that acks
             // its prepare and dies while the remaining votes are still
             // out is then guaranteed to find this entry: the
-            // supervisor's heal pass resolves the branch as presumed
-            // abort and flips it to [`GtidState::Abort`] — and the
-            // decision point below, taken under the same lock, sees
-            // the veto instead of committing the survivors.
-            self.decisions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(gtid, GtidState::Voting);
+            // supervisor's heal resolves the branch as presumed abort
+            // and vetoes the gtid — and the decision point below, taken
+            // under the same lock, sees the veto instead of committing
+            // the survivors.
+            self.decisions.open(gtid);
             for (i, &(s, t)) in parts.iter().enumerate() {
                 let vote = self
                     .rpc(s, |reply| RemoteOp::PrepareCommit {
@@ -2304,54 +2321,26 @@ impl Coord {
                 if let Err(e) = vote {
                     // Presumed abort: one veto rolls back every branch
                     // (prepared ones release their locks; the engines
-                    // count those as prepare-aborts). Removing the
-                    // entry restores "absent gtid = abort": a
+                    // count those as prepare-aborts). Forgetting the
+                    // gtid restores "absent gtid = abort": a
                     // participant that crashed with its prepare
                     // durable recovers the branch in-doubt and
                     // presumed-aborts it too. (Heal may already have
-                    // flipped the entry to Abort — same verdict.)
-                    self.decisions
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .remove(&gtid);
-                    for &(s2, t2) in &parts {
-                        self.branches[s2] = None;
-                        let _ = self.rpc(s2, |reply| RemoteOp::Abort { txn: t2, reply });
-                    }
+                    // vetoed the gtid — same verdict.)
+                    self.decisions.forget(gtid);
+                    let _ = self.abort_branches();
                     return Err(e);
                 }
             }
-            // All yes-votes are durable. The decision point: under the
-            // registry lock, either the gtid is still voting — record
-            // commit *before* any participant can learn the outcome
-            // (the fan-out below), so a participant killed between its
+            // All yes-votes are durable. The decision point: record
+            // commit *before* any participant can learn the outcome (the
+            // fan-out below), so a participant killed between its
             // prepare-ack and the decision recovers this gtid as a
-            // commit — or the supervisor presumed-aborted a recovered
-            // branch of it mid-vote, in which case that branch is gone
-            // and commit is no longer possible: honor the veto.
-            let vetoed = {
-                let mut dec = self
-                    .decisions
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                if dec.get(&gtid) == Some(&GtidState::Abort) {
-                    dec.remove(&gtid);
-                    true
-                } else {
-                    dec.insert(
-                        gtid,
-                        GtidState::Commit {
-                            outstanding: parts.len() as u32,
-                        },
-                    );
-                    false
-                }
-            };
-            if vetoed {
-                for &(s2, t2) in &parts {
-                    self.branches[s2] = None;
-                    let _ = self.rpc(s2, |reply| RemoteOp::Abort { txn: t2, reply });
-                }
+            // commit — unless the supervisor presumed-aborted a
+            // recovered branch of it mid-vote, in which case that branch
+            // is gone and commit is no longer possible: honor the veto.
+            if !self.decisions.decide(gtid, parts.len() as u32) {
+                let _ = self.abort_branches();
                 return Err(DbError::Durability(
                     "a prepared participant failed over during voting; \
                      transaction presumed aborted"
@@ -2376,11 +2365,7 @@ impl Coord {
             }
         }
         if multi {
-            let mut dec = self
-                .decisions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            settle_commit_legs(&mut dec, self.age, acked);
+            self.decisions.settle(self.age, acked);
         }
         match first_err {
             None => {
@@ -2424,19 +2409,9 @@ impl Database for Coord {
     }
 
     fn abort(&mut self, _txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError> {
-        let mut err = None;
-        for s in 0..self.branches.len() {
-            if let Some(t) = self.branches[s].take() {
-                if let Err(e) = self.rpc(s, |reply| RemoteOp::Abort { txn: t, reply }) {
-                    err = err.or(Some(e));
-                }
-            }
-        }
+        let aborted = self.abort_branches();
         self.last_participants = self.touched;
-        match err {
-            Some(e) => Err(e),
-            None => Ok((0, Vec::new())),
-        }
+        aborted.map(|()| (0, Vec::new()))
     }
 
     /// Register on every shard. Handles from this path are durable —
@@ -2512,8 +2487,9 @@ impl Database for Coord {
 const STEP_BUDGET: u64 = 100_000_000;
 
 /// One coordinator thread: warm a private statement table and a
-/// one-session [`Dispatcher`] over the [`Coord`] façade, then serve
-/// cross-shard jobs from the shared queue until the server drops it.
+/// one-session [`Dispatcher`] over the [`Coord`] façade, drop `warm` to
+/// say so, then serve cross-shard jobs from the shared queue until the
+/// server drops it.
 /// The dispatcher runs each job's session exactly as a shard worker
 /// runs a local one, wait-die restarts with the age retained included.
 /// A panic inside a job is contained: the job's branches are aborted,
@@ -2524,10 +2500,9 @@ fn coordinator(
     part: Arc<CompiledPartition>,
     dcfg: DispatcherConfig,
     jobs: Arc<Mutex<Receiver<CoordJob>>>,
-    links: ShardLinks,
-    done: Sender<(usize, TxnDone)>,
-    ages: Arc<AtomicU64>,
-    decisions: Decisions,
+    mut coord: Coord,
+    done: Results,
+    warm: Sender<()>,
 ) -> CoordStats {
     // Cross-shard reads must lock — per-shard snapshots taken at
     // different instants are not one consistent cut (module docs).
@@ -2536,8 +2511,8 @@ fn coordinator(
         snapshot_reads: false,
         ..dcfg
     };
-    let mut coord = Coord::new(links, ages, decisions);
     let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut coord, cfg);
+    drop(warm); // every statement site is prepared on every shard
     loop {
         // Holding the queue lock across `recv` serializes job *pickup*
         // (one coordinator waits at a time); execution still overlaps.
@@ -2564,11 +2539,11 @@ fn coordinator(
         };
         // Leak-check: a session that died without reaching commit/abort
         // (step budget, panic) must not leave branches holding row locks.
-        coord.abort_open_branches();
+        let _ = coord.abort_branches();
         d.participants = coord.last_participants;
         coord.hold = None;
         coord.hold_prepare = None;
-        let _ = done.send((COORD, d));
+        let _ = done.send((COORD, Report::Done(d)));
     }
     coord.stats
 }
@@ -2600,4 +2575,61 @@ fn run_to_retirement(
         }
     }
     Err("cross-shard session exceeded its step budget")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Decisions;
+
+    #[test]
+    fn absent_gtid_is_presumed_abort() {
+        let dec = Decisions::default();
+        assert!(!dec.resolve(7), "no entry: abort");
+        assert_eq!(dec.len(), 0, "the verdict writes nothing");
+        dec.settle(7, 1); // settling nothing is a no-op
+        assert_eq!(dec.len(), 0);
+    }
+
+    #[test]
+    fn a_veto_forgets_the_gtid() {
+        let dec = Decisions::default();
+        dec.open(7);
+        assert_eq!(dec.len(), 1);
+        dec.forget(7);
+        assert_eq!(dec.len(), 0);
+        assert!(!dec.resolve(7), "forgotten: presumed abort");
+    }
+
+    #[test]
+    fn heal_during_voting_vetoes_the_decision() {
+        let dec = Decisions::default();
+        dec.open(7);
+        assert!(!dec.resolve(7), "a voting gtid resolves as abort");
+        assert!(!dec.resolve(7), "and stays aborted");
+        assert!(!dec.decide(7, 2), "the coordinator finds the veto");
+        assert_eq!(dec.len(), 0, "the vetoed entry is gone");
+    }
+
+    #[test]
+    fn heal_after_the_decision_resolves_commit() {
+        let dec = Decisions::default();
+        dec.open(7);
+        assert!(dec.decide(7, 2));
+        assert!(dec.resolve(7), "a decided gtid resolves as commit");
+        dec.settle(7, 1); // the healed leg
+        assert_eq!(dec.len(), 1, "one leg still unsettled");
+    }
+
+    #[test]
+    fn settling_the_last_leg_removes_the_entry() {
+        let dec = Decisions::default();
+        dec.open(7);
+        dec.open(8);
+        assert!(dec.decide(7, 3));
+        dec.settle(7, 2);
+        assert_eq!(dec.len(), 2);
+        dec.settle(7, 1);
+        assert_eq!(dec.len(), 1, "gtid 7 settled; 8 is still voting");
+        assert!(!dec.resolve(7), "a settled gtid is absent again");
+    }
 }

@@ -17,10 +17,16 @@
 //!   fails its checksum stops; the reaper reports its lost reads, later
 //!   reads fall back to the primary, and its engine still comes back at
 //!   shutdown.
+//! * **Idle replicas follow the feed**: with writes going only to the
+//!   primary, each publish wakes the replica, which reaches the
+//!   primary's durable horizon without a request of its own.
+//! * **One heal tries every candidate**: when the preferred replica
+//!   cannot be promoted, the same heal promotes the next one.
 
 use pyx_db::wal::{FeedSink, LogFeed};
-use pyx_db::{Engine, FaultPlan, FaultySink, MemSink, Wal};
-use pyx_server::{Admit, ShardedConfig, ShardedServer, TxnDone, Workload};
+use pyx_db::{Engine, FaultPlan, FaultySink, MemSink, Scalar, Wal};
+use pyx_runtime::ArgVal;
+use pyx_server::{Admit, ShardedConfig, ShardedServer, TxnDone, TxnRequest, Workload};
 use pyx_workloads::tpcw;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -288,4 +294,120 @@ fn corrupt_feed_kills_the_replica_and_reads_fall_back() {
     let (shard, replica) = &report.replica_engines[0];
     assert_eq!(*shard, 0);
     assert!(replica.current_commit_ts() < report.engines[0].current_commit_ts());
+}
+
+/// Replicas wait the way primaries do: blocked until woken. With writes
+/// going only to the primary, each publish of durable bytes wakes the
+/// idle replica, which tails them and reaches the primary's durable
+/// horizon without serving anything itself.
+#[test]
+fn idle_replica_reaches_the_primary_durable_horizon() {
+    let mut c = cluster(|_| Box::new(MemSink::new()));
+    c.srv.spawn_replicas(&c.feeds, vec![vec![fresh_tpcw(7)]]);
+    let writes = 20u64;
+    for tag in 0..writes {
+        let req = TxnRequest {
+            entry: c.entries.admin_update,
+            args: vec![ArgVal::Int(tag as i64 % tpcw::HOT_ITEMS + 1)],
+            label: "admin-update",
+            route: None,
+        };
+        assert_eq!(c.srv.submit(req, tag), Admit::Started);
+        let d = c.srv.recv_done().expect("one in flight");
+        assert!(d.error.is_none(), "write {tag}: {:?}", d.error);
+    }
+    // An unrouted read runs on the primary through a coordinator, which
+    // never touches a replica; waking the primary makes it publish its
+    // final durable horizon.
+    let read = tpcw::ReadMostlyMix::new(c.entries, scale(), 0, 77).next_txn(0);
+    assert_eq!(read.route, None);
+    assert_eq!(c.srv.submit(read, writes), Admit::Started);
+    assert!(c.srv.recv_done().expect("one in flight").error.is_none());
+
+    let t0 = Instant::now();
+    while c.srv.replica_lags() != [(0, 0)] {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the idle replica never caught up: {:?}",
+            c.srv.replica_lags()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (rest, report) = c.srv.shutdown();
+    assert!(rest.is_empty());
+    assert_eq!(report.replica_reads, 0, "the replica served nothing");
+    assert_eq!(report.engines[0].current_commit_ts(), writes);
+}
+
+/// One heal walks every candidate. Shard 0's preferred replica — two
+/// commits of its own put it ahead of every other — is past the durable
+/// watermark, so the log refuses it; the same heal then promotes the
+/// other replica. The first reap that records anything shows the
+/// promotion, one failure naming the refused replica, and no dead shard.
+#[test]
+fn one_heal_tries_every_candidate() {
+    let mut c = cluster(|_| Box::new(MemSink::new()));
+    // Insert a row, then delete it: the engine's state is the base load
+    // again, but its commit horizon is 2 while the primary's is 0.
+    let mut ahead = fresh_tpcw(7);
+    let t = ahead.begin();
+    let row = [Scalar::Int(1_000_000), Scalar::Str("x".into())];
+    ahead
+        .execute(t, "INSERT INTO author VALUES (?, ?)", &row)
+        .expect("insert");
+    ahead.commit(t).expect("commit the insert");
+    let t = ahead.begin();
+    ahead
+        .execute(t, "DELETE FROM author WHERE a_id = ?", &row[..1])
+        .expect("delete");
+    ahead.commit(t).expect("commit the delete");
+    assert_eq!(ahead.current_commit_ts(), 2);
+    // Replicas take the worker indices after the one primary.
+    c.srv
+        .spawn_replicas(&c.feeds, vec![vec![ahead, fresh_tpcw(7)]]);
+    c.srv.enable_self_healing();
+
+    // One read per replica, round-robin: each retires only after its
+    // replica published its applied horizon, so the heal ranks them.
+    let mut reads = tpcw::ReadMostlyMix::new(c.entries, scale(), 0, 77).routed();
+    for tag in 0..2 {
+        assert_eq!(c.srv.submit(reads.next_txn(0), tag), Admit::Started);
+        assert!(c.srv.recv_done().expect("one in flight").error.is_none());
+    }
+
+    // Kill the primary before the shard takes a write.
+    c.srv.inject_worker_crash(0, 0);
+    let t0 = Instant::now();
+    while c.srv.recoveries().is_empty() && c.srv.heal_failures().is_empty() {
+        assert!(t0.elapsed() < Duration::from_secs(30), "death never reaped");
+        std::thread::sleep(Duration::from_millis(1));
+        c.srv.reap_now();
+    }
+    let recoveries = c.srv.recoveries().to_vec();
+    assert_eq!(recoveries.len(), 1, "{recoveries:?}");
+    assert!(recoveries[0].promoted, "the other replica was promoted");
+    let failures = c.srv.heal_failures().to_vec();
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert_eq!(failures[0].shard, 0);
+    assert!(
+        failures[0].reason.contains("replica 1:")
+            && failures[0].reason.contains("not at the durable watermark"),
+        "{}",
+        failures[0].reason
+    );
+    assert!(c.srv.dead_shards().is_empty(), "shard 0 healed in one pass");
+
+    // The healed shard takes writes again.
+    let write = TxnRequest {
+        entry: c.entries.admin_update,
+        args: vec![ArgVal::Int(1)],
+        label: "admin-update",
+        route: None,
+    };
+    assert_eq!(c.srv.submit(write, 2), Admit::Started);
+    let d = c.srv.recv_done().expect("one in flight");
+    assert!(d.error.is_none(), "{:?}", d.error);
+    let (rest, report) = c.srv.shutdown();
+    assert!(rest.is_empty());
+    assert_eq!(report.engines[0].current_commit_ts(), 1);
 }
