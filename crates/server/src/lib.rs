@@ -59,7 +59,12 @@
 //!   come back on one channel, and a thread's exit is its last message
 //!   there, sent by a drop guard even when it panics. Whichever reader
 //!   of the channel gets the exit reaps the worker and, if configured,
-//!   heals its shard on the spot; nothing polls for liveness.
+//!   heals its shard on the spot; nothing polls for liveness. An event
+//!   loop that also serves other inputs — the socket server's owner —
+//!   blocks on the same channel ([`shard::ShardedServer::wait`]), and
+//!   each producer of those inputs sends a [`shard::Waker`]'s wake there
+//!   after queueing its input. An idle server wakes no thread on a
+//!   timer.
 //!
 //! # Network failure model (socket serving)
 //!

@@ -14,12 +14,15 @@
 //!   [`FrameAssembler`] on receive, read/write deadlines throughout.
 //! * [`NetServer`] — the DB host: an accept thread plus per-connection
 //!   reader/writer threads, each blocked on its socket, around one owner
-//!   event loop that admits transactions into the [`ShardedServer`] (via
-//!   [`ShardedServer::submit_by_deadline`], which waits on retirements
-//!   rather than sleeping) and routes retirements back to the connection
-//!   that asked. Shutdown wakes the accept thread with a connection of
-//!   its own; the owner ends a connection's threads by shutting its
-//!   socket down.
+//!   thread, the only one that touches the [`ShardedServer`]. The owner
+//!   blocks in [`ShardedServer::wait`]: a retirement, a worker's exit,
+//!   and every event a reader, the accept thread or the handle queues
+//!   each wake it at once, and nothing polls. Each turn it routes
+//!   retirements back to the connection that asked, then admits new
+//!   transactions (via [`ShardedServer::submit_by_deadline`], which
+//!   waits on retirements rather than sleeping). Shutdown wakes the
+//!   accept thread with a connection of its own; the owner ends a
+//!   connection's threads by shutting its socket down.
 //! * [`NetClient`] — the partition-tolerant APP-host client: bounded
 //!   reconnect with jittered exponential backoff (the backoff
 //!   [`ShardedServer::submit_by_deadline`] retries admission with),
@@ -68,7 +71,7 @@
 
 use crate::dispatch::{Admit, TxnDone};
 use crate::env::Env;
-use crate::shard::{jittered, ShardedReport, ShardedServer};
+use crate::shard::{jittered, ShardedReport, ShardedServer, Waker};
 use crate::workload::TxnRequest;
 use pyx_lang::{MethodId, Oid, RtError, Value};
 use pyx_partition::Side;
@@ -908,20 +911,46 @@ impl Default for NetServerCfg {
 const SUBMIT_DEADLINE: Duration = Duration::from_millis(500);
 
 /// How long a disconnected client's session (dedup table and
-/// undelivered results) is retained awaiting its reconnect.
+/// undelivered results) is retained awaiting its reconnect. Eviction
+/// happens on the first owner turn after that, not by a timer: an idle
+/// server keeps the session until something wakes its owner.
 const SESSION_RETAIN: Duration = Duration::from_secs(60);
 
+/// One message in the owner's inbox: a connection's protocol event, or
+/// control from the [`NetServerHandle`].
 enum ConnEvent {
     Opened(u64, SyncSender<Vec<u8>>, Stream),
     Hello(u64, u64),
     Submit(u64, NetSubmit),
     Bye(u64),
     Gone(u64),
+    Ctl(Ctl),
 }
 
 enum Ctl {
     With(Box<dyn FnOnce(&mut ShardedServer) + Send>),
     Shutdown,
+}
+
+/// The owner's inbox as its producers hold it: connection readers, the
+/// accept thread and the [`NetServerHandle`]. A send queues the event
+/// first and wakes the owner second. The owner drains the inbox after
+/// its last read of the results channel in each turn, so whichever read
+/// consumes a wake, an inbox drain still to come finds the event queued
+/// before it.
+#[derive(Clone)]
+struct Inbox {
+    events: Sender<ConnEvent>,
+    wake: Waker,
+}
+
+impl Inbox {
+    /// Queue `ev` and wake the owner; `false` once the owner is gone.
+    fn send(&self, ev: ConnEvent) -> bool {
+        let queued = self.events.send(ev).is_ok();
+        self.wake.wake();
+        queued
+    }
 }
 
 struct ConnState {
@@ -952,11 +981,11 @@ struct ClientSess {
     last_seen: Option<Instant>,
 }
 
-/// Handle to a running [`NetServer`]: the serving address, a control
-/// channel into the owner loop, and shutdown.
+/// Handle to a running [`NetServer`]: the serving address, the owner's
+/// inbox, and shutdown.
 pub struct NetServerHandle {
     addr: NetAddr,
-    ctl_tx: Sender<Ctl>,
+    inbox: Inbox,
     join: JoinHandle<ShardedReport>,
     stop: Arc<AtomicBool>,
     accept_join: JoinHandle<()>,
@@ -976,11 +1005,10 @@ impl NetServerHandle {
         f: impl FnOnce(&mut ShardedServer) -> R + Send + 'static,
     ) -> R {
         let (tx, rx) = mpsc::channel();
-        self.ctl_tx
-            .send(Ctl::With(Box::new(move |srv| {
+        self.inbox
+            .send(ConnEvent::Ctl(Ctl::With(Box::new(move |srv| {
                 let _ = tx.send(f(srv));
-            })))
-            .expect("net server alive");
+            }))));
         rx.recv().expect("net server executes control")
     }
 
@@ -994,7 +1022,7 @@ impl NetServerHandle {
         if Stream::connect(&self.addr, Duration::from_secs(1)).is_ok() {
             let _ = self.accept_join.join();
         }
-        let _ = self.ctl_tx.send(Ctl::Shutdown);
+        self.inbox.send(ConnEvent::Ctl(Ctl::Shutdown));
         self.join.join().expect("net server owner loop")
     }
 }
@@ -1005,10 +1033,10 @@ pub struct NetServer;
 impl NetServer {
     /// Serve on `listener` until [`NetServerHandle::shutdown`].
     ///
-    /// The [`ShardedServer`] is built *by* the owner thread via
-    /// `make_srv` (it holds `Rc`-shared prepared-plan state and must
-    /// never cross threads); arm test hooks afterwards through
-    /// [`NetServerHandle::with_server`].
+    /// Builds the [`ShardedServer`] with `make_srv` and hands it to the
+    /// owner thread, from then on the only thread that touches it. This
+    /// returns once it is built, and only then starts accepting; arm
+    /// test hooks afterwards through [`NetServerHandle::with_server`].
     pub fn serve(
         listener: Listener,
         make_srv: impl FnOnce() -> ShardedServer + Send + 'static,
@@ -1017,27 +1045,29 @@ impl NetServer {
         let addr = listener
             .local_addr()
             .expect("bound listener has an address");
-        let stop = Arc::new(AtomicBool::new(false));
-        let (ev_tx, ev_rx) = mpsc::channel::<ConnEvent>();
-        let (ctl_tx, ctl_rx) = mpsc::channel::<Ctl>();
+        let srv = make_srv();
+        let (events, inbox_rx) = mpsc::channel::<ConnEvent>();
+        let inbox = Inbox {
+            events,
+            wake: srv.waker(),
+        };
+        let join = std::thread::Builder::new()
+            .name("pyx-net-owner".into())
+            .spawn(move || owner_loop(srv, inbox_rx))
+            .expect("spawn owner loop");
 
+        let stop = Arc::new(AtomicBool::new(false));
         let accept_join = {
-            let stop = Arc::clone(&stop);
-            let ev_tx = ev_tx.clone();
+            let (stop, inbox) = (Arc::clone(&stop), inbox.clone());
             std::thread::Builder::new()
                 .name("pyx-net-accept".into())
-                .spawn(move || accept_loop(listener, stop, ev_tx, cfg))
+                .spawn(move || accept_loop(listener, stop, inbox, cfg))
                 .expect("spawn accept loop")
         };
 
-        let join = std::thread::Builder::new()
-            .name("pyx-net-owner".into())
-            .spawn(move || owner_loop(make_srv(), ev_rx, ctl_rx))
-            .expect("spawn owner loop");
-
         NetServerHandle {
             addr,
-            ctl_tx,
+            inbox,
             join,
             stop,
             accept_join,
@@ -1047,12 +1077,7 @@ impl NetServer {
 
 /// Accept connections, blocked in `accept`, until
 /// [`NetServerHandle::shutdown`] raises `stop` and wakes it.
-fn accept_loop(
-    listener: Listener,
-    stop: Arc<AtomicBool>,
-    ev_tx: Sender<ConnEvent>,
-    cfg: NetServerCfg,
-) {
+fn accept_loop(listener: Listener, stop: Arc<AtomicBool>, inbox: Inbox, cfg: NetServerCfg) {
     let mut next_conn = 1u64;
     loop {
         let accepted = listener.accept();
@@ -1061,7 +1086,7 @@ fn accept_loop(
         }
         match accepted {
             Ok(stream) => {
-                spawn_conn(next_conn, stream, &ev_tx, &cfg);
+                spawn_conn(next_conn, stream, &inbox, &cfg);
                 next_conn += 1;
             }
             // A failed accept (out of descriptors, say) backs off
@@ -1078,7 +1103,7 @@ fn accept_loop(
 /// directly on the reader thread — [`SocketEnv`] round trips never wait
 /// on the owner loop. Both threads block on their socket until the
 /// owner shuts it down (see [`ConnState`]) or the peer closes it.
-fn spawn_conn(conn_id: u64, stream: Stream, ev_tx: &Sender<ConnEvent>, cfg: &NetServerCfg) {
+fn spawn_conn(conn_id: u64, stream: Stream, inbox: &Inbox, cfg: &NetServerCfg) {
     let (Ok(wstream), Ok(socket)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
@@ -1101,20 +1126,17 @@ fn spawn_conn(conn_id: u64, stream: Stream, ev_tx: &Sender<ConnEvent>, cfg: &Net
             wstream.shutdown();
         });
 
-    let ev_tx = ev_tx.clone();
-    if ev_tx
-        .send(ConnEvent::Opened(conn_id, wtx.clone(), socket))
-        .is_err()
-    {
+    if !inbox.send(ConnEvent::Opened(conn_id, wtx.clone(), socket)) {
         return;
     }
+    let inbox = inbox.clone();
     let _ = std::thread::Builder::new()
         .name(format!("pyx-net-r{conn_id}"))
         .spawn(move || {
             // No read deadline: peer liveness is the client's problem,
             // and the owner ends this thread by shutting the socket down.
             let Ok(mut conn) = FrameConn::new(stream, io_timeout) else {
-                let _ = ev_tx.send(ConnEvent::Gone(conn_id));
+                inbox.send(ConnEvent::Gone(conn_id));
                 return;
             };
             let _ = conn.stream.set_read_timeout(None);
@@ -1122,7 +1144,7 @@ fn spawn_conn(conn_id: u64, stream: Stream, ev_tx: &Sender<ConnEvent>, cfg: &Net
                 match conn.recv() {
                     Ok(Recv::Frame(f)) => match frame_event(conn_id, &f, &wtx) {
                         Ok(Some(ev)) => {
-                            let _ = ev_tx.send(ev);
+                            inbox.send(ev);
                         }
                         Ok(None) => {}
                         Err(last) => break last,
@@ -1131,7 +1153,7 @@ fn spawn_conn(conn_id: u64, stream: Stream, ev_tx: &Sender<ConnEvent>, cfg: &Net
                     Ok(Recv::Closed) | Err(_) => break ConnEvent::Gone(conn_id),
                 }
             };
-            let _ = ev_tx.send(last);
+            inbox.send(last);
         });
 }
 
@@ -1176,17 +1198,16 @@ struct Owner {
     tag_map: HashMap<u64, (u64, u64)>,
     next_tag: u64,
     labels: HashMap<String, &'static str>,
+    shutting_down: bool,
 }
 
 /// The owner thread, the only one that touches the [`ShardedServer`].
-/// Each turn applies control messages, waits up to 1 ms for connection
-/// events — the loop's one timer; a retirement does not cut it short —
-/// and then retires what the shards finished.
-fn owner_loop(
-    srv: ShardedServer,
-    ev_rx: Receiver<ConnEvent>,
-    ctl_rx: Receiver<Ctl>,
-) -> ShardedReport {
+/// It blocks in [`ShardedServer::wait`], which a retirement, a worker's
+/// exit and every [`Inbox`] send end at once; the loop has no timer.
+/// Each turn retires what the shards finished and then drains the
+/// inbox: last, after every read of the results channel, so no wake
+/// those reads consume can strand an event (see [`Inbox`]).
+fn owner_loop(srv: ShardedServer, inbox: Receiver<ConnEvent>) -> ShardedReport {
     let mut o = Owner {
         srv,
         conns: HashMap::new(),
@@ -1194,29 +1215,10 @@ fn owner_loop(
         tag_map: HashMap::new(),
         next_tag: 1,
         labels: HashMap::new(),
+        shutting_down: false,
     };
-    let mut shutting_down = false;
-    let mut last_sweep = Instant::now();
     loop {
-        // Control first: shutdown and test hooks take effect before the
-        // next admission.
-        while let Ok(c) = ctl_rx.try_recv() {
-            match c {
-                Ctl::With(f) => f(&mut o.srv),
-                Ctl::Shutdown => shutting_down = true,
-            }
-        }
-        // One blocking wait bounds the loop's idle spin; then drain.
-        match ev_rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(ev) => {
-                o.handle_event(ev);
-                while let Ok(ev) = ev_rx.try_recv() {
-                    o.handle_event(ev);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => shutting_down = true,
-        }
+        o.srv.wait();
         // Retire everything the shards finished (including what a
         // waiting admission filed on the ready queue). A worker's death
         // arrives the same way, as its exit report: reading it reaps the
@@ -1225,11 +1227,14 @@ fn owner_loop(
         while let Some(d) = o.srv.try_recv_done() {
             o.route_done(d);
         }
-        if last_sweep.elapsed() > Duration::from_secs(1) {
-            o.sweep_sessions();
-            last_sweep = Instant::now();
+        // Until empty: an admission's backoff in here reads the results
+        // channel too, and the wakes it consumes stand for events still
+        // ahead in this drain.
+        while let Ok(ev) = inbox.try_recv() {
+            o.handle_event(ev);
         }
-        if shutting_down && o.srv.in_flight() == 0 {
+        o.sweep_sessions();
+        if o.shutting_down && o.srv.in_flight() == 0 {
             break;
         }
     }
@@ -1263,6 +1268,8 @@ impl Owner {
                 }
             }
             ConnEvent::Submit(id, sub) => self.handle_submit(id, sub),
+            ConnEvent::Ctl(Ctl::With(f)) => f(&mut self.srv),
+            ConnEvent::Ctl(Ctl::Shutdown) => self.shutting_down = true,
             ConnEvent::Bye(id) | ConnEvent::Gone(id) => {
                 if let Some(c) = self.conns.remove(&id) {
                     if let Some(client_id) = c.client {

@@ -470,16 +470,35 @@ struct CoordStats {
 const COORD: usize = usize::MAX;
 
 /// One message on the results channel, sent under the sender's worker
-/// index ([`COORD`] for a coordinator).
+/// index ([`COORD`] for a coordinator or a [`Waker`]).
 enum Report {
     /// A retired transaction.
     Done(TxnDone),
     /// The worker's thread stopped. [`ExitGuard`] sends it last, so
     /// every result the thread shipped is ahead of it on the channel.
     Exit,
+    /// A [`Waker`] fired: it carries nothing, and only ends a
+    /// [`ShardedServer::wait`].
+    Wake,
 }
 
 type Results = Sender<(usize, Report)>;
+
+/// Wakes whoever is blocked in [`ShardedServer::wait`], from any
+/// thread. An event loop that serves other inputs besides retirements
+/// hands one to each of their producers: a producer queues its input
+/// first and wakes second, so the woken loop finds the input when it
+/// next looks.
+#[derive(Clone)]
+pub struct Waker(Results);
+
+impl Waker {
+    /// End the server's current [`ShardedServer::wait`], or its next
+    /// one if none is blocked. A no-op once the server is gone.
+    pub fn wake(&self) {
+        let _ = self.0.send((COORD, Report::Wake));
+    }
+}
 
 /// Sends its worker's [`Report::Exit`] when dropped, however the thread
 /// body ends: a return or an unwind.
@@ -1070,10 +1089,30 @@ impl ShardedServer {
     /// transaction if one is ready, else return immediately. It still
     /// reads the results channel when nothing is in flight, so a worker
     /// that dies idle is reaped here. Event loops (the socket server)
-    /// interleave this with connection I/O instead of parking on the
-    /// results channel.
+    /// park in [`ShardedServer::wait`] and then take what is ready with
+    /// this, between their other inputs.
     pub fn try_recv_done(&mut self) -> Option<TxnDone> {
         self.next_done(false)
+    }
+
+    /// Block until there is something to act on: a result ready for
+    /// [`ShardedServer::try_recv_done`], a worker's exit reaped (and its
+    /// shard healed, if configured), or a [`Waker`] fired. Returns at
+    /// once if a result is already ready. It never times out: with
+    /// nothing in flight and no waker firing, it blocks for good.
+    pub fn wait(&mut self) {
+        if self.ready.is_empty() {
+            let msg = self
+                .done_rx
+                .recv()
+                .expect("the server holds a results sender");
+            self.file(msg);
+        }
+    }
+
+    /// A handle that ends a [`ShardedServer::wait`] from another thread.
+    pub fn waker(&self) -> Waker {
+        Waker(self.done_tx.clone())
     }
 
     /// Test hook: pause the *next* submitted cross-shard transaction
@@ -1276,7 +1315,7 @@ impl ShardedServer {
 
     /// Act on one results-channel message: file a result on the ready
     /// queue, clearing its outstanding entry (coordinators track none),
-    /// or reap the worker an exit came from.
+    /// or reap the worker an exit came from. A wake needs nothing.
     fn file(&mut self, (i, report): (usize, Report)) {
         match report {
             Report::Done(d) => {
@@ -1286,6 +1325,7 @@ impl ShardedServer {
                 self.ready.push_back(d);
             }
             Report::Exit => self.reap(i),
+            Report::Wake => {}
         }
     }
 

@@ -12,7 +12,7 @@ use pyx_runtime::ArgVal;
 use pyx_server::net::{Listener, NetAddr, NetClient, NetClientCfg, NetServer, NetServerCfg};
 use pyx_server::{ShardedConfig, ShardedServer, TxnDone, TxnRequest, Workload};
 use pyx_workloads::tpcc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const W: usize = 4;
@@ -401,6 +401,67 @@ fn malformed_requests_over_the_socket_retire_with_errors() {
     assert_eq!(recoveries, 0, "nothing needed healing");
     let report = handle.shutdown();
     assert_eq!(report.multi_txns, 3, "two good transfers and the short one");
+}
+
+/// Run `f` on a thread of its own and fail unless it returns within
+/// `limit`: a lost wake then fails the test instead of hanging it.
+fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .expect("returned before the watchdog fired")
+}
+
+/// An idle server's owner blocks until something wakes it: after
+/// ~100 ms of idling, a control call and a submit each complete. The
+/// client's request timeout is far above the watchdog's, so a reconnect
+/// and re-submit, whose fresh events would wake the owner, cannot hide
+/// a lost wake.
+#[test]
+fn idle_server_wakes_for_control_and_submit() {
+    let (pyxis, part) = compile();
+    let part = Arc::new(part);
+    let seed = 13;
+    let addr = NetAddr::parse("tcp:127.0.0.1:0").unwrap();
+    let listener = Listener::bind(&addr).expect("bind");
+    let handle = NetServer::serve(
+        listener,
+        move || {
+            ShardedServer::new(
+                part,
+                build_shards(seed),
+                ShardedConfig {
+                    shards: W,
+                    ..ShardedConfig::default()
+                },
+            )
+        },
+        NetServerCfg::default(),
+    );
+    let cfg = NetClientCfg {
+        request_timeout: Duration::from_secs(30),
+        ..NetClientCfg::default()
+    };
+    let mut client = NetClient::connect(handle.addr(), cfg).expect("connect");
+    let req = mixed_requests(&pyxis, 1).remove(0);
+    let (handle, client) = within(Duration::from_secs(10), move || {
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(handle.with_server(|s| s.shards()), W);
+        std::thread::sleep(Duration::from_millis(100));
+        client.submit(req, 0);
+        let d = client.recv_done().expect("the submit retires");
+        assert_eq!(d.tag, 0);
+        assert!(d.error.is_none(), "{:?}", d.error);
+        (handle, client)
+    });
+    client.close();
+    let report = handle.shutdown();
+    assert_eq!(
+        report.dispatchers.iter().map(|s| s.completed).sum::<u64>(),
+        1
+    );
 }
 
 /// `SocketEnv` prices events with real measured round trips: nonzero,

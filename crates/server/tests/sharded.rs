@@ -24,7 +24,7 @@
 //!   retirements, handing each one back exactly once.
 
 use proptest::prelude::*;
-use pyx_db::{shard_of, DbError, Engine, MemSink, Scalar};
+use pyx_db::{shard_of, DbError, Engine, LogSink, MemSink, Scalar, Wal};
 use pyx_pyxil::CompiledPartition;
 use pyx_server::{
     Admit, Deployment, Dispatcher, DispatcherConfig, InstantEnv, ShardedConfig, ShardedServer,
@@ -32,7 +32,7 @@ use pyx_server::{
 };
 use pyx_workloads::tpcc;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// TPC-C new-order plus three cross-shard entry points: a warehouse-to-
@@ -693,13 +693,32 @@ fn per_shard_wal_recovery_rebuilds_every_shard_independently() {
     }
 }
 
+/// A log sink that holds its first `sync` until the paired sender fires
+/// or drops, so a shard worker logging to it reports no commit before
+/// then.
+struct GatedSink(Option<mpsc::Receiver<()>>);
+
+impl LogSink for GatedSink {
+    fn append(&mut self, _: &[u8]) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        if let Some(gate) = self.0.take() {
+            let _ = gate.recv();
+        }
+        Ok(())
+    }
+}
+
 #[test]
 fn dead_worker_surfaces_errors_and_shard_goes_unavailable() {
     let (pyxis, part) = compile_jdbc(tpcc::SRC);
     let entry = pyxis.entry("NewOrder", "run").expect("entry");
     let scale = scale8();
     let part = Arc::new(part);
-    let engines = fresh_shards(scale, 3, 2);
+    let mut engines = fresh_shards(scale, 3, 2);
+    let (open_gate, gate) = mpsc::channel::<()>();
+    engines[0].set_wal(Wal::new(Box::new(GatedSink(Some(gate)))));
     let mut srv = ShardedServer::new(
         Arc::clone(&part),
         engines,
@@ -725,8 +744,9 @@ fn dead_worker_surfaces_errors_and_shard_goes_unavailable() {
 
     // Arm the kill pill first (the channel is ordered, so the countdown
     // is in place before any work arrives), then submit four
-    // transactions: the worker reports exactly two results and dies with
-    // two still in flight.
+    // transactions while shard 0's log holds its first sync: the worker
+    // can report no result, and so cannot die, before all four are
+    // queued. Then it reports exactly two and dies with two in flight.
     srv.inject_worker_crash(0, 2);
     for i in 0..4usize {
         assert_eq!(
@@ -734,6 +754,7 @@ fn dead_worker_surfaces_errors_and_shard_goes_unavailable() {
             Admit::Started
         );
     }
+    drop(open_gate);
     let mut ok = 0;
     let mut lost = Vec::new();
     for _ in 0..4 {
@@ -766,6 +787,106 @@ fn dead_worker_surfaces_errors_and_shard_goes_unavailable() {
 
     // Shutdown is clean despite the death: the crashed worker contributes
     // default stats and its engine comes back for inspection/recovery.
+    let (rest, report) = srv.shutdown();
+    assert!(rest.is_empty());
+    assert_eq!(report.engines.len(), 2);
+}
+
+/// Run `f` on a thread of its own and fail unless it returns within
+/// `limit`: a lost wake then fails the test instead of hanging it.
+fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .expect("returned before the watchdog fired")
+}
+
+/// A two-shard TPC-C server, plus a generator of new-orders routed to a
+/// warehouse on a given shard.
+fn two_shard_server() -> (ShardedServer, impl FnMut(usize) -> TxnRequest) {
+    let (pyxis, part) = compile_jdbc(tpcc::SRC);
+    let entry = pyxis.entry("NewOrder", "run").expect("entry");
+    let scale = scale8();
+    let srv = ShardedServer::new(
+        Arc::new(part),
+        fresh_shards(scale, 3, 2),
+        ShardedConfig {
+            shards: 2,
+            ..ShardedConfig::default()
+        },
+    );
+    let mut gen = tpcc::NewOrderGen::new(entry, scale, 71).with_lines(2, 4);
+    let mut i = 0;
+    let on_shard = move |s: usize| {
+        let w = (1..=8i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 2) == s)
+            .expect("some warehouse routes to each shard");
+        let mut r = pyx_server::Workload::next_txn(&mut gen, i);
+        i += 1;
+        r.args[0] = pyx_runtime::ArgVal::Int(w);
+        r.route = Some(w);
+        r
+    };
+    (srv, on_shard)
+}
+
+/// With nothing in flight, a `Waker` fired from another thread ends
+/// `wait`, and the wake itself delivers no result.
+#[test]
+fn wait_returns_when_a_waker_fires() {
+    let (mut srv, _) = two_shard_server();
+    let waker = srv.waker();
+    let mut srv = within(Duration::from_secs(30), move || {
+        // Fires while the wait most likely blocks; fired first, it must
+        // still end the wait.
+        let fire = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            waker.wake();
+        });
+        srv.wait();
+        fire.join().expect("waker thread");
+        srv
+    });
+    assert_eq!(srv.in_flight(), 0);
+    assert!(srv.try_recv_done().is_none(), "a wake carries no result");
+    srv.shutdown();
+}
+
+/// A retirement ends `wait` with its result ready.
+#[test]
+fn wait_returns_on_a_retirement() {
+    let (mut srv, mut on_shard) = two_shard_server();
+    assert_eq!(srv.submit(on_shard(1), 7), Admit::Started);
+    let mut srv = within(Duration::from_secs(30), move || {
+        srv.wait();
+        srv
+    });
+    let d = srv
+        .try_recv_done()
+        .expect("wait returned with the result ready");
+    assert_eq!(d.tag, 7);
+    assert!(d.error.is_none(), "{:?}", d.error);
+    srv.shutdown();
+}
+
+/// An idle worker's death ends `wait`, which reaps it: the shard is dead
+/// by the time `wait` returns, and nothing was in flight to lose.
+#[test]
+fn wait_reaps_an_idle_workers_death() {
+    let (mut srv, mut on_shard) = two_shard_server();
+    srv.inject_worker_crash(0, 0);
+    let mut srv = within(Duration::from_secs(30), move || {
+        srv.wait();
+        srv
+    });
+    assert_eq!(srv.dead_shards(), vec![0]);
+    assert!(
+        srv.try_recv_done().is_none(),
+        "an idle worker loses nothing"
+    );
+    assert_eq!(srv.submit(on_shard(0), 1), Admit::Unavailable);
     let (rest, report) = srv.shutdown();
     assert!(rest.is_empty());
     assert_eq!(report.engines.len(), 2);

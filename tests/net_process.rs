@@ -81,6 +81,15 @@ impl DbHost {
         DbHost { child, stdout }
     }
 
+    /// The serving address from the `READY <addr>` banner.
+    fn ready(&mut self) -> NetAddr {
+        let ready = self.read_line();
+        let addr_str = ready
+            .strip_prefix("READY ")
+            .unwrap_or_else(|| panic!("unexpected dbhost banner: {ready}"));
+        NetAddr::parse(addr_str).expect("dbhost address")
+    }
+
     fn read_line(&mut self) -> String {
         let mut line = String::new();
         self.stdout.read_line(&mut line).expect("dbhost line");
@@ -108,11 +117,7 @@ fn separate_process_db_host_over_uds_matches_in_process_state() {
     let _ = std::fs::create_dir_all(&dir);
     let sock = dir.join("dbhost.sock");
     let mut host = DbHost::spawn(&format!("uds:{}", sock.display()));
-    let ready = host.read_line();
-    let addr_str = ready
-        .strip_prefix("READY ")
-        .unwrap_or_else(|| panic!("unexpected dbhost banner: {ready}"));
-    let addr = NetAddr::parse(addr_str).expect("dbhost address");
+    let addr = host.ready();
 
     // Drive the workload closed-loop from *this* process over the wire.
     let pyxis = pyxis::core::Pyxis::compile(tpcc::HOST_SRC, pyxis::core::PyxisConfig::default())
@@ -166,5 +171,59 @@ fn separate_process_db_host_over_uds_matches_in_process_state() {
         "state served across process + socket boundaries diverged from \
          the in-process oracle"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Voluntary context switches so far of the thread named `name` in
+/// process `pid`, from `/proc/<pid>/task/*/status`.
+#[cfg(target_os = "linux")]
+fn voluntary_switches(pid: u32, name: &str) -> u64 {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("dbhost task list");
+    for task in tasks.flatten() {
+        let Ok(status) = std::fs::read_to_string(task.path().join("status")) else {
+            continue;
+        };
+        if status.lines().any(|l| l == format!("Name:\t{name}")) {
+            return status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+                .and_then(|n| n.trim().parse().ok())
+                .expect("status reports voluntary switches");
+        }
+    }
+    panic!("dbhost has no thread named {name}");
+}
+
+/// An idle `dbhost`'s owner thread sleeps until something wakes it:
+/// once the workload has retired, with the client still connected, it
+/// makes next to no voluntary context switches in a second. A timed
+/// wait in its loop would make one per tick. Counting switches, not CPU
+/// time, keeps the check independent of host load.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_dbhost_owner_thread_makes_no_wakeups() {
+    let dir = std::env::temp_dir().join(format!("pyx-dbhost-idle-{}", std::process::id()));
+    let _ = std::fs::create_dir_all(&dir);
+    let sock = dir.join("dbhost.sock");
+    let mut host = DbHost::spawn(&format!("uds:{}", sock.display()));
+    let addr = host.ready();
+
+    let pyxis = pyxis::core::Pyxis::compile(tpcc::HOST_SRC, pyxis::core::PyxisConfig::default())
+        .expect("driver compiles the same program");
+    let mut client = NetClient::connect(&addr, NetClientCfg::default()).expect("connect");
+    for (tag, r) in mixed_requests(&pyxis, 8).into_iter().enumerate() {
+        client.submit(r, tag as u64);
+        let d = client.recv_done().expect("closed loop retires");
+        assert!(d.error.is_none(), "txn {tag} failed: {:?}", d.error);
+    }
+
+    let pid = host.child.id();
+    let before = voluntary_switches(pid, "pyx-net-owner");
+    std::thread::sleep(Duration::from_secs(1));
+    let woke = voluntary_switches(pid, "pyx-net-owner") - before;
+    assert!(woke < 20, "idle owner thread woke {woke} times in 1 s");
+
+    client.close();
+    host.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
