@@ -106,6 +106,7 @@
 //! corruption, stalls, and full partitions on a client's link — the
 //! network analogue of the WAL's `FaultySink`.
 
+mod coord;
 pub mod dispatch;
 pub mod env;
 pub mod net;

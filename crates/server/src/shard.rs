@@ -13,7 +13,7 @@
 //! * **What crosses threads:** loaded [`Engine`] shards (everything an
 //!   engine owns is `Send` — rows, undo logs, plans), the shared
 //!   [`CompiledPartition`] (immutable, behind an `Arc`), [`TxnRequest`]s,
-//!   retired [`TxnDone`]s, and the cross-shard [`RemoteOp`] protocol
+//!   retired [`TxnDone`]s, and the cross-shard [`crate::coord::RemoteOp`] protocol
 //!   messages (prepared handles, parameter vectors, `Arc`-backed result
 //!   rows). Compile-time assertions in `pyx-db` / `pyx-pyxil` keep these
 //!   types `Send`.
@@ -167,7 +167,7 @@
 //! * **In-doubt resolution**: recovered prepared branches re-hold their
 //!   exclusive locks; the supervisor settles each against the
 //!   coordinator pool's decision registry — a globally-unique gtid (the
-//!   transaction's wait-die age) maps to a [`GtidState`]: *voting* from
+//!   transaction's wait-die age) maps to a [`crate::coord::GtidState`]: *voting* from
 //!   before the prepare fan-out, *commit* once all yes-votes are in
 //!   (recorded before the commit fan-out begins). Absent gtid ⇒
 //!   **presumed abort**, safe because a cross-shard transaction is only
@@ -197,6 +197,10 @@
 //! PR-8 behavior is unchanged — the shard stays dead and only its
 //! replicas keep answering reads.
 
+use crate::coord::{
+    coordinator, Coord, CoordJob, CoordStats, Decisions, HoldHook, RemoteOk, RemoteOp, ShardLink,
+    ShardLinks,
+};
 use crate::dispatch::{
     Admit, Deployment, Dispatcher, DispatcherConfig, DispatcherStats, Polled, TxnDone,
 };
@@ -204,10 +208,7 @@ use crate::env::InstantEnv;
 use crate::workload::TxnRequest;
 use pyx_db::replica::RedoTailer;
 use pyx_db::wal::{FeedSink, LogFeed, LogSink, Wal};
-use pyx_db::{
-    shard_of, Database, DbError, Engine, EngineStats, PreparedId, QueryResult, Scalar, StmtRoute,
-    TxnId,
-};
+use pyx_db::{shard_of, DbError, Engine, EngineStats, Scalar};
 use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
 use std::collections::{HashMap, VecDeque};
@@ -347,7 +348,7 @@ impl ShardedReport {
     }
 }
 
-enum Msg {
+pub(crate) enum Msg {
     Submit {
         req: TxnRequest,
         tag: u64,
@@ -370,108 +371,15 @@ enum Msg {
     },
 }
 
-/// Coordinator→worker remote operation. Every op carries its own reply
-/// channel; a worker that dies drops the op, which the coordinator
-/// observes as a closed reply channel (participant death).
-enum RemoteOp {
-    /// Register a statement on this shard ([`Engine::prepare`]).
-    PrepareSql {
-        sql: String,
-        reply: Sender<RemoteReply>,
-    },
-    /// Resolve a prepared statement's shard route (sent to shard 0;
-    /// every shard holds the same schema so any shard's answer is the
-    /// cluster's).
-    Route {
-        pid: PreparedId,
-        reply: Sender<RemoteReply>,
-    },
-    /// Open a branch: a local read-write transaction under the
-    /// coordinator's global wait-die age.
-    Begin {
-        age: u64,
-        reply: Sender<RemoteReply>,
-    },
-    /// Execute one statement on an open branch. A statement that would
-    /// block is parked worker-side (no reply yet) and retried until the
-    /// lock frees or wait-die kills it.
-    Exec {
-        txn: TxnId,
-        pid: PreparedId,
-        params: Vec<Scalar>,
-        reply: Sender<RemoteReply>,
-    },
-    /// Phase 1: vote on commit ([`Engine::prepare_commit`]). `gtid` is
-    /// the transaction's globally-unique wait-die age; the participant's
-    /// yes-vote is durable (a `Prepare` record under this gtid) before
-    /// the reply is sent.
-    PrepareCommit {
-        txn: TxnId,
-        gtid: u64,
-        reply: Sender<RemoteReply>,
-    },
-    /// Phase 2: commit the branch and sync this shard's WAL before
-    /// acknowledging — the participant-local acknowledgement point.
-    Commit {
-        txn: TxnId,
-        reply: Sender<RemoteReply>,
-    },
-    /// Roll the branch back (coordinator-side abort, wait-die restart,
-    /// or phase-1 veto cleanup).
-    Abort {
-        txn: TxnId,
-        reply: Sender<RemoteReply>,
-    },
-}
-
-type RemoteReply = Result<RemoteOk, DbError>;
-
-enum RemoteOk {
-    Began(TxnId),
-    Prepared(PreparedId),
-    Route(StmtRoute),
-    Rows(QueryResult),
-    Done,
-}
-
-/// Test hook plumbing: pause the next cross-shard transaction at an
-/// instrumented point of the commit protocol. `held_tx` fires when the
-/// transaction is parked there; it resumes when `release_rx` yields.
-struct HoldHook {
-    held_tx: Sender<()>,
-    release_rx: Receiver<()>,
-}
-
-/// One queued cross-shard transaction. `hold` parks it between the
-/// commit decision and the commit fan-out; `hold_prepare` parks it
-/// mid-vote, right after the first participant's prepare ack.
-struct CoordJob {
-    req: TxnRequest,
-    tag: u64,
-    hold: Option<HoldHook>,
-    hold_prepare: Option<HoldHook>,
-}
-
-/// Counters a coordinator thread reports at shutdown.
-#[derive(Debug, Default, Clone, Copy)]
-struct CoordStats {
-    jobs: u64,
-    participants: u64,
-    /// Rpc legs that observed a dead participant worker (closed
-    /// channel) — one count per observation, so a transaction whose
-    /// cleanup also touches the dead shard counts more than once.
-    participant_deaths: u64,
-}
-
 /// Results-channel index of coordinator-reported outcomes. Coordinators
 /// report for themselves — a participant death surfaces as an error on
 /// the coordinator's transaction — so no per-shard outstanding entry
 /// tracks them.
-const COORD: usize = usize::MAX;
+pub(crate) const COORD: usize = usize::MAX;
 
 /// One message on the results channel, sent under the sender's worker
 /// index ([`COORD`] for a coordinator or a [`Waker`]).
-enum Report {
+pub(crate) enum Report {
     /// A retired transaction.
     Done(TxnDone),
     /// The worker's thread stopped. [`ExitGuard`] sends it last, so
@@ -482,7 +390,7 @@ enum Report {
     Wake,
 }
 
-type Results = Sender<(usize, Report)>;
+pub(crate) type Results = Sender<(usize, Report)>;
 
 /// Wakes whoever is blocked in [`ShardedServer::wait`], from any
 /// thread. An event loop that serves other inputs besides retirements
@@ -510,139 +418,6 @@ struct ExitGuard {
 impl Drop for ExitGuard {
     fn drop(&mut self) {
         let _ = self.done.send((self.idx, Report::Exit));
-    }
-}
-
-/// Live channel endpoints for one shard worker. Coordinators (and the
-/// supervisor's own submits) read the *current* endpoints through the
-/// shared link table on every rpc, so a worker respawned after a death
-/// is reachable without restarting the coordinator pool — a dead
-/// incarnation's endpoints just error (closed channel), which is the
-/// participant-death signal.
-struct ShardLink {
-    msg: SyncSender<Msg>,
-    remote: Sender<RemoteOp>,
-}
-
-impl ShardLink {
-    /// Endpoints nobody serves (their receivers are gone), so an rpc
-    /// through them reports a dead participant. A shard's link holds
-    /// these only until its primary's first thread starts.
-    fn closed() -> ShardLink {
-        ShardLink {
-            msg: mpsc::sync_channel(0).0,
-            remote: mpsc::channel().0,
-        }
-    }
-}
-
-type ShardLinks = Arc<Vec<Mutex<ShardLink>>>;
-
-/// Decision state of one cross-shard transaction in the coordinator
-/// pool's registry ([`Decisions`]). The registry lock is the atomicity
-/// point between a coordinator deciding commit and the supervisor
-/// presumed-aborting a recovered in-doubt branch of the same gtid:
-/// whichever takes the lock first wins, and the other observes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GtidState {
-    /// Prepare fan-out in progress: inserted *before* the first
-    /// `PrepareCommit` rpc, so any participant whose durable yes-vote
-    /// outlives its worker is guaranteed a registry entry while the
-    /// outcome is still open. The supervisor resolves an in-doubt
-    /// branch in this state as abort and flips the entry to
-    /// [`GtidState::Abort`] — vetoing the still-voting coordinator.
-    Voting,
-    /// Decided commit (all yes-votes in, recorded before any
-    /// participant can learn the outcome). `outstanding` counts
-    /// participant legs that have not yet settled — decremented by the
-    /// coordinator per acknowledged commit rpc and by the supervisor
-    /// per in-doubt branch resolved at heal time; the entry is removed
-    /// at zero, when no shard can still be in doubt for this gtid.
-    Commit { outstanding: u32 },
-    /// The supervisor presumed-aborted a recovered branch while the
-    /// coordinator was still collecting votes. The coordinator must
-    /// abort the surviving branches and report an error; it removes
-    /// the entry, after which absence means the same thing.
-    Abort,
-}
-
-/// The coordinator pool's commit-decision registry: gtid (global
-/// wait-die age) → [`GtidState`]. An absent gtid is **presumed abort**
-/// (safe: success is only acknowledged after every participant
-/// committed and synced). Entries exist only from prepare fan-out to
-/// the last participant's settlement, so the map stays bounded by the
-/// in-flight cross-shard transaction count plus any legs awaiting a
-/// heal. (One documented residue: a commit leg that fails on a *live*
-/// worker — a durability fault, not a death — never settles its
-/// count; such entries are retained deliberately, since dropping them
-/// could turn a later recovery of that shard into a lost commit.)
-///
-/// Each transition is one method under one lock acquisition.
-#[derive(Clone, Default)]
-struct Decisions(Arc<Mutex<HashMap<u64, GtidState>>>);
-
-impl Decisions {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, GtidState>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Open `gtid`'s voting window, before its first prepare rpc.
-    fn open(&self, gtid: u64) {
-        self.lock().insert(gtid, GtidState::Voting);
-    }
-
-    /// Forget `gtid` after a veto: absence is presumed abort.
-    fn forget(&self, gtid: u64) {
-        self.lock().remove(&gtid);
-    }
-
-    /// The decision point, once every yes-vote is in: record commit
-    /// with `legs` unsettled participant legs and return `true`, unless
-    /// a heal vetoed the gtid mid-vote — then forget it and return
-    /// `false`.
-    fn decide(&self, gtid: u64, legs: u32) -> bool {
-        let mut dec = self.lock();
-        if dec.get(&gtid) == Some(&GtidState::Abort) {
-            dec.remove(&gtid);
-            return false;
-        }
-        dec.insert(gtid, GtidState::Commit { outstanding: legs });
-        true
-    }
-
-    /// Settle `legs` acknowledged commit legs of `gtid`. The entry goes
-    /// once every leg has settled (acknowledged by the coordinator, or
-    /// resolved at a heal), so the registry cannot grow without bound
-    /// under worker churn, while a leg that may still be in doubt
-    /// somewhere keeps its commit entry.
-    fn settle(&self, gtid: u64, legs: u32) {
-        let mut dec = self.lock();
-        if let Some(GtidState::Commit { outstanding }) = dec.get_mut(&gtid) {
-            *outstanding = outstanding.saturating_sub(legs);
-            if *outstanding == 0 {
-                dec.remove(&gtid);
-            }
-        }
-    }
-
-    /// A heal's verdict on a recovered in-doubt branch of `gtid`:
-    /// commit only if the gtid was decided commit. A gtid still voting
-    /// is vetoed — the abort is written into its entry, atomically with
-    /// the coordinator's [`Decisions::decide`].
-    fn resolve(&self, gtid: u64) -> bool {
-        let mut dec = self.lock();
-        match dec.get(&gtid) {
-            Some(GtidState::Commit { .. }) => true,
-            Some(GtidState::Voting) => {
-                dec.insert(gtid, GtidState::Abort);
-                false
-            }
-            Some(GtidState::Abort) | None => false,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lock().len()
     }
 }
 
@@ -696,12 +471,6 @@ impl Worker {
         })
     }
 }
-
-/// High bit marking a virtual (coordinator) transaction id; shards
-/// allocate their own local ids for branches. A coordinator folds its
-/// global age into the low bits so a restarted session carries the age
-/// back through [`Database::begin_aged`].
-const VIRTUAL_BIT: u64 = 1 << 63;
 
 /// The shard-per-core server. See module docs.
 pub struct ShardedServer {
@@ -2001,675 +1770,5 @@ pub fn load_row_sharded(engines: &mut [Engine], table: &str, row: Vec<Scalar>) {
                 e.load_row(table, row.clone());
             }
         }
-    }
-}
-
-// ---- the coordinator's statement table ----
-
-/// One cross-shard statement: its prepared handle on every shard and the
-/// (lazily resolved) shard route.
-struct CoordStmt {
-    per_shard: Vec<PreparedId>,
-    route: Option<StmtRoute>,
-}
-
-/// Cap on statements registered through the *ad-hoc*
-/// [`Database::execute`] path (dynamic SQL). Mirrors the engine's own
-/// ad-hoc parse-cache cap: a cross-shard transaction computing SQL with
-/// inline literals must not grow the statement table without bound.
-/// Evicted slots are recycled; the shard engines dedup repeated text in
-/// their prepared registries, so re-encounters re-use the engine-side
-/// plans. (Constant-SQL sites registered by `Session::prepare_sites`
-/// via [`Database::prepare`] are never evicted — sessions hold their
-/// ids across transactions.)
-const ADHOC_CAP: usize = 256;
-
-/// The cross-shard statement table: statements indexed by coordinator
-/// [`PreparedId`]s, deduped by SQL text, with FIFO eviction for the
-/// ad-hoc entries. One per coordinator thread.
-#[derive(Default)]
-struct StmtTable {
-    stmts: Vec<Option<CoordStmt>>,
-    by_sql: HashMap<String, PreparedId>,
-    /// FIFO of ad-hoc (evictable) statements; see [`ADHOC_CAP`].
-    adhoc_order: VecDeque<(String, PreparedId)>,
-    /// Evicted statement slots awaiting reuse.
-    free_slots: Vec<PreparedId>,
-}
-
-impl StmtTable {
-    fn lookup(&self, sql: &str) -> Option<PreparedId> {
-        self.by_sql.get(sql).copied()
-    }
-
-    fn stmt(&self, id: PreparedId) -> &CoordStmt {
-        self.stmts[id.0 as usize]
-            .as_ref()
-            .expect("live cross-shard statement")
-    }
-
-    fn set_route(&mut self, id: PreparedId, route: StmtRoute) {
-        self.stmts[id.0 as usize]
-            .as_mut()
-            .expect("live cross-shard statement")
-            .route = Some(route);
-    }
-
-    /// Register a statement, taking a recycled slot if one is free.
-    /// `adhoc` entries join the FIFO and are evicted over the cap.
-    fn insert(&mut self, sql: &str, stmt: CoordStmt, adhoc: bool) -> PreparedId {
-        let id = match self.free_slots.pop() {
-            Some(id) => {
-                self.stmts[id.0 as usize] = Some(stmt);
-                id
-            }
-            None => {
-                let id = PreparedId(self.stmts.len() as u32);
-                self.stmts.push(Some(stmt));
-                id
-            }
-        };
-        self.by_sql.insert(sql.to_string(), id);
-        if adhoc {
-            self.adhoc_order.push_back((sql.to_string(), id));
-            self.evict_adhoc();
-        }
-        id
-    }
-
-    /// FIFO-evict the oldest ad-hoc statement once over the cap.
-    fn evict_adhoc(&mut self) {
-        if self.adhoc_order.len() <= ADHOC_CAP {
-            return;
-        }
-        if let Some((sql, id)) = self.adhoc_order.pop_front() {
-            self.by_sql.remove(&sql);
-            self.stmts[id.0 as usize] = None;
-            self.free_slots.push(id);
-        }
-    }
-}
-
-// ---- the 2PC coordinator ----
-
-/// Coordinator-side engine façade: a [`Database`] whose statements fan
-/// out to shard workers over the remote-op protocol. One per coordinator
-/// thread; holds that coordinator's statement table, the open branches
-/// of its (single) in-flight transaction, and its 2PC counters.
-struct Coord {
-    /// Shared link table: the *current* channel endpoints per shard
-    /// (rewritten by the supervisor on failover — see [`ShardLink`]).
-    links: ShardLinks,
-    /// Commit-decision registry shared with the supervisor (see
-    /// [`Decisions`]).
-    decisions: Decisions,
-    table: StmtTable,
-    /// Open branch (local transaction) per shard.
-    branches: Vec<Option<TxnId>>,
-    /// Current transaction's global wait-die age.
-    age: u64,
-    /// The shared age counter (globally unique distributed ages).
-    ages: Arc<AtomicU64>,
-    /// Shards that opened a branch this transaction (monotone within a
-    /// transaction; reset at begin).
-    touched: u32,
-    /// Participant count of the most recently closed transaction.
-    last_participants: u32,
-    hold: Option<HoldHook>,
-    hold_prepare: Option<HoldHook>,
-    stats: CoordStats,
-}
-
-impl Coord {
-    fn new(links: ShardLinks, ages: Arc<AtomicU64>, decisions: Decisions) -> Coord {
-        let n = links.len();
-        Coord {
-            links,
-            decisions,
-            table: StmtTable::default(),
-            branches: vec![None; n],
-            age: 0,
-            ages,
-            touched: 0,
-            last_participants: 0,
-            hold: None,
-            hold_prepare: None,
-            stats: CoordStats::default(),
-        }
-    }
-
-    fn shards(&self) -> usize {
-        self.links.len()
-    }
-
-    /// One remote round trip: ship the op, nudge the worker awake, wait
-    /// for the reply. A closed channel on either leg is a participant
-    /// death — the transaction cannot know its branch's fate there
-    /// (counted in [`CoordStats::participant_deaths`]). Endpoints are
-    /// re-read from the link table per call, so rpcs reach a respawned
-    /// worker without restarting this coordinator.
-    fn rpc(
-        &mut self,
-        s: usize,
-        make: impl FnOnce(Sender<RemoteReply>) -> RemoteOp,
-    ) -> Result<RemoteOk, DbError> {
-        let dead = || {
-            DbError::Durability(format!(
-                "shard {s} worker died during a cross-shard transaction"
-            ))
-        };
-        let (remote, msg) = {
-            let l = self.links[s].lock().unwrap_or_else(PoisonError::into_inner);
-            (l.remote.clone(), l.msg.clone())
-        };
-        let (tx, rx) = mpsc::channel();
-        if remote.send(make(tx)).is_err() {
-            self.stats.participant_deaths += 1;
-            return Err(dead());
-        }
-        // Sent after the op: a worker that consumes this nudge is
-        // guaranteed to see the op on its next remote-channel drain.
-        let _ = msg.try_send(Msg::Wake);
-        match rx.recv() {
-            Ok(r) => r,
-            Err(_) => {
-                self.stats.participant_deaths += 1;
-                Err(dead())
-            }
-        }
-    }
-
-    /// The branch on shard `s`, opened on first touch under the
-    /// transaction's global age — this lazy enlistment IS participant
-    /// selection.
-    fn branch(&mut self, s: usize) -> Result<TxnId, DbError> {
-        if let Some(t) = self.branches[s] {
-            return Ok(t);
-        }
-        let age = self.age;
-        match self.rpc(s, |reply| RemoteOp::Begin { age, reply })? {
-            RemoteOk::Began(t) => {
-                self.branches[s] = Some(t);
-                self.touched += 1;
-                Ok(t)
-            }
-            _ => unreachable!("Begin replies Began"),
-        }
-    }
-
-    fn exec_on(
-        &mut self,
-        s: usize,
-        id: PreparedId,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        let txn = self.branch(s)?;
-        let pid = self.table.stmt(id).per_shard[s];
-        match self.rpc(s, |reply| RemoteOp::Exec {
-            txn,
-            pid,
-            params: params.to_vec(),
-            reply,
-        })? {
-            RemoteOk::Rows(r) => Ok(r),
-            _ => unreachable!("Exec replies Rows"),
-        }
-    }
-
-    fn route_of(&mut self, id: PreparedId) -> Result<StmtRoute, DbError> {
-        if let Some(r) = &self.table.stmt(id).route {
-            return Ok(r.clone());
-        }
-        let pid0 = self.table.stmt(id).per_shard[0];
-        let r = match self.rpc(0, |reply| RemoteOp::Route { pid: pid0, reply })? {
-            RemoteOk::Route(r) => r,
-            _ => unreachable!("Route replies Route"),
-        };
-        self.table.set_route(id, r.clone());
-        Ok(r)
-    }
-
-    fn prepare_inner(&mut self, sql: &str, adhoc: bool) -> Result<PreparedId, DbError> {
-        if let Some(id) = self.table.lookup(sql) {
-            return Ok(id);
-        }
-        let mut per_shard = Vec::with_capacity(self.shards());
-        for s in 0..self.shards() {
-            match self.rpc(s, |reply| RemoteOp::PrepareSql {
-                sql: sql.to_string(),
-                reply,
-            })? {
-                RemoteOk::Prepared(pid) => per_shard.push(pid),
-                _ => unreachable!("PrepareSql replies Prepared"),
-            }
-        }
-        Ok(self.table.insert(
-            sql,
-            CoordStmt {
-                per_shard,
-                route: None,
-            },
-            adhoc,
-        ))
-    }
-
-    /// Run on every shard and merge: result rows concatenate in shard
-    /// order, affected counts and virtual costs sum.
-    ///
-    /// Row ORDER contract: a statement without ORDER BY has unspecified
-    /// row order in SQL, and that is exactly what a scatter read
-    /// delivers — shard-concatenation order, which differs from a single
-    /// engine's primary-key scan order (and cannot be reconstructed
-    /// after projection may have dropped the key columns). Programs that
-    /// depend on the order of an unordered multi-shard scan are relying
-    /// on unspecified behavior; order-sensitive scans must add ORDER BY,
-    /// which the router then refuses to scatter
-    /// ([`StmtRoute::Scatter`]`::mergeable == false`) rather than merge
-    /// wrongly.
-    fn exec_scatter(&mut self, id: PreparedId, params: &[Scalar]) -> Result<QueryResult, DbError> {
-        let mut merged: Option<QueryResult> = None;
-        for s in 0..self.shards() {
-            let r = self.exec_on(s, id, params)?;
-            match &mut merged {
-                None => merged = Some(r),
-                Some(m) => {
-                    m.rows.extend(r.rows);
-                    m.affected += r.affected;
-                    m.cost += r.cost;
-                }
-            }
-        }
-        Ok(merged.expect("at least one shard"))
-    }
-
-    /// Pause here if a hold hook is armed (test instrumentation: the
-    /// point between the commit decision and the commit fan-out).
-    fn fire_hold(&mut self) {
-        if let Some(h) = self.hold.take() {
-            let _ = h.held_tx.send(());
-            let _ = h.release_rx.recv();
-        }
-    }
-
-    /// Pause here if a mid-vote hold hook is armed (test
-    /// instrumentation: the point right after the first participant's
-    /// durable prepare ack, while the remaining votes are still being
-    /// collected — the window where a prepared participant's death
-    /// races the commit decision).
-    fn fire_hold_prepare(&mut self) {
-        if let Some(h) = self.hold_prepare.take() {
-            let _ = h.held_tx.send(());
-            let _ = h.release_rx.recv();
-        }
-    }
-
-    /// Abort every open branch, reporting the first failure: a veto, a
-    /// vetoed decision, [`Database::abort`], and the leak-check after a
-    /// session that never reached commit or abort.
-    fn abort_branches(&mut self) -> Result<(), DbError> {
-        let mut err = Ok(());
-        for s in 0..self.branches.len() {
-            if let Some(t) = self.branches[s].take() {
-                let r = self.rpc(s, |reply| RemoteOp::Abort { txn: t, reply });
-                err = err.and(r.map(|_| ()));
-            }
-        }
-        err
-    }
-
-    /// The commit protocol. Participants = shards with an open branch.
-    /// 0 participants: trivially committed. 1: straight commit, no
-    /// prepare round (a single shard cannot partially commit). 2+: full
-    /// presumed-abort 2PC — prepare everywhere (any veto or death
-    /// aborts every branch), then commit everywhere (each participant
-    /// syncs its own WAL before acknowledging).
-    fn commit_2pc(&mut self) -> Result<(u64, Vec<TxnId>), DbError> {
-        let parts: Vec<(usize, TxnId)> = self
-            .branches
-            .iter()
-            .enumerate()
-            .filter_map(|(s, t)| t.map(|t| (s, t)))
-            .collect();
-        self.last_participants = parts.len() as u32;
-        if parts.is_empty() {
-            self.fire_hold();
-            return Ok((0, Vec::new()));
-        }
-        let multi = parts.len() >= 2;
-        if multi {
-            let gtid = self.age;
-            // Open the voting window in the registry BEFORE the first
-            // participant can durably prepare. A participant that acks
-            // its prepare and dies while the remaining votes are still
-            // out is then guaranteed to find this entry: the
-            // supervisor's heal resolves the branch as presumed abort
-            // and vetoes the gtid — and the decision point below, taken
-            // under the same lock, sees the veto instead of committing
-            // the survivors.
-            self.decisions.open(gtid);
-            for (i, &(s, t)) in parts.iter().enumerate() {
-                let vote = self
-                    .rpc(s, |reply| RemoteOp::PrepareCommit {
-                        txn: t,
-                        gtid,
-                        reply,
-                    })
-                    .map(|_| ());
-                if i == 0 && vote.is_ok() {
-                    self.fire_hold_prepare();
-                }
-                if let Err(e) = vote {
-                    // Presumed abort: one veto rolls back every branch
-                    // (prepared ones release their locks; the engines
-                    // count those as prepare-aborts). Forgetting the
-                    // gtid restores "absent gtid = abort": a
-                    // participant that crashed with its prepare
-                    // durable recovers the branch in-doubt and
-                    // presumed-aborts it too. (Heal may already have
-                    // vetoed the gtid — same verdict.)
-                    self.decisions.forget(gtid);
-                    let _ = self.abort_branches();
-                    return Err(e);
-                }
-            }
-            // All yes-votes are durable. The decision point: record
-            // commit *before* any participant can learn the outcome (the
-            // fan-out below), so a participant killed between its
-            // prepare-ack and the decision recovers this gtid as a
-            // commit — unless the supervisor presumed-aborted a
-            // recovered branch of it mid-vote, in which case that branch
-            // is gone and commit is no longer possible: honor the veto.
-            if !self.decisions.decide(gtid, parts.len() as u32) {
-                let _ = self.abort_branches();
-                return Err(DbError::Durability(
-                    "a prepared participant failed over during voting; \
-                     transaction presumed aborted"
-                        .into(),
-                ));
-            }
-        }
-        self.fire_hold();
-        // Commit phase: past this point the transaction is decided; a
-        // participant failure here (durability fault, worker death) is
-        // reported loudly as the transaction's error — and with
-        // self-healing, the decision registry entry retained for the
-        // unsettled legs lets the dead participant's recovery complete
-        // the commit instead of leaving a partial one.
-        let mut first_err = None;
-        let mut acked = 0u32;
-        for &(s, t) in &parts {
-            self.branches[s] = None;
-            match self.rpc(s, |reply| RemoteOp::Commit { txn: t, reply }) {
-                Ok(_) => acked += 1,
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if multi {
-            self.decisions.settle(self.age, acked);
-        }
-        match first_err {
-            None => {
-                self.stats.participants += parts.len() as u64;
-                Ok((0, Vec::new()))
-            }
-            Some(e) => Err(e),
-        }
-    }
-}
-
-impl Database for Coord {
-    fn begin(&mut self) -> TxnId {
-        debug_assert!(
-            self.branches.iter().all(Option::is_none),
-            "one transaction per coordinator at a time"
-        );
-        self.age = self.ages.fetch_add(1, Ordering::Relaxed);
-        self.touched = 0;
-        // The virtual id folds the age into its low bits: the session
-        // records `id.0` as its wait-die age, so a restart hands the
-        // original age back through `begin_aged` below.
-        TxnId(VIRTUAL_BIT | self.age)
-    }
-
-    fn begin_aged(&mut self, age: u64) -> TxnId {
-        self.age = age & !VIRTUAL_BIT;
-        self.touched = 0;
-        TxnId(VIRTUAL_BIT | self.age)
-    }
-
-    fn begin_read_only(&mut self) -> TxnId {
-        // Never reached in practice: coordinator sessions run with
-        // snapshot reads disabled (per-shard snapshots at different
-        // instants are not one consistent cut). Defensive: run locking.
-        self.begin()
-    }
-
-    fn commit(&mut self, _txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError> {
-        self.commit_2pc()
-    }
-
-    fn abort(&mut self, _txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError> {
-        let aborted = self.abort_branches();
-        self.last_participants = self.touched;
-        aborted.map(|()| (0, Vec::new()))
-    }
-
-    /// Register on every shard. Handles from this path are durable —
-    /// sessions cache them in their prepared-site tables.
-    fn prepare(&mut self, sql: &str) -> Result<PreparedId, DbError> {
-        self.prepare_inner(sql, false)
-    }
-
-    fn execute(
-        &mut self,
-        txn: TxnId,
-        sql: &str,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        // Dynamic SQL funnels through the prepared path — same resolver,
-        // same routing, identical results by construction — with its
-        // entries FIFO-capped (see [`ADHOC_CAP`]).
-        let id = self.prepare_inner(sql, true)?;
-        Database::execute_prepared(self, txn, id, params)
-    }
-
-    fn execute_prepared(
-        &mut self,
-        _txn: TxnId,
-        id: PreparedId,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        match self.route_of(id)? {
-            StmtRoute::ByParam { param } => {
-                let key = params
-                    .get(param)
-                    .ok_or_else(|| DbError::Schema(format!("routing parameter {param} missing")))?;
-                let s = shard_of(key, self.shards());
-                self.exec_on(s, id, params)
-            }
-            StmtRoute::ByLit(lit) => {
-                let s = shard_of(&lit, self.shards());
-                self.exec_on(s, id, params)
-            }
-            // Replicated reads may use any replica; shard 0 keeps runs
-            // deterministic. Replicated writes apply everywhere so the
-            // copies stay byte-identical (the result is the same on each).
-            StmtRoute::Replicated { write: false } => self.exec_on(0, id, params),
-            StmtRoute::Replicated { write: true } => {
-                let mut out = None;
-                for s in 0..self.shards() {
-                    out = Some(self.exec_on(s, id, params)?);
-                }
-                Ok(out.expect("at least one shard"))
-            }
-            StmtRoute::Scatter {
-                mergeable: false, ..
-            } => Err(DbError::Schema(
-                "cross-shard ordered/aggregate scan is not routable; \
-                 add a shard-key equality predicate"
-                    .into(),
-            )),
-            StmtRoute::Scatter { .. } => self.exec_scatter(id, params),
-            StmtRoute::Unroutable { reason } => Err(DbError::Schema(reason.into())),
-        }
-    }
-
-    /// Coordinators hold no engines; per-shard counters (including the
-    /// 2PC prepare/prepare-abort counts) are read off the engines at
-    /// shutdown instead.
-    fn db_stats(&self) -> EngineStats {
-        EngineStats::default()
-    }
-}
-
-/// Poll budget of one cross-shard job; a session still running past it
-/// is abandoned with an error result.
-const STEP_BUDGET: u64 = 100_000_000;
-
-/// One coordinator thread: warm a private statement table and a
-/// one-session [`Dispatcher`] over the [`Coord`] façade, drop `warm` to
-/// say so, then serve cross-shard jobs from the shared queue until the
-/// server drops it.
-/// The dispatcher runs each job's session exactly as a shard worker
-/// runs a local one, wait-die restarts with the age retained included.
-/// A panic inside a job is contained: the job's branches are aborted,
-/// the dispatcher is rebuilt (its sites re-prepare from the statement
-/// table, with no rpc), and the transaction reports an error result
-/// instead of wedging the server.
-fn coordinator(
-    part: Arc<CompiledPartition>,
-    dcfg: DispatcherConfig,
-    jobs: Arc<Mutex<Receiver<CoordJob>>>,
-    mut coord: Coord,
-    done: Results,
-    warm: Sender<()>,
-) -> CoordStats {
-    // Cross-shard reads must lock — per-shard snapshots taken at
-    // different instants are not one consistent cut (module docs).
-    let cfg = DispatcherConfig {
-        max_sessions: 1,
-        snapshot_reads: false,
-        ..dcfg
-    };
-    let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut coord, cfg);
-    drop(warm); // every statement site is prepared on every shard
-    loop {
-        // Holding the queue lock across `recv` serializes job *pickup*
-        // (one coordinator waits at a time); execution still overlaps.
-        let job = match jobs.lock().unwrap_or_else(PoisonError::into_inner).recv() {
-            Ok(j) => j,
-            Err(_) => break, // server dropped the sender: shutdown
-        };
-        coord.stats.jobs += 1;
-        coord.hold = job.hold;
-        coord.hold_prepare = job.hold_prepare;
-        coord.last_participants = 0;
-        let (entry, label, tag) = (job.req.entry, job.req.label, job.tag);
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            run_to_retirement(&mut disp, &mut coord, job.req, tag)
-        }))
-        .unwrap_or(Err("cross-shard coordinator panicked; transaction aborted"));
-        let mut d = match ran {
-            Ok(d) => d,
-            Err(why) => {
-                // The abandoned session goes with its dispatcher.
-                disp = Dispatcher::new(Deployment::Fixed(&part), &mut coord, cfg);
-                TxnDone::failed(tag, entry, label, why.into())
-            }
-        };
-        // Leak-check: a session that died without reaching commit/abort
-        // (step budget, panic) must not leave branches holding row locks.
-        let _ = coord.abort_branches();
-        d.participants = coord.last_participants;
-        coord.hold = None;
-        coord.hold_prepare = None;
-        let _ = done.send((COORD, Report::Done(d)));
-    }
-    coord.stats
-}
-
-/// Submit `req` to the coordinator's idle one-session dispatcher and
-/// poll until it retires, or `Err` once [`STEP_BUDGET`] polls pass.
-/// After each wait-die restart the thread pauses 50µs of real time:
-/// the older lock holder that killed the session runs on another
-/// thread, and the pause lets it finish before the retry (the retained
-/// age guarantees progress regardless).
-fn run_to_retirement(
-    disp: &mut Dispatcher<'_>,
-    coord: &mut Coord,
-    req: TxnRequest,
-    tag: u64,
-) -> Result<TxnDone, &'static str> {
-    disp.submit(0, req, tag);
-    let mut restarts = disp.stats().deadlock_restarts;
-    for _ in 0..STEP_BUDGET {
-        match disp.poll(coord, &mut InstantEnv) {
-            Polled::Done(d) => return Ok(d),
-            Polled::Progress => {}
-            Polled::Idle => unreachable!("a live session always has a pending event"),
-        }
-        let seen = disp.stats().deadlock_restarts;
-        if seen > restarts {
-            restarts = seen;
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
-    Err("cross-shard session exceeded its step budget")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::Decisions;
-
-    #[test]
-    fn absent_gtid_is_presumed_abort() {
-        let dec = Decisions::default();
-        assert!(!dec.resolve(7), "no entry: abort");
-        assert_eq!(dec.len(), 0, "the verdict writes nothing");
-        dec.settle(7, 1); // settling nothing is a no-op
-        assert_eq!(dec.len(), 0);
-    }
-
-    #[test]
-    fn a_veto_forgets_the_gtid() {
-        let dec = Decisions::default();
-        dec.open(7);
-        assert_eq!(dec.len(), 1);
-        dec.forget(7);
-        assert_eq!(dec.len(), 0);
-        assert!(!dec.resolve(7), "forgotten: presumed abort");
-    }
-
-    #[test]
-    fn heal_during_voting_vetoes_the_decision() {
-        let dec = Decisions::default();
-        dec.open(7);
-        assert!(!dec.resolve(7), "a voting gtid resolves as abort");
-        assert!(!dec.resolve(7), "and stays aborted");
-        assert!(!dec.decide(7, 2), "the coordinator finds the veto");
-        assert_eq!(dec.len(), 0, "the vetoed entry is gone");
-    }
-
-    #[test]
-    fn heal_after_the_decision_resolves_commit() {
-        let dec = Decisions::default();
-        dec.open(7);
-        assert!(dec.decide(7, 2));
-        assert!(dec.resolve(7), "a decided gtid resolves as commit");
-        dec.settle(7, 1); // the healed leg
-        assert_eq!(dec.len(), 1, "one leg still unsettled");
-    }
-
-    #[test]
-    fn settling_the_last_leg_removes_the_entry() {
-        let dec = Decisions::default();
-        dec.open(7);
-        dec.open(8);
-        assert!(dec.decide(7, 3));
-        dec.settle(7, 2);
-        assert_eq!(dec.len(), 2);
-        dec.settle(7, 1);
-        assert_eq!(dec.len(), 1, "gtid 7 settled; 8 is still voting");
-        assert!(!dec.resolve(7), "a settled gtid is absent again");
     }
 }
