@@ -467,16 +467,10 @@ impl Engine {
 
     // ---- durability (see `crate::wal` for the full protocol) ----
 
-    /// Attach a write-ahead log: every commit appends a redo record (and,
-    /// per the log's group-commit policy, flushes) before the commit
-    /// becomes visible. Builder form of [`Engine::set_wal`].
-    pub fn with_wal(mut self, wal: Wal) -> Engine {
-        self.set_wal(wal);
-        self
-    }
-
-    /// Attach (or replace) the write-ahead log. Replacing a degraded log
-    /// with a healthy one brings the engine out of degraded mode.
+    /// Attach (or replace) the write-ahead log: every commit appends a
+    /// redo record (and, per the log's group-commit policy, flushes)
+    /// before the commit becomes visible. Replacing a degraded log with a
+    /// healthy one brings the engine out of degraded mode.
     pub fn set_wal(&mut self, wal: Wal) {
         self.wal = Some(wal);
     }
@@ -1017,6 +1011,12 @@ impl Engine {
         Ok((cost::TXN_END, woken))
     }
 
+    /// Whether `txn` is open and has voted yes ([`Engine::prepare_commit`]):
+    /// its outcome belongs to the coordinator.
+    pub fn is_prepared(&self, txn: TxnId) -> bool {
+        self.txns.get(&txn).is_some_and(|t| t.prepared)
+    }
+
     /// Two-phase-commit **prepare**: promise that [`Engine::commit`] on
     /// this transaction will succeed barring a durability failure. The
     /// transaction's locks stay held and its undo log is retained, but no
@@ -1494,22 +1494,7 @@ impl Engine {
             return Err(DbError::UnknownTxn);
         }
         self.stats.statements += 1;
-        let stmt = match self.parse_cache.get(sql) {
-            Some(s) => s.clone(),
-            None => {
-                let s = sqlparse::parse(sql).map_err(DbError::Parse)?;
-                if self.parse_cache.len() >= PARSE_CACHE_CAP {
-                    // FIFO eviction: drop the oldest cached shape.
-                    if let Some(evict) = self.parse_order.pop_front() {
-                        self.parse_cache.remove(&evict);
-                        self.stats.parse_evictions += 1;
-                    }
-                }
-                self.parse_order.push_back(sql.to_string());
-                self.parse_cache.insert(sql.to_string(), s.clone());
-                s
-            }
-        };
+        let stmt = self.parse_adhoc(sql)?;
         let needed = sqlparse::param_count(&stmt);
         if params.len() < needed {
             return Err(DbError::Schema(format!(
@@ -1524,6 +1509,34 @@ impl Engine {
         let res = prepared::resolve_plan(&stmt, &self.tables, &self.by_name)
             .and_then(|plan| self.execute_plan(txn, &plan, params));
         self.finish_stmt(txn, res)
+    }
+
+    /// How ad-hoc SQL routes across engine shards: the
+    /// [`Engine::prepared_route`] of text parsed through the ad-hoc parse
+    /// cache, planned without registering a prepared statement.
+    pub fn route(&mut self, sql: &str) -> Result<prepared::StmtRoute, DbError> {
+        let stmt = self.parse_adhoc(sql)?;
+        let plan = prepared::resolve_plan(&stmt, &self.tables, &self.by_name)?;
+        Ok(prepared::route_of(&plan, &self.tables))
+    }
+
+    /// Parse ad-hoc SQL through the parse cache (FIFO-capped at
+    /// [`PARSE_CACHE_CAP`]).
+    fn parse_adhoc(&mut self, sql: &str) -> Result<SqlStmt, DbError> {
+        if let Some(s) = self.parse_cache.get(sql) {
+            return Ok(s.clone());
+        }
+        let s = sqlparse::parse(sql).map_err(DbError::Parse)?;
+        if self.parse_cache.len() >= PARSE_CACHE_CAP {
+            // FIFO eviction: drop the oldest cached shape.
+            if let Some(evict) = self.parse_order.pop_front() {
+                self.parse_cache.remove(&evict);
+                self.stats.parse_evictions += 1;
+            }
+        }
+        self.parse_order.push_back(sql.to_string());
+        self.parse_cache.insert(sql.to_string(), s.clone());
+        Ok(s)
     }
 
     /// One-shot autocommit helper (tests, loaders).

@@ -60,7 +60,7 @@
 //!
 //! # Durability guarantees
 //!
-//! An engine with a write-ahead log attached ([`Engine::with_wal`])
+//! An engine with a write-ahead log attached ([`Engine::set_wal`])
 //! promises: **a transaction acknowledged as committed survives a crash;
 //! a transaction that does not reach the log never becomes visible.**
 //! Mechanically ([`wal`] has the full protocol and record format):

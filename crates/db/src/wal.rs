@@ -492,26 +492,6 @@ impl FileSink {
         })
     }
 
-    /// Reopen an existing log for appending after recovery, truncating it
-    /// to `valid_len` first so a torn tail is physically removed and
-    /// post-recovery appends never follow garbage.
-    pub fn continue_at(
-        path: impl AsRef<std::path::Path>,
-        valid_len: u64,
-    ) -> std::io::Result<FileSink> {
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)?;
-        file.set_len(valid_len)?;
-        file.seek(std::io::SeekFrom::End(0))?;
-        Ok(FileSink {
-            file,
-            len: valid_len,
-            synced: valid_len,
-        })
-    }
-
     /// Read a log file fully into memory (the input to
     /// [`crate::Engine::recover`]).
     pub fn read_log(path: impl AsRef<std::path::Path>) -> std::io::Result<Vec<u8>> {
@@ -1032,7 +1012,7 @@ pub struct RecoveryReport {
     /// Commit timestamp of the last replayed record (the recovered
     /// engine's commit counter).
     pub last_ts: u64,
-    /// Bytes of valid records (pass this to [`FileSink::continue_at`]).
+    /// Bytes of valid records: the log's length without its torn tail.
     pub valid_len: u64,
     /// Torn-tail bytes dropped after the last complete record.
     pub truncated_bytes: u64,

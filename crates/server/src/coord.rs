@@ -1,25 +1,20 @@
-//! The cross-shard coordinator: the one place a cross-shard outcome is
-//! decided.
-//!
-//! A cross-shard request (`route == None`) runs on a coordinator thread
-//! ([`coordinator`]): a one-session [`crate::Dispatcher`] over [`Coord`],
-//! a [`Database`] façade that speaks the remote-op protocol
-//! ([`RemoteOp`]) to the shard workers through the shared link table
-//! ([`ShardLink`]). `Coord::commit_2pc` runs presumed-abort 2PC over the
-//! shards the transaction touched and records each decision in the
-//! pool's registry ([`Decisions`]), which a heal consults to settle the
-//! in-doubt branches of a dead participant. See the [`crate::shard`]
-//! module docs for the protocol and its failure model.
+//! The cross-shard coordinator, the only code that decides a cross-shard
+//! outcome. A coordinator thread ([`coordinator`]) runs a one-session
+//! [`crate::Dispatcher`] over [`Coord`], a [`Database`] façade speaking
+//! the remote-op protocol ([`RemoteOp`]) to the shard workers, and
+//! records each 2PC decision in the [`Decisions`] registry a heal reads.
+//! The [`crate::shard`] module docs describe the protocol.
 
 use crate::dispatch::{Deployment, Dispatcher, DispatcherConfig, Polled, TxnDone};
 use crate::env::InstantEnv;
 use crate::shard::{Msg, Report, Results, COORD};
 use crate::workload::TxnRequest;
 use pyx_db::{
-    shard_of, Database, DbError, EngineStats, PreparedId, QueryResult, Scalar, StmtRoute, TxnId,
+    shard_of, Database, DbError, Engine, EngineStats, PreparedId, QueryResult, Scalar, StmtRoute,
+    TxnId,
 };
 use pyx_pyxil::CompiledPartition;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -34,11 +29,10 @@ pub(crate) enum RemoteOp {
         sql: String,
         reply: Sender<RemoteReply>,
     },
-    /// Resolve a prepared statement's shard route (sent to shard 0;
-    /// every shard holds the same schema so any shard's answer is the
-    /// cluster's).
+    /// Resolve a statement's shard route (sent to shard 0; every shard
+    /// holds the same schema so any shard's answer is the cluster's).
     Route {
-        pid: PreparedId,
+        stmt: Stmt,
         reply: Sender<RemoteReply>,
     },
     /// Open a branch: a local read-write transaction under the
@@ -52,7 +46,7 @@ pub(crate) enum RemoteOp {
     /// lock frees or wait-die kills it.
     Exec {
         txn: TxnId,
-        pid: PreparedId,
+        stmt: Stmt,
         params: Vec<Scalar>,
         reply: Sender<RemoteReply>,
     },
@@ -81,6 +75,35 @@ pub(crate) enum RemoteOp {
 
 pub(crate) type RemoteReply = Result<RemoteOk, DbError>;
 
+/// A statement as a coordinator names it to one shard: a constant site's
+/// id in that shard's registry (stable across incarnations, see
+/// [`StmtTable`]), or dynamic SQL as text for the engine's ad-hoc path.
+pub(crate) enum Stmt {
+    Prepared(PreparedId),
+    Text(String),
+}
+
+impl Stmt {
+    pub(crate) fn route(&self, engine: &mut Engine) -> Result<StmtRoute, DbError> {
+        match self {
+            Stmt::Prepared(pid) => engine.prepared_route(*pid),
+            Stmt::Text(sql) => engine.route(sql),
+        }
+    }
+
+    pub(crate) fn execute(
+        &self,
+        engine: &mut Engine,
+        txn: TxnId,
+        params: &[Scalar],
+    ) -> Result<QueryResult, DbError> {
+        match self {
+            Stmt::Prepared(pid) => engine.execute_prepared(txn, *pid, params),
+            Stmt::Text(sql) => engine.execute(txn, sql, params),
+        }
+    }
+}
+
 pub(crate) enum RemoteOk {
     Began(TxnId),
     Prepared(PreparedId),
@@ -89,22 +112,33 @@ pub(crate) enum RemoteOk {
     Done,
 }
 
-/// Test hook plumbing: pause the next cross-shard transaction at an
-/// instrumented point of the commit protocol. `held_tx` fires when the
-/// transaction is parked there; it resumes when `release_rx` yields.
+/// Where [`crate::ShardedServer::hold_next_multi`] parks the next
+/// cross-shard transaction (test instrumentation).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HoldPoint {
+    /// Right after the first participant's durable prepare ack, with
+    /// the other votes out: where a prepared participant's death races
+    /// the decision, and a heal must veto the still-voting coordinator.
+    Vote,
+    /// Between the commit decision and the commit fan-out.
+    Commit,
+}
+
+/// Test hook plumbing: pause one cross-shard transaction at `at`.
+/// `held_tx` fires when the transaction is parked there; it resumes when
+/// `release_rx` yields (or its sender drops).
 pub(crate) struct HoldHook {
+    pub(crate) at: HoldPoint,
     pub(crate) held_tx: Sender<()>,
     pub(crate) release_rx: Receiver<()>,
 }
 
-/// One queued cross-shard transaction. `hold` parks it between the
-/// commit decision and the commit fan-out; `hold_prepare` parks it
-/// mid-vote, right after the first participant's prepare ack.
+/// One queued cross-shard transaction, with the hold hook armed for it.
 pub(crate) struct CoordJob {
     pub(crate) req: TxnRequest,
     pub(crate) tag: u64,
     pub(crate) hold: Option<HoldHook>,
-    pub(crate) hold_prepare: Option<HoldHook>,
 }
 
 /// Counters a coordinator thread reports at shutdown.
@@ -177,12 +211,13 @@ enum GtidState {
 /// committed and synced). Entries exist only from prepare fan-out to
 /// the last participant's settlement, so the map stays bounded by the
 /// in-flight cross-shard transaction count plus any legs awaiting a
-/// heal. (One documented residue: a commit leg that fails on a *live*
-/// worker — a durability fault, not a death — never settles its
-/// count; such entries are retained deliberately, since dropping them
-/// could turn a later recovery of that shard into a lost commit.)
+/// heal. An unsettled leg's shard may hold the vote without the
+/// decision in its durable log: it died, crash-stopped because it could
+/// not log the decision, or applied the decision but failed to sync it.
+/// Its entry stays, since a later recovery of that log needs it.
 ///
-/// Each transition is one method under one lock acquisition.
+/// Only coordinators decide; a heal reads the outcome, or vetoes a gtid
+/// still voting. Each transition is one method under one lock.
 #[derive(Clone, Default)]
 pub(crate) struct Decisions(Arc<Mutex<HashMap<u64, GtidState>>>);
 
@@ -220,7 +255,7 @@ impl Decisions {
     /// resolved at a heal), so the registry cannot grow without bound
     /// under worker churn, while a leg that may still be in doubt
     /// somewhere keeps its commit entry.
-    pub(crate) fn settle(&self, gtid: u64, legs: u32) {
+    fn settle(&self, gtid: u64, legs: u32) {
         let mut dec = self.lock();
         if let Some(GtidState::Commit { outstanding }) = dec.get_mut(&gtid) {
             *outstanding = outstanding.saturating_sub(legs);
@@ -234,7 +269,7 @@ impl Decisions {
     /// commit only if the gtid was decided commit. A gtid still voting
     /// is vetoed — the abort is written into its entry, atomically with
     /// the coordinator's [`Decisions::decide`].
-    pub(crate) fn resolve(&self, gtid: u64) -> bool {
+    fn resolve(&self, gtid: u64) -> bool {
         let mut dec = self.lock();
         match dec.get(&gtid) {
             Some(GtidState::Commit { .. }) => true,
@@ -244,6 +279,29 @@ impl Decisions {
             }
             Some(GtidState::Abort) | None => false,
         }
+    }
+
+    /// Settle every in-doubt branch a healed shard's `engine` recovered
+    /// with [`Decisions::resolve`]'s verdict: a gtid still voting is
+    /// presumed abort and vetoed, so its coordinator aborts the
+    /// survivors when its votes complete instead of committing. A branch
+    /// committed here settles its leg. Returns how many branches were in
+    /// doubt, committed and aborted.
+    pub(crate) fn settle_in_doubt(&self, engine: &mut Engine) -> (u64, u64, u64) {
+        let gtids = engine.in_doubt_gtids();
+        let (mut committed, mut aborted) = (0, 0);
+        for &gtid in &gtids {
+            let commit = self.resolve(gtid);
+            if engine.resolve_prepared(gtid, commit).is_ok() {
+                if commit {
+                    committed += 1;
+                    self.settle(gtid, 1);
+                } else {
+                    aborted += 1;
+                }
+            }
+        }
+        (gtids.len() as u64, committed, aborted)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -259,88 +317,37 @@ const VIRTUAL_BIT: u64 = 1 << 63;
 
 // ---- the coordinator's statement table ----
 
-/// One cross-shard statement: its prepared handle on every shard and the
+/// One constant-SQL site: its prepared handle on every shard and the
 /// (lazily resolved) shard route.
 struct CoordStmt {
     per_shard: Vec<PreparedId>,
     route: Option<StmtRoute>,
 }
 
-/// Cap on statements registered through the *ad-hoc*
-/// [`Database::execute`] path (dynamic SQL). Mirrors the engine's own
-/// ad-hoc parse-cache cap: a cross-shard transaction computing SQL with
-/// inline literals must not grow the statement table without bound.
-/// Evicted slots are recycled; the shard engines dedup repeated text in
-/// their prepared registries, so re-encounters re-use the engine-side
-/// plans. (Constant-SQL sites registered by `Session::prepare_sites`
-/// via [`Database::prepare`] are never evicted — sessions hold their
-/// ids across transactions.)
-const ADHOC_CAP: usize = 256;
-
-/// The cross-shard statement table: statements indexed by coordinator
-/// [`PreparedId`]s, deduped by SQL text, with FIFO eviction for the
-/// ad-hoc entries. One per coordinator thread.
+/// The coordinator's constant-SQL sites, indexed by coordinator
+/// [`PreparedId`]s and deduped by text. Only [`Database::prepare`] adds
+/// to it, once per site when the coordinator's dispatcher is built, so
+/// it never grows while serving; dynamic SQL travels as text instead
+/// ([`Stmt::Text`]). One per coordinator thread.
+///
+/// A site's per-shard ids outlive the shard's incarnation: before it
+/// serves a remote op, every incarnation's worker builds its dispatcher,
+/// which prepares the partition's constant sites in program order on an
+/// engine whose registry holds nothing else (a loaded or recovered
+/// engine, or a replica whose own worker did the same), so each site gets
+/// the same id again.
 #[derive(Default)]
 struct StmtTable {
-    stmts: Vec<Option<CoordStmt>>,
+    stmts: Vec<CoordStmt>,
     by_sql: HashMap<String, PreparedId>,
-    /// FIFO of ad-hoc (evictable) statements; see [`ADHOC_CAP`].
-    adhoc_order: VecDeque<(String, PreparedId)>,
-    /// Evicted statement slots awaiting reuse.
-    free_slots: Vec<PreparedId>,
 }
 
-impl StmtTable {
-    fn lookup(&self, sql: &str) -> Option<PreparedId> {
-        self.by_sql.get(sql).copied()
-    }
-
-    fn stmt(&self, id: PreparedId) -> &CoordStmt {
-        self.stmts[id.0 as usize]
-            .as_ref()
-            .expect("live cross-shard statement")
-    }
-
-    fn set_route(&mut self, id: PreparedId, route: StmtRoute) {
-        self.stmts[id.0 as usize]
-            .as_mut()
-            .expect("live cross-shard statement")
-            .route = Some(route);
-    }
-
-    /// Register a statement, taking a recycled slot if one is free.
-    /// `adhoc` entries join the FIFO and are evicted over the cap.
-    fn insert(&mut self, sql: &str, stmt: CoordStmt, adhoc: bool) -> PreparedId {
-        let id = match self.free_slots.pop() {
-            Some(id) => {
-                self.stmts[id.0 as usize] = Some(stmt);
-                id
-            }
-            None => {
-                let id = PreparedId(self.stmts.len() as u32);
-                self.stmts.push(Some(stmt));
-                id
-            }
-        };
-        self.by_sql.insert(sql.to_string(), id);
-        if adhoc {
-            self.adhoc_order.push_back((sql.to_string(), id));
-            self.evict_adhoc();
-        }
-        id
-    }
-
-    /// FIFO-evict the oldest ad-hoc statement once over the cap.
-    fn evict_adhoc(&mut self) {
-        if self.adhoc_order.len() <= ADHOC_CAP {
-            return;
-        }
-        if let Some((sql, id)) = self.adhoc_order.pop_front() {
-            self.by_sql.remove(&sql);
-            self.stmts[id.0 as usize] = None;
-            self.free_slots.push(id);
-        }
-    }
+/// A statement as a coordinator's session names it: a constant site, or
+/// dynamic SQL text.
+#[derive(Clone, Copy)]
+enum Sql<'a> {
+    Site(PreparedId),
+    Text(&'a str),
 }
 
 // ---- the 2PC coordinator ----
@@ -369,7 +376,6 @@ pub(crate) struct Coord {
     /// Participant count of the most recently closed transaction.
     last_participants: u32,
     hold: Option<HoldHook>,
-    hold_prepare: Option<HoldHook>,
     stats: CoordStats,
 }
 
@@ -386,7 +392,6 @@ impl Coord {
             touched: 0,
             last_participants: 0,
             hold: None,
-            hold_prepare: None,
             stats: CoordStats::default(),
         }
     }
@@ -450,17 +455,25 @@ impl Coord {
         }
     }
 
+    /// `sql` as shard `s` names it.
+    fn on_shard(&self, sql: Sql<'_>, s: usize) -> Stmt {
+        match sql {
+            Sql::Site(id) => Stmt::Prepared(self.table.stmts[id.0 as usize].per_shard[s]),
+            Sql::Text(text) => Stmt::Text(text.to_string()),
+        }
+    }
+
     fn exec_on(
         &mut self,
         s: usize,
-        id: PreparedId,
+        sql: Sql<'_>,
         params: &[Scalar],
     ) -> Result<QueryResult, DbError> {
         let txn = self.branch(s)?;
-        let pid = self.table.stmt(id).per_shard[s];
+        let stmt = self.on_shard(sql, s);
         match self.rpc(s, |reply| RemoteOp::Exec {
             txn,
-            pid,
+            stmt,
             params: params.to_vec(),
             reply,
         })? {
@@ -469,41 +482,60 @@ impl Coord {
         }
     }
 
-    fn route_of(&mut self, id: PreparedId) -> Result<StmtRoute, DbError> {
-        if let Some(r) = &self.table.stmt(id).route {
-            return Ok(r.clone());
+    /// The statement's shard route, asked of shard 0. A site's route is
+    /// cached; dynamic SQL is routed afresh on every execution.
+    fn route_of(&mut self, sql: Sql<'_>) -> Result<StmtRoute, DbError> {
+        if let Sql::Site(id) = sql {
+            if let Some(r) = &self.table.stmts[id.0 as usize].route {
+                return Ok(r.clone());
+            }
         }
-        let pid0 = self.table.stmt(id).per_shard[0];
-        let r = match self.rpc(0, |reply| RemoteOp::Route { pid: pid0, reply })? {
+        let stmt = self.on_shard(sql, 0);
+        let r = match self.rpc(0, |reply| RemoteOp::Route { stmt, reply })? {
             RemoteOk::Route(r) => r,
             _ => unreachable!("Route replies Route"),
         };
-        self.table.set_route(id, r.clone());
+        if let Sql::Site(id) = sql {
+            self.table.stmts[id.0 as usize].route = Some(r.clone());
+        }
         Ok(r)
     }
 
-    fn prepare_inner(&mut self, sql: &str, adhoc: bool) -> Result<PreparedId, DbError> {
-        if let Some(id) = self.table.lookup(sql) {
-            return Ok(id);
-        }
-        let mut per_shard = Vec::with_capacity(self.shards());
-        for s in 0..self.shards() {
-            match self.rpc(s, |reply| RemoteOp::PrepareSql {
-                sql: sql.to_string(),
-                reply,
-            })? {
-                RemoteOk::Prepared(pid) => per_shard.push(pid),
-                _ => unreachable!("PrepareSql replies Prepared"),
+    /// Route `sql` and run it on the shards its route names.
+    fn run(&mut self, sql: Sql<'_>, params: &[Scalar]) -> Result<QueryResult, DbError> {
+        match self.route_of(sql)? {
+            StmtRoute::ByParam { param } => {
+                let key = params
+                    .get(param)
+                    .ok_or_else(|| DbError::Schema(format!("routing parameter {param} missing")))?;
+                let s = shard_of(key, self.shards());
+                self.exec_on(s, sql, params)
             }
+            StmtRoute::ByLit(lit) => {
+                let s = shard_of(&lit, self.shards());
+                self.exec_on(s, sql, params)
+            }
+            // Replicated reads may use any replica; shard 0 keeps runs
+            // deterministic. Replicated writes apply everywhere so the
+            // copies stay byte-identical (the result is the same on each).
+            StmtRoute::Replicated { write: false } => self.exec_on(0, sql, params),
+            StmtRoute::Replicated { write: true } => {
+                let mut out = None;
+                for s in 0..self.shards() {
+                    out = Some(self.exec_on(s, sql, params)?);
+                }
+                Ok(out.expect("at least one shard"))
+            }
+            StmtRoute::Scatter {
+                mergeable: false, ..
+            } => Err(DbError::Schema(
+                "cross-shard ordered/aggregate scan is not routable; \
+                 add a shard-key equality predicate"
+                    .into(),
+            )),
+            StmtRoute::Scatter { .. } => self.exec_scatter(sql, params),
+            StmtRoute::Unroutable { reason } => Err(DbError::Schema(reason.into())),
         }
-        Ok(self.table.insert(
-            sql,
-            CoordStmt {
-                per_shard,
-                route: None,
-            },
-            adhoc,
-        ))
     }
 
     /// Run on every shard and merge: result rows concatenate in shard
@@ -519,10 +551,10 @@ impl Coord {
     /// which the router then refuses to scatter
     /// ([`StmtRoute::Scatter`]`::mergeable == false`) rather than merge
     /// wrongly.
-    fn exec_scatter(&mut self, id: PreparedId, params: &[Scalar]) -> Result<QueryResult, DbError> {
+    fn exec_scatter(&mut self, sql: Sql<'_>, params: &[Scalar]) -> Result<QueryResult, DbError> {
         let mut merged: Option<QueryResult> = None;
         for s in 0..self.shards() {
-            let r = self.exec_on(s, id, params)?;
+            let r = self.exec_on(s, sql, params)?;
             match &mut merged {
                 None => merged = Some(r),
                 Some(m) => {
@@ -535,22 +567,10 @@ impl Coord {
         Ok(merged.expect("at least one shard"))
     }
 
-    /// Pause here if a hold hook is armed (test instrumentation: the
-    /// point between the commit decision and the commit fan-out).
-    fn fire_hold(&mut self) {
-        if let Some(h) = self.hold.take() {
-            let _ = h.held_tx.send(());
-            let _ = h.release_rx.recv();
-        }
-    }
-
-    /// Pause here if a mid-vote hold hook is armed (test
-    /// instrumentation: the point right after the first participant's
-    /// durable prepare ack, while the remaining votes are still being
-    /// collected — the window where a prepared participant's death
-    /// races the commit decision).
-    fn fire_hold_prepare(&mut self) {
-        if let Some(h) = self.hold_prepare.take() {
+    /// Park here if this job's hold hook is armed for `at` (test
+    /// instrumentation; see [`HoldPoint`]).
+    fn hold(&mut self, at: HoldPoint) {
+        if let Some(h) = self.hold.take_if(|h| h.at == at) {
             let _ = h.held_tx.send(());
             let _ = h.release_rx.recv();
         }
@@ -584,10 +604,6 @@ impl Coord {
             .filter_map(|(s, t)| t.map(|t| (s, t)))
             .collect();
         self.last_participants = parts.len() as u32;
-        if parts.is_empty() {
-            self.fire_hold();
-            return Ok((0, Vec::new()));
-        }
         let multi = parts.len() >= 2;
         if multi {
             let gtid = self.age;
@@ -609,7 +625,7 @@ impl Coord {
                     })
                     .map(|_| ());
                 if i == 0 && vote.is_ok() {
-                    self.fire_hold_prepare();
+                    self.hold(HoldPoint::Vote);
                 }
                 if let Err(e) = vote {
                     // Presumed abort: one veto rolls back every branch
@@ -641,17 +657,18 @@ impl Coord {
                 ));
             }
         }
-        self.fire_hold();
-        // Commit phase: past this point the transaction is decided; a
-        // participant failure here (durability fault, worker death) is
-        // reported loudly as the transaction's error — and with
-        // self-healing, the decision registry entry retained for the
-        // unsettled legs lets the dead participant's recovery complete
-        // the commit instead of leaving a partial one.
+        // Decided: clear the branch table, so no abort — the session's
+        // or the job's leak-check — can reach a branch from here on.
+        self.branches.fill(None);
+        self.hold(HoldPoint::Commit);
+        // Commit phase: a participant failure here (worker death, or a
+        // participant that could not log the decision and crash-stopped)
+        // is reported loudly as the transaction's error. The registry
+        // entry retained for the unsettled legs lets a heal of that
+        // participant complete the commit from its durable yes-vote.
         let mut first_err = None;
         let mut acked = 0u32;
         for &(s, t) in &parts {
-            self.branches[s] = None;
             match self.rpc(s, |reply| RemoteOp::Commit { txn: t, reply }) {
                 Ok(_) => acked += 1,
                 Err(e) => first_err = first_err.or(Some(e)),
@@ -707,23 +724,42 @@ impl Database for Coord {
         aborted.map(|()| (0, Vec::new()))
     }
 
-    /// Register on every shard. Handles from this path are durable —
-    /// sessions cache them in their prepared-site tables.
+    /// Register a constant-SQL site on every shard (see [`StmtTable`]).
+    /// Sessions cache the handle in their prepared-site tables.
     fn prepare(&mut self, sql: &str) -> Result<PreparedId, DbError> {
-        self.prepare_inner(sql, false)
+        if let Some(&id) = self.table.by_sql.get(sql) {
+            return Ok(id);
+        }
+        let mut per_shard = Vec::with_capacity(self.shards());
+        for s in 0..self.shards() {
+            match self.rpc(s, |reply| RemoteOp::PrepareSql {
+                sql: sql.to_string(),
+                reply,
+            })? {
+                RemoteOk::Prepared(pid) => per_shard.push(pid),
+                _ => unreachable!("PrepareSql replies Prepared"),
+            }
+        }
+        let id = PreparedId(self.table.stmts.len() as u32);
+        self.table.stmts.push(CoordStmt {
+            per_shard,
+            route: None,
+        });
+        self.table.by_sql.insert(sql.to_string(), id);
+        Ok(id)
     }
 
+    /// Dynamic SQL travels to the shards as text: shard 0 routes it and
+    /// each shard it routes to runs it through its engine's bounded
+    /// ad-hoc path. No statement id outlives the shard incarnation that
+    /// issued it, and no registry grows with dynamic SQL.
     fn execute(
         &mut self,
-        txn: TxnId,
+        _txn: TxnId,
         sql: &str,
         params: &[Scalar],
     ) -> Result<QueryResult, DbError> {
-        // Dynamic SQL funnels through the prepared path — same resolver,
-        // same routing, identical results by construction — with its
-        // entries FIFO-capped (see [`ADHOC_CAP`]).
-        let id = self.prepare_inner(sql, true)?;
-        Database::execute_prepared(self, txn, id, params)
+        self.run(Sql::Text(sql), params)
     }
 
     fn execute_prepared(
@@ -732,39 +768,7 @@ impl Database for Coord {
         id: PreparedId,
         params: &[Scalar],
     ) -> Result<QueryResult, DbError> {
-        match self.route_of(id)? {
-            StmtRoute::ByParam { param } => {
-                let key = params
-                    .get(param)
-                    .ok_or_else(|| DbError::Schema(format!("routing parameter {param} missing")))?;
-                let s = shard_of(key, self.shards());
-                self.exec_on(s, id, params)
-            }
-            StmtRoute::ByLit(lit) => {
-                let s = shard_of(&lit, self.shards());
-                self.exec_on(s, id, params)
-            }
-            // Replicated reads may use any replica; shard 0 keeps runs
-            // deterministic. Replicated writes apply everywhere so the
-            // copies stay byte-identical (the result is the same on each).
-            StmtRoute::Replicated { write: false } => self.exec_on(0, id, params),
-            StmtRoute::Replicated { write: true } => {
-                let mut out = None;
-                for s in 0..self.shards() {
-                    out = Some(self.exec_on(s, id, params)?);
-                }
-                Ok(out.expect("at least one shard"))
-            }
-            StmtRoute::Scatter {
-                mergeable: false, ..
-            } => Err(DbError::Schema(
-                "cross-shard ordered/aggregate scan is not routable; \
-                 add a shard-key equality predicate"
-                    .into(),
-            )),
-            StmtRoute::Scatter { .. } => self.exec_scatter(id, params),
-            StmtRoute::Unroutable { reason } => Err(DbError::Schema(reason.into())),
-        }
+        self.run(Sql::Site(id), params)
     }
 
     /// Coordinators hold no engines; per-shard counters (including the
@@ -815,7 +819,6 @@ pub(crate) fn coordinator(
         };
         coord.stats.jobs += 1;
         coord.hold = job.hold;
-        coord.hold_prepare = job.hold_prepare;
         coord.last_participants = 0;
         let (entry, label, tag) = (job.req.entry, job.req.label, job.tag);
         let ran = catch_unwind(AssertUnwindSafe(|| {
@@ -835,7 +838,6 @@ pub(crate) fn coordinator(
         let _ = coord.abort_branches();
         d.participants = coord.last_participants;
         coord.hold = None;
-        coord.hold_prepare = None;
         let _ = done.send((COORD, Report::Done(d)));
     }
     coord.stats

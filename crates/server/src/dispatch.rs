@@ -47,7 +47,8 @@ pub struct DispatcherConfig {
     /// Maximum queued requests beyond the cap; further submits are
     /// rejected (backpressure).
     pub queue_cap: usize,
-    /// Load-monitor poll period in nanoseconds (paper: 10 s).
+    /// Load-monitor poll period in nanoseconds (paper: 10 s). Only a
+    /// dynamic deployment polls.
     pub poll_interval_ns: u64,
     /// Run statically read-only entry fragments as MVCC snapshot
     /// transactions (lock-free, restart-free). Disabled for
@@ -195,7 +196,8 @@ pub enum Polled {
     Done(TxnDone),
     /// An internal event was processed.
     Progress,
-    /// No event was due (check [`Dispatcher::next_event_at`]).
+    /// No event was due (check [`Dispatcher::next_event_at`]): any live
+    /// session waits on a lock until a wake readies it.
     Idle,
 }
 
@@ -338,8 +340,10 @@ impl<'a> Dispatcher<'a> {
         self.seq += 1;
     }
 
+    /// Arm the next load-monitor poll. Only a dynamic deployment has a
+    /// monitor to feed; a lock wait ends on a wake, never on a poll.
     fn ensure_polling(&mut self, now: u64) {
-        if !self.poll_scheduled {
+        if !self.poll_scheduled && matches!(self.dep, Deployment::Dynamic { .. }) {
             self.poll_scheduled = true;
             self.push(now + self.cfg.poll_interval_ns, Ev::Poll);
         }
@@ -499,11 +503,6 @@ impl<'a> Dispatcher<'a> {
                         }
                     }
                 }
-                // Safety net against lost wake-ups: retry all blocked.
-                let retry: Vec<usize> = self.blocked.drain().map(|(_, sid)| sid).collect();
-                for sid in retry {
-                    self.push(now, Ev::Ready { sid });
-                }
                 if self.active > 0 || !self.queue.is_empty() {
                     self.ensure_polling(now);
                 }
@@ -517,8 +516,8 @@ impl<'a> Dispatcher<'a> {
     /// commit or abort just released. Wake-ups normally flow out of the
     /// local session that released the lock (`last_woken`); a 2PC branch
     /// releases locks outside any local session, so the shard worker
-    /// feeds that wake list in here. The periodic [`Ev::Poll`] retry of
-    /// all blocked sessions remains the safety net for anything missed.
+    /// feeds that wake list in here. These two are the only wakes: a
+    /// blocked session waits for one, and nothing retries it meanwhile.
     pub fn wake_txns(&mut self, woken: &[TxnId]) {
         for txn in woken {
             if let Some(sid) = self.blocked.remove(txn) {

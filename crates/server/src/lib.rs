@@ -52,7 +52,9 @@
 //!   on the workers over a remote-op protocol concurrently with
 //!   single-shard traffic, then runs prepare/commit across just those
 //!   participants. Coordinator ages come from one shared counter,
-//!   extending wait-die across shards. See [`shard`] for the protocol.
+//!   extending wait-die across shards. The coordinator lives in the
+//!   private `coord` module, the only code that decides a cross-shard
+//!   outcome; see [`shard`] for the protocol.
 //! * **Waiting and deaths:** an idle shard thread blocks on its request
 //!   channel; out-of-band work — a coordinator's remote op, or durable
 //!   log bytes a replica should tail — sends it a wake message. Results
@@ -113,6 +115,8 @@ pub mod net;
 pub mod shard;
 pub mod workload;
 
+#[doc(hidden)]
+pub use coord::HoldPoint;
 pub use dispatch::{
     Admit, Deployment, DispatchReport, Dispatcher, DispatcherConfig, DispatcherStats, Polled,
     SwitchRecord, TxnDone,

@@ -27,7 +27,8 @@
 //! # Cross-shard transactions: two-phase commit
 //!
 //! A cross-shard request (`route == None`) is handed to a small pool of
-//! **coordinator threads**. Each coordinator runs one
+//! **coordinator threads** (the `coord` module, the only code that
+//! decides a cross-shard outcome). Each coordinator runs one
 //! [`crate::Dispatcher`] with a single session slot over `Coord`, a
 //! [`Database`] façade that speaks a remote-op protocol to the shard
 //! workers, so a cross-shard session is scheduled, restarted and
@@ -38,8 +39,9 @@
 //!
 //! * **Participant selection** — each statement's shard route
 //!   ([`StmtRoute`], computed by `Engine::prepared_route` from the
-//!   statement plan) names the shard(s) owning its rows. The first
-//!   statement to touch shard *s* lazily opens a *branch*: a plain
+//!   statement plan, or by `Engine::route` for dynamic SQL, which travels
+//!   as text) names the shard(s) owning its rows. The first statement
+//!   to touch shard *s* lazily opens a *branch*: a plain
 //!   engine transaction on *s*, begun over the worker's remote-op
 //!   channel. The participant set is exactly the set of open branches.
 //! * **Statement execution** — the coordinator sends each statement to
@@ -61,16 +63,12 @@
 //! * **Commit + WAL acknowledgement point** — the coordinator fans
 //!   commit to the participants; each worker commits the branch and
 //!   syncs **its own shard's log** before acknowledging, so only
-//!   *participating* shards pay an fsync. A participant that *dies*
-//!   after its durable yes-vote is covered: its branch recovers
-//!   in-doubt and heal resolves it against the decision registry (see
-//!   *Self-healing* below). One hole remains: a participant whose log
-//!   sink fails after its yes-vote stays *alive*, its `Decide` append
-//!   fails, and `serve_remote`'s `Commit` arm then aborts a branch the
-//!   coordinator already decided to commit — the other participants
-//!   commit, this one does not. The error is reported loudly on the
-//!   transaction; closing the hole is the ROADMAP item "Close the
-//!   degraded-participant atomicity hole".
+//!   *participating* shards pay an fsync. Participants never decide, so
+//!   a decided branch never aborts. A participant that *dies* after its
+//!   durable yes-vote is covered: its branch recovers in-doubt and heal
+//!   resolves it against the decision registry (see *Self-healing*
+//!   below). One whose `Decide` append fails — its log failed after
+//!   the vote — crash-stops the same way rather than abort.
 //! * **Distributed wait-die** — coordinators draw transaction ages from
 //!   one shared counter, so every shard's `(age, txn)` lock order agrees
 //!   on every pair of distributed transactions. Along any would-be wait
@@ -165,9 +163,9 @@
 //!   the same way. The log, and the transaction-id floor the successor
 //!   must not reuse, come from the engine the dead thread handed back.
 //! * **In-doubt resolution**: recovered prepared branches re-hold their
-//!   exclusive locks; the supervisor settles each against the
+//!   exclusive locks; the supervisor settles them against the
 //!   coordinator pool's decision registry — a globally-unique gtid (the
-//!   transaction's wait-die age) maps to a [`crate::coord::GtidState`]: *voting* from
+//!   transaction's wait-die age) maps to a `GtidState`: *voting* from
 //!   before the prepare fan-out, *commit* once all yes-votes are in
 //!   (recorded before the commit fan-out begins). Absent gtid ⇒
 //!   **presumed abort**, safe because a cross-shard transaction is only
@@ -177,7 +175,11 @@
 //!   *voting* is presumed abort and the verdict is written into the
 //!   entry, so the coordinator — which may still collect the remaining
 //!   yes-votes — finds the veto and aborts the surviving branches
-//!   rather than committing a transaction one shard already aborted.
+//!   rather than committing a transaction one shard already aborted. A
+//!   participant that crash-stopped on a failed log is not healed:
+//!   [`pyx_db::Wal::discard_unsynced`] refuses a degraded log, so the
+//!   shard stays down (a [`HealFailure`]) with its vote in doubt and its
+//!   registry entry kept, until a replacement log exists.
 //! * **Availability**: the healed shard's new thread takes over the
 //!   shard's worker slot with fresh channels (coordinators reach it
 //!   through the shared link table) and the shard's horizon cell, and
@@ -198,8 +200,8 @@
 //! replicas keep answering reads.
 
 use crate::coord::{
-    coordinator, Coord, CoordJob, CoordStats, Decisions, HoldHook, RemoteOk, RemoteOp, ShardLink,
-    ShardLinks,
+    coordinator, Coord, CoordJob, CoordStats, Decisions, HoldHook, HoldPoint, RemoteOk, RemoteOp,
+    ShardLink, ShardLinks,
 };
 use crate::dispatch::{
     Admit, Deployment, Dispatcher, DispatcherConfig, DispatcherStats, Polled, TxnDone,
@@ -520,7 +522,6 @@ pub struct ShardedServer {
     job_tx: SyncSender<CoordJob>,
     coord_handles: Vec<JoinHandle<CoordStats>>,
     hold_next: Option<HoldHook>,
-    hold_next_prepare: Option<HoldHook>,
     multi_txns: u64,
     multi_participants: u64,
 }
@@ -567,7 +568,6 @@ impl ShardedServer {
             job_tx,
             coord_handles: Vec::new(),
             hold_next: None,
-            hold_next_prepare: None,
             multi_txns: 0,
             multi_participants: 0,
         };
@@ -884,40 +884,22 @@ impl ShardedServer {
         Waker(self.done_tx.clone())
     }
 
-    /// Test hook: pause the *next* submitted cross-shard transaction
-    /// between its prepare and commit phases. The returned receiver
-    /// yields once the transaction is parked there — prepared on every
-    /// participant, locks held, outcome pending — and it
-    /// resumes when the returned sender fires (or drops). Used to prove
-    /// that cross-shard transactions with disjoint shard sets commit
-    /// concurrently.
+    /// Test hook: pause the *next* submitted cross-shard transaction at
+    /// `at` (see [`HoldPoint`]). The returned receiver yields once the
+    /// transaction is parked there, and it resumes when the returned
+    /// sender fires (or drops). Used to prove that cross-shard
+    /// transactions with disjoint shard sets commit concurrently, and to
+    /// land faults inside the 2PC windows.
     #[doc(hidden)]
-    pub fn hold_next_multi_commit(&mut self) -> (Receiver<()>, Sender<()>) {
-        let (held_tx, held_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
+    pub fn hold_next_multi(&mut self, at: HoldPoint) -> (Receiver<()>, Sender<()>) {
+        let (held_tx, held) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
         self.hold_next = Some(HoldHook {
+            at,
             held_tx,
             release_rx,
         });
-        (held_rx, release_tx)
-    }
-
-    /// Test hook: pause the *next* submitted cross-shard transaction
-    /// **mid-vote** — right after its first participant acknowledged a
-    /// durable prepare, before the remaining prepare rpcs. This is the window where a prepared participant's death
-    /// races the coordinator's decision: the supervisor must presume
-    /// abort and veto the still-voting coordinator (see
-    /// [`GtidState::Voting`]). Same park/release contract as
-    /// [`ShardedServer::hold_next_multi_commit`].
-    #[doc(hidden)]
-    pub fn hold_next_multi_prepare(&mut self) -> (Receiver<()>, Sender<()>) {
-        let (held_tx, held_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
-        self.hold_next_prepare = Some(HoldHook {
-            held_tx,
-            release_rx,
-        });
-        (held_rx, release_tx)
+        (held, release)
     }
 
     /// Cross-shard transactions with a live decision-registry entry
@@ -968,13 +950,7 @@ impl ShardedServer {
             }
             None => {
                 let hold = self.hold_next.take();
-                let hold_prepare = self.hold_next_prepare.take();
-                match self.job_tx.try_send(CoordJob {
-                    req,
-                    tag,
-                    hold,
-                    hold_prepare,
-                }) {
+                match self.job_tx.try_send(CoordJob { req, tag, hold }) {
                     Ok(()) => {
                         self.in_flight += 1;
                         Admit::Started
@@ -1179,25 +1155,8 @@ impl ShardedServer {
             self.workers[s].thread = Some(Thread::Stopped(Box::new(dead)));
             return;
         };
-        // Settle in-doubt branches with the coordinator pool's decision
-        // registry. Each verdict is atomic with a coordinator's decision
-        // point: a gtid still *voting* is presumed abort AND vetoed, so
-        // the coordinator aborts the survivors when its votes complete
-        // instead of committing (see [`Decisions::resolve`]).
-        let gtids = engine.in_doubt_gtids();
-        let in_doubt = gtids.len() as u64;
-        let (mut resolved_commit, mut resolved_abort) = (0u64, 0u64);
-        for gtid in gtids {
-            let commit = self.decisions.resolve(gtid);
-            if engine.resolve_prepared(gtid, commit).is_ok() {
-                if commit {
-                    resolved_commit += 1;
-                    self.decisions.settle(gtid, 1);
-                } else {
-                    resolved_abort += 1;
-                }
-            }
-        }
+        let (in_doubt, resolved_commit, resolved_abort) =
+            self.decisions.settle_in_doubt(&mut engine);
         // Swap the healed shard in: a fresh thread and channels (the link
         // table points coordinators at them), same horizon cell.
         self.spawn(s, engine, None);
@@ -1456,8 +1415,8 @@ fn serve_remote(
             let _ = reply.send(engine.prepare(&sql).map(RemoteOk::Prepared));
             true
         }
-        RemoteOp::Route { pid, reply } => {
-            let _ = reply.send(engine.prepared_route(pid).map(RemoteOk::Route));
+        RemoteOp::Route { stmt, reply } => {
+            let _ = reply.send(stmt.route(engine).map(RemoteOk::Route));
             true
         }
         RemoteOp::Begin { age, reply } => {
@@ -1466,10 +1425,10 @@ fn serve_remote(
         }
         RemoteOp::Exec {
             txn,
-            pid,
+            stmt,
             params,
             reply,
-        } => match engine.execute_prepared(txn, pid, &params) {
+        } => match stmt.execute(engine, txn, &params) {
             Ok(r) => {
                 let _ = reply.send(Ok(RemoteOk::Rows(r)));
                 true
@@ -1480,7 +1439,7 @@ fn serve_remote(
             Err(DbError::WouldBlock) => {
                 parked.push(RemoteOp::Exec {
                     txn,
-                    pid,
+                    stmt,
                     params,
                     reply,
                 });
@@ -1508,9 +1467,13 @@ fn serve_remote(
                     // acknowledge the cross-shard commit.
                     engine.wal_sync().map(|()| RemoteOk::Done)
                 }
+                // Only the coordinator decides: a prepared branch whose
+                // decision cannot be logged crash-stops rather than abort,
+                // leaving its vote in doubt in the durable log.
+                Err(DbError::Durability(_)) if engine.is_prepared(txn) => crash(),
                 Err(e) => {
-                    // A failed commit leaves the transaction open (locks
-                    // held); abort to release them before reporting.
+                    // An unprepared branch's failed commit leaves it open
+                    // (locks held); abort to release them before reporting.
                     if let Ok((_, woken)) = engine.abort(txn) {
                         disp.wake_txns(&woken);
                     }
@@ -1616,10 +1579,10 @@ impl Role {
         true
     }
 
-    /// Wait for the next message once the dispatcher is idle; `None`
-    /// when the thread should loop instead. Both roles block: out-of-band
-    /// work — a coordinator's op, a published feed — sends a
-    /// [`Msg::Wake`].
+    /// Wait for the next message once the dispatcher is idle (nothing
+    /// runnable: any live session waits on a lock); `None` when the
+    /// thread should loop instead. Both roles block: out-of-band work —
+    /// a coordinator's op, a published feed — sends a [`Msg::Wake`].
     fn idle_wait(
         &mut self,
         engine: &mut Engine,
@@ -1630,10 +1593,11 @@ impl Role {
         // by the admission drain may stand for an op that arrived after
         // this iteration's pump (ops are sent before their nudge, so
         // seeing the nudge means the op is visible). Anything completed
-        // can have knock-on effects — loop. Parked ops are safe to sleep
-        // on: the dispatcher is idle, so their blocker is a remote branch
-        // whose coordinator will send the releasing commit/abort — with
-        // a Wake nudge.
+        // can have knock-on effects — loop. Parked ops and blocked local
+        // sessions are safe to sleep on: nothing local is runnable, so
+        // each waits, directly or through a blocked local session, on a
+        // remote branch whose coordinator will send the releasing
+        // commit/abort — with a Wake nudge.
         if let Role::Primary { remote, parked } = self {
             if remote_pump(engine, disp, remote, parked) {
                 return None;

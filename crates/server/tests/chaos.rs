@@ -23,7 +23,7 @@
 
 use pyx_db::{shard_of, Engine, FileSink, MemSink, Scalar};
 use pyx_pyxil::CompiledPartition;
-use pyx_server::{Admit, ShardedConfig, ShardedServer, TxnRequest, Workload};
+use pyx_server::{Admit, HoldPoint, ShardedConfig, ShardedServer, TxnRequest, Workload};
 use pyx_workloads::tpcc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -231,7 +231,7 @@ fn kill_anywhere_chaos_preserves_every_acked_commit() {
     // from the coordinator's decision registry. (Shard 1 is the victim:
     // coordinators discover uncached routes via shard 0.)
     let healed_before = srv.recoveries().len();
-    let (held, release) = srv.hold_next_multi_commit();
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
     let parked = TxnRequest {
         entry: transfer,
         args: vec![
@@ -359,7 +359,7 @@ fn mid_vote_participant_death_presumed_aborts_atomically() {
 
     // Park the transfer right after shard 0 acknowledged its durable
     // prepare, with shard 1's vote still out...
-    let (held, release) = srv.hold_next_multi_prepare();
+    let (held, release) = srv.hold_next_multi(HoldPoint::Vote);
     let mut tag = 0u64;
     let parked = TxnRequest {
         entry: transfer,

@@ -9,7 +9,9 @@ use pyx_partition::{Placement, Side};
 use pyx_pyxil::CompiledPartition;
 use pyx_runtime::monitor::LoadMonitor;
 use pyx_runtime::ArgVal;
-use pyx_server::{Admit, Deployment, Dispatcher, DispatcherConfig, Env, InstantEnv, TxnRequest};
+use pyx_server::{
+    Admit, Deployment, Dispatcher, DispatcherConfig, Env, InstantEnv, Polled, TxnRequest,
+};
 
 const SRC: &str = r#"
     class Txn {
@@ -465,4 +467,44 @@ fn unknown_entry_retires_with_an_error() {
         .find(|r| r[0] == Scalar::Int(1))
         .unwrap();
     assert_eq!(row[1], Scalar::Int(102), "both good bumps applied");
+}
+
+/// A session waiting on a lock leaves the dispatcher idle until its
+/// wake; nothing retries it meanwhile. The holder is a younger
+/// transaction opened directly on the engine, as a cross-shard branch is
+/// on a shard worker, so its commit's wake list reaches the dispatcher
+/// only through `wake_txns`.
+#[test]
+fn blocked_session_idles_until_its_wake() {
+    let s = setup();
+    let mut db = make_db();
+    // Younger than any session, so wait-die makes the session wait.
+    let holder = db.begin_aged(u64::MAX >> 1);
+    db.execute(
+        holder,
+        "UPDATE kv SET v = v + ? WHERE k = ?",
+        &[Scalar::Int(1), Scalar::Int(3)],
+    )
+    .expect("the holder locks row 3");
+    let mut disp = Dispatcher::new(
+        Deployment::Fixed(&s.manual),
+        &mut db,
+        DispatcherConfig::default(),
+    );
+    assert_eq!(disp.submit(0, req(s.put, 3), 0), Admit::Started);
+    let mut env = InstantEnv;
+    let idle = (0..10_000).any(|_| match disp.poll(&mut db, &mut env) {
+        Polled::Done(d) => panic!("retired while the lock is held: {d:?}"),
+        Polled::Progress => false,
+        Polled::Idle => true,
+    });
+    assert!(idle, "a session waiting on a lock leaves nothing to poll");
+    assert_eq!(disp.active_sessions(), 1);
+
+    let (_, woken) = db.commit(holder).expect("the holder commits");
+    disp.wake_txns(&woken);
+    let done = disp.run_until_idle(&mut db, &mut env);
+    assert_eq!(done.len(), 1, "the woken session retires");
+    assert!(done[0].error.is_none(), "{:?}", done[0].error);
+    assert_eq!(done[0].result, Some(pyx_lang::Value::Int(302)));
 }

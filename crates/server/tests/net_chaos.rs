@@ -30,7 +30,7 @@ use pyx_runtime::ArgVal;
 use pyx_server::net::{
     Fault, FaultScript, Listener, NetAddr, NetClient, NetClientCfg, NetServer, NetServerCfg,
 };
-use pyx_server::{ShardedConfig, ShardedServer, TxnRequest};
+use pyx_server::{HoldPoint, ShardedConfig, ShardedServer, TxnRequest};
 use pyx_workloads::tpcc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -385,7 +385,9 @@ fn reconnect_during_two_phase_commit_stays_exactly_once() {
 
     // Park the next cross-shard commit between unanimous prepare and
     // the decide fan-out.
-    let (held, release) = r.handle.with_server(|s| s.hold_next_multi_commit());
+    let (held, release) = r
+        .handle
+        .with_server(|s| s.hold_next_multi(HoldPoint::Commit));
 
     let script = FaultScript::new();
     let mut client =

@@ -24,11 +24,11 @@
 //!   retirements, handing each one back exactly once.
 
 use proptest::prelude::*;
-use pyx_db::{shard_of, DbError, Engine, LogSink, MemSink, Scalar, Wal};
+use pyx_db::{shard_of, DbError, Engine, FaultPlan, FaultySink, LogSink, MemSink, Scalar, Wal};
 use pyx_pyxil::CompiledPartition;
 use pyx_server::{
-    Admit, Deployment, Dispatcher, DispatcherConfig, InstantEnv, ShardedConfig, ShardedServer,
-    TxnDone, TxnRequest,
+    Admit, Deployment, Dispatcher, DispatcherConfig, HoldPoint, InstantEnv, ShardedConfig,
+    ShardedServer, TxnDone, TxnRequest,
 };
 use pyx_workloads::tpcc;
 use std::collections::HashSet;
@@ -102,7 +102,7 @@ const MIXED_SRC: &str = r#"
 
         int dynRead(int w) {
             // Dynamically computed SQL: not a constant site, so the
-            // coordinator takes its ad-hoc (FIFO-capped) execute path.
+            // coordinator sends it to the shards as text.
             row[] rs = dbQuery("SELECT d_id FROM district WHERE d_w_id = " + intToStr(w));
             return rs.length;
         }
@@ -516,7 +516,7 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
         route: None,
         ..next(20_000 + i)
     };
-    let (held, release) = srv.hold_next_multi_commit();
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
     let mut parked: HashSet<u64> = HashSet::new();
     assert_eq!(srv.submit(cross(0), tag), Admit::Started);
     parked.insert(tag);
@@ -1044,7 +1044,7 @@ fn cross_shard_wait_die_victim_restarts_and_retires_once() {
         route: None,
     };
 
-    let (held, release) = srv.hold_next_multi_commit();
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
     assert_eq!(srv.submit(pair(wh(0), wh(1)), 1), Admit::Started);
     held.recv_timeout(Duration::from_secs(30))
         .expect("T1 parks at its commit point with both rows locked");
@@ -1113,7 +1113,7 @@ fn disjoint_cross_shard_transactions_commit_concurrently() {
         route: None,
     };
 
-    let (held, release) = srv.hold_next_multi_commit();
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
     assert_eq!(srv.submit(pair(wh(0), wh(1)), 1), Admit::Started);
     held.recv_timeout(std::time::Duration::from_secs(30))
         .expect("T1 reaches its commit point (prepared on shards 0 and 1)");
@@ -1216,7 +1216,7 @@ fn participant_death_mid_2pc_aborts_cleanly_and_coordinator_survives() {
     // Coordinators discover uncached statement routes via an rpc to
     // shard 0, and replicated reads pin there too — so shard 1 is the
     // victim, keeping shard 0 free to serve later transfers.
-    let (held, release) = srv.hold_next_multi_commit();
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
     assert_eq!(srv.submit(pair(wh(0), wh(1)), 1), Admit::Started);
     held.recv_timeout(std::time::Duration::from_secs(30))
         .expect("T1 parked between prepare and commit");
@@ -1252,6 +1252,136 @@ fn participant_death_mid_2pc_aborts_cleanly_and_coordinator_survives() {
         "the death was observed and counted"
     );
     assert!(report.recoveries.is_empty());
+}
+
+/// Quantity of `item`'s stock row for warehouse `w` on `engine`.
+fn stock_of(engine: &Engine, w: i64, item: i64) -> i64 {
+    let row = engine
+        .dump_table("stock")
+        .into_iter()
+        .find(|r| r[0] == Scalar::Int(w) && r[1] == Scalar::Int(item))
+        .expect("stock row exists");
+    match row[2] {
+        Scalar::Int(q) => q,
+        ref other => panic!("{other:?}"),
+    }
+}
+
+/// Only the coordinator decides a cross-shard outcome. Shard 1's log
+/// lets its first sync through — the transfer's prepare, its durable
+/// yes-vote — and fails every later one. While the transfer is held at
+/// its decision, a routed write on shard 1 degrades that log, so the
+/// released commit's `Decide` append fails. The participant must not
+/// abort the decided branch: it crash-stops with its vote in doubt in
+/// its durable log, shard 0 commits, the registry keeps the unsettled
+/// leg, and the heal refuses the degraded log, so shard 1 stays down.
+#[test]
+fn participant_that_cannot_log_its_decision_crash_stops() {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
+    let scale = scale8();
+    let seed = 67;
+    let sinks: Vec<MemSink> = (0..2).map(|_| MemSink::new()).collect();
+    let mut engines = fresh_shards(scale, seed, 2);
+    ShardedServer::attach_shard_wals(&mut engines, 1, |i| {
+        let sink = sinks[i].clone();
+        if i == 0 {
+            return Box::new(sink);
+        }
+        let plan = FaultPlan {
+            fail_sync_from: Some(1),
+            ..FaultPlan::default()
+        };
+        Box::new(FaultySink::new(sink, plan))
+    });
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        engines,
+        ShardedConfig {
+            shards: 2,
+            ..ShardedConfig::default()
+        },
+    );
+    let factory_sinks = sinks.clone();
+    srv.set_respawn_factory(move |s| {
+        let mut e = fresh_shards(scale, seed, 2).swap_remove(s);
+        e.recover(&factory_sinks[s].durable_bytes()).ok()?;
+        Some(e)
+    });
+    let wh = |shard: usize| {
+        (1..=8i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 2) == shard)
+            .expect("some warehouse routes to every shard")
+    };
+    let move_stock = |from: i64, to: i64, item: i64, route: Option<i64>| TxnRequest {
+        entry: transfer,
+        args: vec![
+            pyx_runtime::ArgVal::Int(from),
+            pyx_runtime::ArgVal::Int(to),
+            pyx_runtime::ArgVal::Int(item),
+            pyx_runtime::ArgVal::Int(1),
+        ],
+        label: "transfer",
+        route,
+    };
+    let before = stock_of(&fresh_shards(scale, seed, 2)[0], wh(0), 1);
+
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
+    assert_eq!(
+        srv.submit(move_stock(wh(0), wh(1), 1, None), 1),
+        Admit::Started
+    );
+    held.recv_timeout(Duration::from_secs(30))
+        .expect("the transfer is decided, prepared on both shards");
+    // A write local to shard 1 on another row: its commit's sync is the
+    // log's second, which fails and degrades the log.
+    let local = move_stock(wh(1), wh(1), 2, Some(wh(1)));
+    assert_eq!(srv.submit(local, 2), Admit::Started);
+    let d = srv.recv_done().expect("the local write retires");
+    assert_eq!(d.tag, 2);
+    assert!(d.error.is_some(), "its acknowledgement sync failed");
+
+    release.send(()).expect("release the transfer");
+    let d = srv.recv_done().expect("the transfer retires");
+    assert_eq!(d.tag, 1);
+    let err = d.error.expect("a participant that did not commit fails it");
+    assert!(err.contains("worker died"), "{err}");
+    let t0 = Instant::now();
+    while srv.dead_shards() != vec![1] {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "shard 1 must crash-stop, not abort the decided branch"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+        srv.reap_now();
+    }
+    assert_eq!(
+        srv.pending_decisions(),
+        1,
+        "the unsettled leg keeps its commit entry"
+    );
+    let failures = srv.heal_failures().to_vec();
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert_eq!(failures[0].shard, 1);
+    assert!(failures[0].reason.contains("degraded"), "{failures:?}");
+    assert!(srv.recoveries().is_empty(), "the shard stays down");
+
+    let mut recovered = fresh_shards(scale, seed, 2).swap_remove(1);
+    recovered
+        .recover(&sinks[1].durable_bytes())
+        .expect("shard 1's durable log replays");
+    assert_eq!(
+        recovered.in_doubt_gtids().len(),
+        1,
+        "the yes-vote recovers in doubt"
+    );
+    let (rest, report) = srv.shutdown();
+    assert!(rest.is_empty());
+    assert_eq!(
+        stock_of(&report.engines[0], wh(0), 1),
+        before - 1,
+        "shard 0 committed the transfer"
+    );
 }
 
 /// Tentpole: with self-healing enabled and a log-shipping replica per
@@ -1437,4 +1567,72 @@ fn respawn_factory_rebuilds_a_dead_shard_from_its_log() {
         assert_eq!(a.error, b.error, "txn {} error", a.tag);
     }
     assert_state_matches(&single, &report.engines);
+}
+
+/// Dynamic SQL reaches a respawned shard as text. Shard 0 is rebuilt
+/// from its log with a fresh statement registry; a coordinator that had
+/// cached a statement id for `dynRead`'s text would now name another
+/// statement there and read nothing.
+#[test]
+fn dynamic_sql_survives_a_shard_respawn() {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let dyn_read = pyxis.entry("Mixed", "dynRead").expect("dynRead");
+    let scale = scale8();
+    let seed = 43;
+    let w = 2usize;
+    let sinks: Vec<MemSink> = (0..w).map(|_| MemSink::new()).collect();
+    let mut engines = fresh_shards(scale, seed, w);
+    ShardedServer::attach_shard_wals(&mut engines, 1, |i| Box::new(sinks[i].clone()));
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        engines,
+        ShardedConfig {
+            shards: w,
+            coordinators: 1,
+            ..ShardedConfig::default()
+        },
+    );
+    let factory_sinks = sinks.clone();
+    srv.set_respawn_factory(move |s| {
+        let mut e = fresh_shards(scale, seed, w).swap_remove(s);
+        e.recover(&factory_sinks[s].durable_bytes()).ok()?;
+        Some(e)
+    });
+    let wh = |shard: usize| {
+        (1..=8i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 2) == shard)
+            .expect("some warehouse routes to every shard")
+    };
+    let mut tag = 0u64;
+    let mut districts = |srv: &mut ShardedServer, warehouse: i64| {
+        let req = TxnRequest {
+            entry: dyn_read,
+            args: vec![pyx_runtime::ArgVal::Int(warehouse)],
+            label: "dyn-read",
+            route: None,
+        };
+        tag += 1;
+        assert_eq!(srv.submit(req, tag), Admit::Started);
+        let d = srv.recv_done().expect("the read retires");
+        assert!(d.error.is_none(), "{:?}", d.error);
+        d.result
+    };
+    let three = Some(pyx_lang::Value::Int(3));
+
+    assert_eq!(districts(&mut srv, wh(0)), three);
+    srv.inject_worker_crash(0, 0);
+    let t0 = Instant::now();
+    while srv.recoveries().is_empty() {
+        assert!(t0.elapsed().as_secs() < 30, "respawn never completed");
+        std::thread::sleep(Duration::from_millis(1));
+        srv.reap_now();
+    }
+    assert_eq!(districts(&mut srv, wh(1)), three);
+    assert_eq!(
+        districts(&mut srv, wh(0)),
+        three,
+        "the respawned shard runs the same text"
+    );
+    let (rest, _) = srv.shutdown();
+    assert!(rest.is_empty());
 }
