@@ -429,11 +429,13 @@ impl Coord {
         // guaranteed to see the op on its next remote-channel drain.
         let _ = msg.try_send(Msg::Wake);
         match rx.recv() {
-            Ok(r) => r,
-            Err(_) => {
+            // A shard that does not know an open branch is a later
+            // incarnation: the branch died with the worker.
+            Ok(Err(DbError::UnknownTxn)) | Err(_) => {
                 self.stats.participant_deaths += 1;
                 Err(dead())
             }
+            Ok(r) => r,
         }
     }
 

@@ -1589,19 +1589,22 @@ impl Role {
         disp: &mut Dispatcher<'_>,
         rx: &Receiver<Msg>,
     ) -> Option<Msg> {
-        // A primary's final remote check before sleeping: a Wake consumed
-        // by the admission drain may stand for an op that arrived after
-        // this iteration's pump (ops are sent before their nudge, so
-        // seeing the nudge means the op is visible). Anything completed
-        // can have knock-on effects — loop. Parked ops and blocked local
-        // sessions are safe to sleep on: nothing local is runnable, so
-        // each waits, directly or through a blocked local session, on a
-        // remote branch whose coordinator will send the releasing
-        // commit/abort — with a Wake nudge.
-        if let Role::Primary { remote, parked } = self {
-            if remote_pump(engine, disp, remote, parked) {
-                return None;
-            }
+        // A final check before sleeping: a Wake consumed by the admission
+        // drain may stand for work that arrived after this iteration's
+        // `between_polls` — a coordinator's op, or bytes the feed
+        // published (work is queued before its nudge, so seeing the nudge
+        // means the work is visible). Anything new can have knock-on
+        // effects — loop. Parked ops and blocked local sessions are safe
+        // to sleep on: nothing local is runnable, so each waits, directly
+        // or through a blocked local session, on a remote branch whose
+        // coordinator will send the releasing commit/abort — with a Wake
+        // nudge.
+        let fresh = match self {
+            Role::Primary { remote, parked } => remote_pump(engine, disp, remote, parked),
+            Role::Replica { feed, tailer, .. } => feed.durable_len() > tailer.offset(),
+        };
+        if fresh {
+            return None;
         }
         Some(rx.recv().unwrap_or(Msg::Shutdown))
     }

@@ -1384,6 +1384,78 @@ fn participant_that_cannot_log_its_decision_crash_stops() {
     );
 }
 
+/// A branch dies with its shard's incarnation. T1 is held mid-vote:
+/// shard 0 has prepared, and shard 1's branch is still open when shard 1
+/// is killed and respawned from its log. The coordinator's next op for
+/// that branch reaches the new incarnation, which never heard of it: the
+/// transaction must fail as a participant death, not as an unknown
+/// transaction, and the shards must serve the next transfer.
+#[test]
+fn branch_on_a_respawned_shard_fails_as_a_participant_death() {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
+    let scale = scale8();
+    let seed = 59;
+    let sinks: Vec<MemSink> = (0..2).map(|_| MemSink::new()).collect();
+    let mut engines = fresh_shards(scale, seed, 2);
+    ShardedServer::attach_shard_wals(&mut engines, 1, |i| Box::new(sinks[i].clone()));
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        engines,
+        ShardedConfig {
+            shards: 2,
+            ..ShardedConfig::default()
+        },
+    );
+    let factory_sinks = sinks.clone();
+    srv.set_respawn_factory(move |s| {
+        let mut e = fresh_shards(scale, seed, 2).swap_remove(s);
+        e.recover(&factory_sinks[s].durable_bytes()).ok()?;
+        Some(e)
+    });
+    let wh = |shard: usize| {
+        (1..=8i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 2) == shard)
+            .expect("some warehouse routes to every shard")
+    };
+    let pair = |from: i64, to: i64| TxnRequest {
+        entry: transfer,
+        args: vec![
+            pyx_runtime::ArgVal::Int(from),
+            pyx_runtime::ArgVal::Int(to),
+            pyx_runtime::ArgVal::Int(1),
+            pyx_runtime::ArgVal::Int(1),
+        ],
+        label: "transfer",
+        route: None,
+    };
+
+    let (held, release) = srv.hold_next_multi(HoldPoint::Vote);
+    assert_eq!(srv.submit(pair(wh(0), wh(1)), 1), Admit::Started);
+    held.recv_timeout(Duration::from_secs(30))
+        .expect("T1 held after shard 0's prepare");
+    srv.inject_worker_crash(1, 0);
+    let t0 = Instant::now();
+    while srv.recoveries().is_empty() {
+        assert!(t0.elapsed().as_secs() < 30, "respawn never completed");
+        std::thread::sleep(Duration::from_millis(1));
+        srv.reap_now();
+    }
+    assert_eq!(srv.recoveries()[0].in_doubt, 0, "shard 1 never prepared");
+    release.send(()).expect("release T1");
+    let d = srv.recv_done().expect("T1 retires");
+    let err = d.error.expect("T1 lost a branch");
+    assert!(err.contains("worker died"), "{err}");
+    assert_eq!(srv.pending_decisions(), 0, "the vetoed gtid is forgotten");
+
+    assert_eq!(srv.submit(pair(wh(0), wh(1)), 2), Admit::Started);
+    let d = srv.recv_done().expect("T2 retires");
+    assert!(d.error.is_none(), "{:?}", d.error);
+    let (rest, report) = srv.shutdown();
+    assert!(rest.is_empty());
+    assert!(report.participant_deaths > 0);
+}
+
 /// Tentpole: with self-healing enabled and a log-shipping replica per
 /// shard, a primary death promotes the replica — drained to the dead
 /// primary's durable watermark — and the shard resumes accepting
