@@ -147,8 +147,9 @@ pub(crate) struct CoordStats {
     pub(crate) jobs: u64,
     pub(crate) participants: u64,
     /// Rpc legs that observed a dead participant worker (closed
-    /// channel) — one count per observation, so a transaction whose
-    /// cleanup also touches the dead shard counts more than once.
+    /// channel, or a branch its successor never knew) — one count per
+    /// observation, so a transaction whose cleanup also touches the dead
+    /// shard counts more than once.
     pub(crate) participant_deaths: u64,
 }
 
@@ -401,8 +402,9 @@ impl Coord {
     }
 
     /// One remote round trip: ship the op, nudge the worker awake, wait
-    /// for the reply. A closed channel on either leg is a participant
-    /// death — the transaction cannot know its branch's fate there
+    /// for the reply. A closed channel on either leg, or a reply that the
+    /// branch is unknown, is a participant death — the transaction
+    /// cannot know its branch's fate there
     /// (counted in [`CoordStats::participant_deaths`]). Endpoints are
     /// re-read from the link table per call, so rpcs reach a respawned
     /// worker without restarting this coordinator.

@@ -115,7 +115,6 @@ pub mod net;
 pub mod shard;
 pub mod workload;
 
-#[doc(hidden)]
 pub use coord::HoldPoint;
 pub use dispatch::{
     Admit, Deployment, DispatchReport, Dispatcher, DispatcherConfig, DispatcherStats, Polled,

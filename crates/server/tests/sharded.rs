@@ -22,6 +22,10 @@
 //! * **Backpressure**: full worker channels reject instead of blocking,
 //!   and `submit_by_deadline` waits out the saturation by draining
 //!   retirements, handing each one back exactly once.
+//! * **One decider**: a participant that cannot log its commit decision
+//!   crash-stops instead of aborting the branch; a branch lost with its
+//!   shard's incarnation fails as a participant death; dynamic SQL
+//!   reaches a respawned shard as text.
 
 use proptest::prelude::*;
 use pyx_db::{shard_of, DbError, Engine, FaultPlan, FaultySink, LogSink, MemSink, Scalar, Wal};
