@@ -790,8 +790,8 @@ impl ShardedServer {
     /// Opt in to respawn-from-log: once a heal has no replica left to
     /// try, `factory(shard)` must rebuild its engine — same schema
     /// and base load, then [`Engine::recover`] over the shard's durable
-    /// log bytes — *without* a WAL attached; the supervisor re-anchors
-    /// the dead primary's own log onto it ([`pyx_db::Wal::resume_at`])
+    /// log bytes — *without* a WAL or prepared statements; the supervisor
+    /// re-anchors the dead primary's log onto it ([`pyx_db::Wal::resume_at`])
     /// and resolves in-doubt branches. Returning `None` leaves the
     /// shard dead.
     pub fn set_respawn_factory(
