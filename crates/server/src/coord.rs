@@ -1,9 +1,11 @@
 //! The cross-shard coordinator, the only code that decides a cross-shard
 //! outcome. A coordinator thread ([`coordinator`]) runs a one-session
-//! [`crate::Dispatcher`] over [`Coord`], a [`Database`] façade speaking
-//! the remote-op protocol ([`RemoteOp`]) to the shard workers, and
-//! records each 2PC decision in the [`Decisions`] registry a heal reads.
-//! The [`crate::shard`] module docs describe the protocol.
+//! [`crate::Dispatcher`] over [`Coord`], a [`Database`] façade that plans
+//! and routes each statement on a row-less copy of the shards' schema,
+//! ships it to its shards by SQL text over the remote-op protocol
+//! ([`RemoteOp`]), and records each 2PC decision in the [`Decisions`]
+//! registry a heal reads. The [`crate::shard`] module docs describe the
+//! protocol.
 
 use crate::dispatch::{Deployment, Dispatcher, DispatcherConfig, Polled, TxnDone};
 use crate::env::InstantEnv;
@@ -20,35 +22,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
-/// Coordinator→worker remote operation. Every op carries its own reply
-/// channel; a worker that dies drops the op, which the coordinator
-/// observes as a closed reply channel (participant death).
+/// Coordinator→worker remote operation: one statement, or one 2PC leg.
+/// Every op carries its own reply channel; a worker that dies drops the
+/// op, which the coordinator observes as a closed reply channel
+/// (participant death).
 pub(crate) enum RemoteOp {
-    /// Register a statement on this shard ([`pyx_db::Engine::prepare`]).
-    PrepareSql {
-        sql: String,
-        reply: Sender<RemoteReply>,
-    },
-    /// Resolve a statement's shard route (sent to shard 0; every shard
-    /// holds the same schema so any shard's answer is the cluster's).
-    Route {
-        stmt: Stmt,
-        reply: Sender<RemoteReply>,
-    },
-    /// Open a branch: a local read-write transaction under the
-    /// coordinator's global wait-die age.
-    Begin {
-        age: u64,
-        reply: Sender<RemoteReply>,
-    },
-    /// Execute one statement on an open branch. A statement that would
-    /// block is parked worker-side (no reply yet) and retried until the
-    /// lock frees or wait-die kills it.
+    /// Execute one statement on this shard's branch. With `txn: None`
+    /// the statement opens the branch first: a local read-write
+    /// transaction under the coordinator's global wait-die `age`. The
+    /// reply names the branch even when the statement failed. A
+    /// statement that would block is parked worker-side (no reply yet,
+    /// its branch kept) and retried until the lock frees or wait-die
+    /// kills it.
     Exec {
-        txn: TxnId,
+        txn: Option<TxnId>,
+        age: u64,
         stmt: Stmt,
         params: Vec<Scalar>,
-        reply: Sender<RemoteReply>,
+        reply: Sender<(TxnId, Result<QueryResult, DbError>)>,
     },
     /// Phase 1: vote on commit ([`pyx_db::Engine::prepare_commit`]). `gtid` is
     /// the transaction's globally-unique wait-die age; the participant's
@@ -57,40 +48,31 @@ pub(crate) enum RemoteOp {
     PrepareCommit {
         txn: TxnId,
         gtid: u64,
-        reply: Sender<RemoteReply>,
+        reply: LegReply,
     },
     /// Phase 2: commit the branch and sync this shard's WAL before
     /// acknowledging — the participant-local acknowledgement point.
-    Commit {
-        txn: TxnId,
-        reply: Sender<RemoteReply>,
-    },
+    Commit { txn: TxnId, reply: LegReply },
     /// Roll the branch back (coordinator-side abort, wait-die restart,
     /// or phase-1 veto cleanup).
-    Abort {
-        txn: TxnId,
-        reply: Sender<RemoteReply>,
-    },
+    Abort { txn: TxnId, reply: LegReply },
 }
 
-pub(crate) type RemoteReply = Result<RemoteOk, DbError>;
+/// Where a 2PC leg's outcome goes.
+pub(crate) type LegReply = Sender<Result<(), DbError>>;
 
-/// A statement as a coordinator names it to one shard: a constant site's
-/// id in that shard's registry (stable across incarnations, see
-/// [`StmtTable`]), or dynamic SQL as text for the engine's ad-hoc path.
+/// A statement as a coordinator ships it to a shard: by its SQL text, so
+/// no statement id crosses a thread or outlives a shard's incarnation. A
+/// constant site runs through the shard's prepared registry (a lookup by
+/// text, since the registry dedups), dynamic SQL through the engine's
+/// bounded ad-hoc path.
+#[derive(Clone)]
 pub(crate) enum Stmt {
-    Prepared(PreparedId),
+    Site(Arc<str>),
     Text(String),
 }
 
 impl Stmt {
-    pub(crate) fn route(&self, engine: &mut Engine) -> Result<StmtRoute, DbError> {
-        match self {
-            Stmt::Prepared(pid) => engine.prepared_route(*pid),
-            Stmt::Text(sql) => engine.route(sql),
-        }
-    }
-
     pub(crate) fn execute(
         &self,
         engine: &mut Engine,
@@ -98,18 +80,13 @@ impl Stmt {
         params: &[Scalar],
     ) -> Result<QueryResult, DbError> {
         match self {
-            Stmt::Prepared(pid) => engine.execute_prepared(txn, *pid, params),
+            Stmt::Site(sql) => {
+                let id = engine.prepare(sql)?;
+                engine.execute_prepared(txn, id, params)
+            }
             Stmt::Text(sql) => engine.execute(txn, sql, params),
         }
     }
-}
-
-pub(crate) enum RemoteOk {
-    Began(TxnId),
-    Prepared(PreparedId),
-    Route(StmtRoute),
-    Rows(QueryResult),
-    Done,
 }
 
 /// Where [`crate::ShardedServer::hold_next_multi`] parks the next
@@ -316,47 +293,12 @@ impl Decisions {
 /// back through [`Database::begin_aged`].
 const VIRTUAL_BIT: u64 = 1 << 63;
 
-// ---- the coordinator's statement table ----
-
-/// One constant-SQL site: its prepared handle on every shard and the
-/// (lazily resolved) shard route.
-struct CoordStmt {
-    per_shard: Vec<PreparedId>,
-    route: Option<StmtRoute>,
-}
-
-/// The coordinator's constant-SQL sites, indexed by coordinator
-/// [`PreparedId`]s and deduped by text. Only [`Database::prepare`] adds
-/// to it, once per site when the coordinator's dispatcher is built, so
-/// it never grows while serving; dynamic SQL travels as text instead
-/// ([`Stmt::Text`]). One per coordinator thread.
-///
-/// A site's per-shard ids outlive the shard's incarnation: before it
-/// serves a remote op, every incarnation's worker builds its dispatcher,
-/// which prepares the partition's constant sites in program order on an
-/// engine whose registry holds nothing else (a loaded or recovered
-/// engine, or a replica whose own worker did the same), so each site gets
-/// the same id again.
-#[derive(Default)]
-struct StmtTable {
-    stmts: Vec<CoordStmt>,
-    by_sql: HashMap<String, PreparedId>,
-}
-
-/// A statement as a coordinator's session names it: a constant site, or
-/// dynamic SQL text.
-#[derive(Clone, Copy)]
-enum Sql<'a> {
-    Site(PreparedId),
-    Text(&'a str),
-}
-
 // ---- the 2PC coordinator ----
 
 /// Coordinator-side engine façade: a [`Database`] whose statements fan
 /// out to shard workers over the remote-op protocol. One per coordinator
-/// thread; holds that coordinator's statement table, the open branches
-/// of its (single) in-flight transaction, and its 2PC counters.
+/// thread; holds that coordinator's schema copy and site texts, the open
+/// branches of its (single) in-flight transaction, and its 2PC counters.
 pub(crate) struct Coord {
     /// Shared link table: the *current* channel endpoints per shard
     /// (rewritten by the supervisor on failover — see [`ShardLink`]).
@@ -364,7 +306,12 @@ pub(crate) struct Coord {
     /// Commit-decision registry shared with the supervisor (see
     /// [`Decisions`]).
     decisions: Decisions,
-    table: StmtTable,
+    /// A copy of the shards' schema holding no rows. It registers the
+    /// constant sites and routes every statement: a route reads only the
+    /// schema, which every shard shares, so no shard is asked.
+    schema: Engine,
+    /// Each constant site's text, indexed by its id in `schema`.
+    sites: Vec<Arc<str>>,
     /// Open branch (local transaction) per shard.
     branches: Vec<Option<TxnId>>,
     /// Current transaction's global wait-die age.
@@ -381,12 +328,24 @@ pub(crate) struct Coord {
 }
 
 impl Coord {
-    pub(crate) fn new(links: ShardLinks, ages: Arc<AtomicU64>, decisions: Decisions) -> Coord {
+    /// A coordinator over `links`, planning on a row-less copy of
+    /// `shard`'s schema (any shard's: they all share one).
+    pub(crate) fn new(
+        links: ShardLinks,
+        ages: Arc<AtomicU64>,
+        decisions: Decisions,
+        shard: &Engine,
+    ) -> Coord {
+        let mut schema = Engine::new();
+        for table in shard.table_names() {
+            schema.create_table(shard.table_def(&table).expect("a listed table").clone());
+        }
         let n = links.len();
         Coord {
             links,
             decisions,
-            table: StmtTable::default(),
+            schema,
+            sites: Vec::new(),
             branches: vec![None; n],
             age: 0,
             ages,
@@ -402,131 +361,96 @@ impl Coord {
     }
 
     /// One remote round trip: ship the op, nudge the worker awake, wait
-    /// for the reply. A closed channel on either leg, or a reply that the
-    /// branch is unknown, is a participant death — the transaction
-    /// cannot know its branch's fate there
-    /// (counted in [`CoordStats::participant_deaths`]). Endpoints are
-    /// re-read from the link table per call, so rpcs reach a respawned
-    /// worker without restarting this coordinator.
-    fn rpc(
-        &mut self,
-        s: usize,
-        make: impl FnOnce(Sender<RemoteReply>) -> RemoteOp,
-    ) -> Result<RemoteOk, DbError> {
-        let dead = || {
-            DbError::Durability(format!(
-                "shard {s} worker died during a cross-shard transaction"
-            ))
-        };
+    /// for the reply — `None` when a closed channel on either leg says
+    /// the worker is gone. Endpoints are re-read from the link table per
+    /// call, so rpcs reach a respawned worker without restarting this
+    /// coordinator.
+    fn rpc<R>(&self, s: usize, make: impl FnOnce(Sender<R>) -> RemoteOp) -> Option<R> {
         let (remote, msg) = {
             let l = self.links[s].lock().unwrap_or_else(PoisonError::into_inner);
             (l.remote.clone(), l.msg.clone())
         };
         let (tx, rx) = mpsc::channel();
-        if remote.send(make(tx)).is_err() {
-            self.stats.participant_deaths += 1;
-            return Err(dead());
-        }
+        remote.send(make(tx)).ok()?;
         // Sent after the op: a worker that consumes this nudge is
         // guaranteed to see the op on its next remote-channel drain.
         let _ = msg.try_send(Msg::Wake);
-        match rx.recv() {
-            // A shard that does not know an open branch is a later
-            // incarnation: the branch died with the worker.
-            Ok(Err(DbError::UnknownTxn)) | Err(_) => {
+        rx.recv().ok()
+    }
+
+    /// Shard `s`'s answer, with a participant death made an error: the
+    /// worker is gone, or the shard does not know the branch (a later
+    /// incarnation: the branch died with the worker). The transaction
+    /// cannot know its branch's fate there; each such observation counts
+    /// in [`CoordStats::participant_deaths`].
+    fn answer<T>(&mut self, s: usize, reply: Option<Result<T, DbError>>) -> Result<T, DbError> {
+        match reply {
+            Some(Err(DbError::UnknownTxn)) | None => {
                 self.stats.participant_deaths += 1;
-                Err(dead())
+                Err(DbError::Durability(format!(
+                    "shard {s} worker died during a cross-shard transaction"
+                )))
             }
-            Ok(r) => r,
+            Some(r) => r,
         }
     }
 
-    /// The branch on shard `s`, opened on first touch under the
-    /// transaction's global age — this lazy enlistment IS participant
-    /// selection.
-    fn branch(&mut self, s: usize) -> Result<TxnId, DbError> {
-        if let Some(t) = self.branches[s] {
-            return Ok(t);
-        }
-        let age = self.age;
-        match self.rpc(s, |reply| RemoteOp::Begin { age, reply })? {
-            RemoteOk::Began(t) => {
-                self.branches[s] = Some(t);
-                self.touched += 1;
-                Ok(t)
-            }
-            _ => unreachable!("Begin replies Began"),
-        }
+    /// One 2PC leg on shard `s`'s branch.
+    fn leg(&mut self, s: usize, make: impl FnOnce(LegReply) -> RemoteOp) -> Result<(), DbError> {
+        let reply = self.rpc(s, make);
+        self.answer(s, reply)
     }
 
-    /// `sql` as shard `s` names it.
-    fn on_shard(&self, sql: Sql<'_>, s: usize) -> Stmt {
-        match sql {
-            Sql::Site(id) => Stmt::Prepared(self.table.stmts[id.0 as usize].per_shard[s]),
-            Sql::Text(text) => Stmt::Text(text.to_string()),
-        }
-    }
-
-    fn exec_on(
-        &mut self,
-        s: usize,
-        sql: Sql<'_>,
-        params: &[Scalar],
-    ) -> Result<QueryResult, DbError> {
-        let txn = self.branch(s)?;
-        let stmt = self.on_shard(sql, s);
-        match self.rpc(s, |reply| RemoteOp::Exec {
+    /// Run `stmt` on shard `s`. The first statement there opens the
+    /// branch under the transaction's global age — this lazy enlistment
+    /// IS participant selection. The reply names the branch even when the
+    /// statement failed, and it is recorded before the result is looked
+    /// at, so every abort path reaches it.
+    fn exec_on(&mut self, s: usize, stmt: Stmt, params: &[Scalar]) -> Result<QueryResult, DbError> {
+        let (txn, age) = (self.branches[s], self.age);
+        let reply = self.rpc(s, |reply| RemoteOp::Exec {
             txn,
+            age,
             stmt,
             params: params.to_vec(),
             reply,
-        })? {
-            RemoteOk::Rows(r) => Ok(r),
-            _ => unreachable!("Exec replies Rows"),
-        }
-    }
-
-    /// The statement's shard route, asked of shard 0. A site's route is
-    /// cached; dynamic SQL is routed afresh on every execution.
-    fn route_of(&mut self, sql: Sql<'_>) -> Result<StmtRoute, DbError> {
-        if let Sql::Site(id) = sql {
-            if let Some(r) = &self.table.stmts[id.0 as usize].route {
-                return Ok(r.clone());
+        });
+        let result = reply.map(|(branch, result)| {
+            if self.branches[s].replace(branch).is_none() {
+                self.touched += 1;
             }
-        }
-        let stmt = self.on_shard(sql, 0);
-        let r = match self.rpc(0, |reply| RemoteOp::Route { stmt, reply })? {
-            RemoteOk::Route(r) => r,
-            _ => unreachable!("Route replies Route"),
-        };
-        if let Sql::Site(id) = sql {
-            self.table.stmts[id.0 as usize].route = Some(r.clone());
-        }
-        Ok(r)
+            result
+        });
+        self.answer(s, result)
     }
 
-    /// Route `sql` and run it on the shards its route names.
-    fn run(&mut self, sql: Sql<'_>, params: &[Scalar]) -> Result<QueryResult, DbError> {
-        match self.route_of(sql)? {
+    /// Run `stmt` on the shards `route` names.
+    fn run(
+        &mut self,
+        route: StmtRoute,
+        stmt: Stmt,
+        params: &[Scalar],
+    ) -> Result<QueryResult, DbError> {
+        match route {
             StmtRoute::ByParam { param } => {
                 let key = params
                     .get(param)
                     .ok_or_else(|| DbError::Schema(format!("routing parameter {param} missing")))?;
                 let s = shard_of(key, self.shards());
-                self.exec_on(s, sql, params)
+                self.exec_on(s, stmt, params)
             }
             StmtRoute::ByLit(lit) => {
                 let s = shard_of(&lit, self.shards());
-                self.exec_on(s, sql, params)
+                self.exec_on(s, stmt, params)
             }
             // Replicated reads may use any replica; shard 0 keeps runs
             // deterministic. Replicated writes apply everywhere so the
             // copies stay byte-identical (the result is the same on each).
-            StmtRoute::Replicated { write: false } => self.exec_on(0, sql, params),
+            StmtRoute::Replicated { write: false } => self.exec_on(0, stmt, params),
             StmtRoute::Replicated { write: true } => {
                 let mut out = None;
                 for s in 0..self.shards() {
-                    out = Some(self.exec_on(s, sql, params)?);
+                    out = Some(self.exec_on(s, stmt.clone(), params)?);
                 }
                 Ok(out.expect("at least one shard"))
             }
@@ -537,7 +461,7 @@ impl Coord {
                  add a shard-key equality predicate"
                     .into(),
             )),
-            StmtRoute::Scatter { .. } => self.exec_scatter(sql, params),
+            StmtRoute::Scatter { .. } => self.exec_scatter(&stmt, params),
             StmtRoute::Unroutable { reason } => Err(DbError::Schema(reason.into())),
         }
     }
@@ -555,10 +479,10 @@ impl Coord {
     /// which the router then refuses to scatter
     /// ([`StmtRoute::Scatter`]`::mergeable == false`) rather than merge
     /// wrongly.
-    fn exec_scatter(&mut self, sql: Sql<'_>, params: &[Scalar]) -> Result<QueryResult, DbError> {
+    fn exec_scatter(&mut self, stmt: &Stmt, params: &[Scalar]) -> Result<QueryResult, DbError> {
         let mut merged: Option<QueryResult> = None;
         for s in 0..self.shards() {
-            let r = self.exec_on(s, sql, params)?;
+            let r = self.exec_on(s, stmt.clone(), params)?;
             match &mut merged {
                 None => merged = Some(r),
                 Some(m) => {
@@ -586,9 +510,8 @@ impl Coord {
     fn abort_branches(&mut self) -> Result<(), DbError> {
         let mut err = Ok(());
         for s in 0..self.branches.len() {
-            if let Some(t) = self.branches[s].take() {
-                let r = self.rpc(s, |reply| RemoteOp::Abort { txn: t, reply });
-                err = err.and(r.map(|_| ()));
+            if let Some(txn) = self.branches[s].take() {
+                err = err.and(self.leg(s, |reply| RemoteOp::Abort { txn, reply }));
             }
         }
         err
@@ -621,13 +544,11 @@ impl Coord {
             // the survivors.
             self.decisions.open(gtid);
             for (i, &(s, t)) in parts.iter().enumerate() {
-                let vote = self
-                    .rpc(s, |reply| RemoteOp::PrepareCommit {
-                        txn: t,
-                        gtid,
-                        reply,
-                    })
-                    .map(|_| ());
+                let vote = self.leg(s, |reply| RemoteOp::PrepareCommit {
+                    txn: t,
+                    gtid,
+                    reply,
+                });
                 if i == 0 && vote.is_ok() {
                     self.hold(HoldPoint::Vote);
                 }
@@ -673,8 +594,8 @@ impl Coord {
         let mut first_err = None;
         let mut acked = 0u32;
         for &(s, t) in &parts {
-            match self.rpc(s, |reply| RemoteOp::Commit { txn: t, reply }) {
-                Ok(_) => acked += 1,
+            match self.leg(s, |reply| RemoteOp::Commit { txn: t, reply }) {
+                Ok(()) => acked += 1,
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }
@@ -728,42 +649,28 @@ impl Database for Coord {
         aborted.map(|()| (0, Vec::new()))
     }
 
-    /// Register a constant-SQL site on every shard (see [`StmtTable`]).
-    /// Sessions cache the handle in their prepared-site tables.
+    /// Register a constant-SQL site on the schema copy and keep its text,
+    /// in which it travels ([`Stmt::Site`]). No shard is asked. Sessions
+    /// cache the handle in their prepared-site tables.
     fn prepare(&mut self, sql: &str) -> Result<PreparedId, DbError> {
-        if let Some(&id) = self.table.by_sql.get(sql) {
-            return Ok(id);
+        let id = self.schema.prepare(sql)?;
+        if id.0 as usize == self.sites.len() {
+            self.sites.push(sql.into());
         }
-        let mut per_shard = Vec::with_capacity(self.shards());
-        for s in 0..self.shards() {
-            match self.rpc(s, |reply| RemoteOp::PrepareSql {
-                sql: sql.to_string(),
-                reply,
-            })? {
-                RemoteOk::Prepared(pid) => per_shard.push(pid),
-                _ => unreachable!("PrepareSql replies Prepared"),
-            }
-        }
-        let id = PreparedId(self.table.stmts.len() as u32);
-        self.table.stmts.push(CoordStmt {
-            per_shard,
-            route: None,
-        });
-        self.table.by_sql.insert(sql.to_string(), id);
         Ok(id)
     }
 
-    /// Dynamic SQL travels to the shards as text: shard 0 routes it and
-    /// each shard it routes to runs it through its engine's bounded
-    /// ad-hoc path. No statement id outlives the shard incarnation that
-    /// issued it, and no registry grows with dynamic SQL.
+    /// Dynamic SQL is routed on the schema copy, and each shard it routes
+    /// to runs the text through its engine's bounded ad-hoc path, so no
+    /// registry grows with dynamic SQL.
     fn execute(
         &mut self,
         _txn: TxnId,
         sql: &str,
         params: &[Scalar],
     ) -> Result<QueryResult, DbError> {
-        self.run(Sql::Text(sql), params)
+        let route = self.schema.route(sql)?;
+        self.run(route, Stmt::Text(sql.to_string()), params)
     }
 
     fn execute_prepared(
@@ -772,12 +679,14 @@ impl Database for Coord {
         id: PreparedId,
         params: &[Scalar],
     ) -> Result<QueryResult, DbError> {
-        self.run(Sql::Site(id), params)
+        let route = self.schema.prepared_route(id)?;
+        let sql = Arc::clone(&self.sites[id.0 as usize]);
+        self.run(route, Stmt::Site(sql), params)
     }
 
-    /// Coordinators hold no engines; per-shard counters (including the
-    /// 2PC prepare/prepare-abort counts) are read off the engines at
-    /// shutdown instead.
+    /// Coordinators run no statement themselves; per-shard counters
+    /// (including the 2PC prepare/prepare-abort counts) are read off the
+    /// shard engines at shutdown instead.
     fn db_stats(&self) -> EngineStats {
         EngineStats::default()
     }
@@ -787,23 +696,20 @@ impl Database for Coord {
 /// is abandoned with an error result.
 const STEP_BUDGET: u64 = 100_000_000;
 
-/// One coordinator thread: warm a private statement table and a
-/// one-session [`Dispatcher`] over the [`Coord`] façade, drop `warm` to
-/// say so, then serve cross-shard jobs from the shared queue until the
-/// server drops it.
+/// One coordinator thread: build a one-session [`Dispatcher`] over the
+/// [`Coord`] façade (its sites prepare on the schema copy), then serve
+/// cross-shard jobs from the shared queue until the server drops it.
 /// The dispatcher runs each job's session exactly as a shard worker
 /// runs a local one, wait-die restarts with the age retained included.
 /// A panic inside a job is contained: the job's branches are aborted,
-/// the dispatcher is rebuilt (its sites re-prepare from the statement
-/// table, with no rpc), and the transaction reports an error result
-/// instead of wedging the server.
+/// the dispatcher is rebuilt, and the transaction reports an error
+/// result instead of wedging the server.
 pub(crate) fn coordinator(
     part: Arc<CompiledPartition>,
     dcfg: DispatcherConfig,
     jobs: Arc<Mutex<Receiver<CoordJob>>>,
     mut coord: Coord,
     done: Results,
-    warm: Sender<()>,
 ) -> CoordStats {
     // Cross-shard reads must lock — per-shard snapshots taken at
     // different instants are not one consistent cut (module docs).
@@ -813,7 +719,6 @@ pub(crate) fn coordinator(
         ..dcfg
     };
     let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut coord, cfg);
-    drop(warm); // every statement site is prepared on every shard
     loop {
         // Holding the queue lock across `recv` serializes job *pickup*
         // (one coordinator waits at a time); execution still overlaps.

@@ -14,15 +14,15 @@
 //!   engine owns is `Send` — rows, undo logs, plans), the shared
 //!   [`CompiledPartition`] (immutable, behind an `Arc`), [`TxnRequest`]s,
 //!   retired [`TxnDone`]s, and the cross-shard [`crate::coord::RemoteOp`] protocol
-//!   messages (prepared handles, parameter vectors, `Arc`-backed result
-//!   rows). Compile-time assertions in `pyx-db` / `pyx-pyxil` keep these
-//!   types `Send`.
+//!   messages (SQL text, parameter vectors, `Arc`-backed result rows).
+//!   Compile-time assertions in `pyx-db` / `pyx-pyxil` keep these types
+//!   `Send`.
 //! * **What stays thread-local:** everything a running transaction
 //!   touches — `Session`s, their `Rc`-shared prepared-site tables,
 //!   session heaps, the dispatcher's scratch pools. No runtime `Rc` ever
 //!   crosses a thread boundary. Each coordinator thread builds its *own*
-//!   dispatcher, and with it its own prepared-site table, at startup —
-//!   before [`ShardedServer::new`] returns.
+//!   dispatcher, and with it its own prepared-site table, on its own
+//!   row-less copy of the shards' schema; no shard takes part.
 //!
 //! # Cross-shard transactions: two-phase commit
 //!
@@ -38,12 +38,13 @@
 //! with single-shard traffic. The protocol, per transaction:
 //!
 //! * **Participant selection** — each statement's shard route
-//!   ([`StmtRoute`], computed by `Engine::prepared_route` from the
-//!   statement plan, or by `Engine::route` for dynamic SQL, which travels
-//!   as text) names the shard(s) owning its rows. The first statement
-//!   to touch shard *s* lazily opens a *branch*: a plain
-//!   engine transaction on *s*, begun over the worker's remote-op
-//!   channel. The participant set is exactly the set of open branches.
+//!   ([`StmtRoute`]) names the shard(s) owning its rows. The coordinator
+//!   computes it on its copy of the schema (`Engine::prepared_route` for
+//!   a constant site, `Engine::route` for dynamic SQL), which every shard
+//!   shares, and ships the statement by its SQL text. The first
+//!   statement to reach shard *s* opens a *branch* there: a plain engine
+//!   transaction on *s*, begun by the worker just before it runs the
+//!   statement. The participant set is exactly the set of open branches.
 //! * **Statement execution** — the coordinator sends each statement to
 //!   its participant's worker, which executes it between local
 //!   dispatcher events on the engine it owns — single-shard sessions on
@@ -200,8 +201,8 @@
 //! replicas keep answering reads.
 
 use crate::coord::{
-    coordinator, Coord, CoordJob, CoordStats, Decisions, HoldHook, HoldPoint, RemoteOk, RemoteOp,
-    ShardLink, ShardLinks,
+    coordinator, Coord, CoordJob, CoordStats, Decisions, HoldHook, HoldPoint, RemoteOp, ShardLink,
+    ShardLinks,
 };
 use crate::dispatch::{
     Admit, Deployment, Dispatcher, DispatcherConfig, DispatcherStats, Polled, TxnDone,
@@ -273,8 +274,6 @@ pub struct ShardedReport {
     /// they replicated (after a final catch-up, so a healthy replica's
     /// state equals its primary's durable prefix).
     pub replica_engines: Vec<(usize, Engine)>,
-    /// Per-replica dispatcher counters, aligned with `replica_engines`.
-    pub replica_dispatchers: Vec<DispatcherStats>,
     /// Read-only requests served by a replica.
     pub replica_reads: u64,
     /// Read-only requests that fell back to the primary (replica lag
@@ -531,8 +530,7 @@ impl ShardedServer {
     /// own dispatcher over the shared compiled partition. `engines` must
     /// all carry the same schema, with rows already routed by
     /// [`pyx_db::TableDef::shard_key`] (see `load_row_sharded`), plus
-    /// the coordinator pool that runs cross-shard requests. Returns once
-    /// every coordinator has prepared its statements on every shard.
+    /// the coordinator pool that runs cross-shard requests.
     pub fn new(
         part: Arc<CompiledPartition>,
         engines: Vec<Engine>,
@@ -571,12 +569,8 @@ impl ShardedServer {
             multi_txns: 0,
             multi_participants: 0,
         };
-        for (s, engine) in engines.into_iter().enumerate() {
-            srv.spawn(s, engine, None);
-        }
         let jrx = Arc::new(Mutex::new(jrx));
         let ages = Arc::new(AtomicU64::new(1));
-        let (warm_tx, warm_rx) = mpsc::channel::<()>();
         for c in 0..cfg.coordinators.max(1) {
             let part = Arc::clone(&srv.part);
             let dcfg = cfg.dispatcher;
@@ -585,21 +579,18 @@ impl ShardedServer {
                 Arc::clone(&srv.links),
                 Arc::clone(&ages),
                 srv.decisions.clone(),
+                &engines[0],
             );
             let done = srv.done_tx.clone();
-            let warm = warm_tx.clone();
             let h = std::thread::Builder::new()
                 .name(format!("pyx-coord-{c}"))
-                .spawn(move || coordinator(part, dcfg, jobs, coord, done, warm))
+                .spawn(move || coordinator(part, dcfg, jobs, coord, done))
                 .expect("spawn coordinator");
             srv.coord_handles.push(h);
         }
-        // Return only once every coordinator is warm (each drops its
-        // `warm` sender then): preparing a statement needs every shard
-        // alive, so a shard that died mid-warm-up would leave that
-        // coordinator unable to run statements it never prepared.
-        drop(warm_tx);
-        let _ = warm_rx.recv();
+        for (s, engine) in engines.into_iter().enumerate() {
+            srv.spawn(s, engine, None);
+        }
         srv
     }
 
@@ -790,10 +781,9 @@ impl ShardedServer {
     /// Opt in to respawn-from-log: once a heal has no replica left to
     /// try, `factory(shard)` must rebuild its engine — same schema
     /// and base load, then [`Engine::recover`] over the shard's durable
-    /// log bytes — *without* a WAL or prepared statements; the supervisor
-    /// re-anchors the dead primary's log onto it ([`pyx_db::Wal::resume_at`])
-    /// and resolves in-doubt branches. Returning `None` leaves the
-    /// shard dead.
+    /// log bytes — *without* a WAL; the supervisor re-anchors the dead
+    /// primary's log onto it ([`pyx_db::Wal::resume_at`]) and resolves
+    /// in-doubt branches. Returning `None` leaves the shard dead.
     pub fn set_respawn_factory(
         &mut self,
         factory: impl FnMut(usize) -> Option<Engine> + Send + 'static,
@@ -1290,7 +1280,7 @@ impl ShardedServer {
         // lands exactly on the primary's durable prefix.
         let shards = self.cfg.shards;
         let (mut engines, mut dispatchers) = (Vec::new(), Vec::new());
-        let (mut replica_engines, mut replica_dispatchers) = (Vec::new(), Vec::new());
+        let mut replica_engines = Vec::new();
         for tier in [0..shards, shards..self.workers.len()] {
             for w in &self.workers[tier.clone()] {
                 let _ = w.tx.send(Msg::Shutdown);
@@ -1305,7 +1295,6 @@ impl ShardedServer {
                     dispatchers.push(exit.stats);
                 } else {
                     replica_engines.push((self.workers[i].shard, exit.engine));
-                    replica_dispatchers.push(exit.stats);
                 }
             }
         }
@@ -1317,7 +1306,6 @@ impl ShardedServer {
                 multi_txns: self.multi_txns,
                 multi_participants: self.multi_participants,
                 replica_engines,
-                replica_dispatchers,
                 replica_reads: self.replica_reads,
                 replica_fallbacks: self.replica_fallbacks,
                 recoveries: std::mem::take(&mut self.recoveries),
@@ -1411,52 +1399,40 @@ fn serve_remote(
     parked: &mut Vec<RemoteOp>,
 ) -> bool {
     match op {
-        RemoteOp::PrepareSql { sql, reply } => {
-            let _ = reply.send(engine.prepare(&sql).map(RemoteOk::Prepared));
-            true
-        }
-        RemoteOp::Route { stmt, reply } => {
-            let _ = reply.send(stmt.route(engine).map(RemoteOk::Route));
-            true
-        }
-        RemoteOp::Begin { age, reply } => {
-            let _ = reply.send(Ok(RemoteOk::Began(engine.begin_aged(age))));
-            true
-        }
         RemoteOp::Exec {
             txn,
+            age,
             stmt,
             params,
             reply,
-        } => match stmt.execute(engine, txn, &params) {
-            Ok(r) => {
-                let _ = reply.send(Ok(RemoteOk::Rows(r)));
-                true
+        } => {
+            // The coordinator's first statement here opens its branch.
+            let txn = txn.unwrap_or_else(|| engine.begin_aged(age));
+            match stmt.execute(engine, txn, &params) {
+                // The branch is now a registered lock waiter; retry until
+                // the lock frees (the statement has mutated nothing yet)
+                // or a later wait-die check kills it.
+                Err(DbError::WouldBlock) => {
+                    parked.push(RemoteOp::Exec {
+                        txn: Some(txn),
+                        age,
+                        stmt,
+                        params,
+                        reply,
+                    });
+                    return false;
+                }
+                res => {
+                    let _ = reply.send((txn, res));
+                }
             }
-            // The branch is now a registered lock waiter; retry until
-            // the lock frees (the statement has mutated nothing yet) or
-            // a later wait-die check kills it.
-            Err(DbError::WouldBlock) => {
-                parked.push(RemoteOp::Exec {
-                    txn,
-                    stmt,
-                    params,
-                    reply,
-                });
-                false
-            }
-            Err(e) => {
-                let _ = reply.send(Err(e));
-                true
-            }
-        },
+        }
         RemoteOp::PrepareCommit { txn, gtid, reply } => {
             // The yes-vote is durable before the reply: prepare_commit
             // force-flushes a `Prepare` record under `gtid`, so a crash
             // after this ack recovers the branch as in-doubt instead of
             // losing a vote the coordinator acted on.
-            let _ = reply.send(engine.prepare_commit(txn, gtid).map(|()| RemoteOk::Done));
-            true
+            let _ = reply.send(engine.prepare_commit(txn, gtid));
         }
         RemoteOp::Commit { txn, reply } => {
             let res = match engine.commit(txn) {
@@ -1465,7 +1441,7 @@ fn serve_remote(
                     // Participant-local acknowledgement point: this
                     // shard's log is durable before the coordinator may
                     // acknowledge the cross-shard commit.
-                    engine.wal_sync().map(|()| RemoteOk::Done)
+                    engine.wal_sync()
                 }
                 // Only the coordinator decides: a prepared branch whose
                 // decision cannot be logged crash-stops rather than abort,
@@ -1481,20 +1457,12 @@ fn serve_remote(
                 }
             };
             let _ = reply.send(res);
-            true
         }
         RemoteOp::Abort { txn, reply } => {
-            let res = match engine.abort(txn) {
-                Ok((_, woken)) => {
-                    disp.wake_txns(&woken);
-                    Ok(RemoteOk::Done)
-                }
-                Err(e) => Err(e),
-            };
-            let _ = reply.send(res);
-            true
+            let _ = reply.send(engine.abort(txn).map(|(_, woken)| disp.wake_txns(&woken)));
         }
     }
+    true
 }
 
 /// Drain and serve the worker's remote-op channel, then retry parked

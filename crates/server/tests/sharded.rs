@@ -24,8 +24,8 @@
 //!   retirements, handing each one back exactly once.
 //! * **One decider**: a participant that cannot log its commit decision
 //!   crash-stops instead of aborting the branch; a branch lost with its
-//!   shard's incarnation fails as a participant death; dynamic SQL
-//!   reaches a respawned shard as text.
+//!   shard's incarnation fails as a participant death; constant sites
+//!   and dynamic SQL reach a respawned shard as text.
 
 use proptest::prelude::*;
 use pyx_db::{shard_of, DbError, Engine, FaultPlan, FaultySink, LogSink, MemSink, Scalar, Wal};
@@ -1075,6 +1075,9 @@ fn cross_shard_wait_die_victim_restarts_and_retires_once() {
     let (rest, report) = srv.shutdown();
     assert!(rest.is_empty());
     assert_eq!(report.multi_txns, 2);
+    // Each of T2's restarts died on its first statement on shard 1, the
+    // statement that opened its branch there: every such branch aborts.
+    assert_eq!(report.engines[1].stats.aborts, u64::from(done[1].restarts));
 }
 
 /// The headline 2PC property: two cross-shard transactions with disjoint
@@ -1709,6 +1712,75 @@ fn dynamic_sql_survives_a_shard_respawn() {
         three,
         "the respawned shard runs the same text"
     );
+    let (rest, _) = srv.shutdown();
+    assert!(rest.is_empty());
+}
+
+/// Constant sites reach a respawned shard as text. The respawn factory
+/// prepares a statement of its own before the new worker prepares the
+/// partition's sites, so every site gets another id there; a coordinator
+/// that named sites by the old ids would now run the wrong statements.
+#[test]
+fn sites_survive_a_respawn_that_renumbers_the_registry() {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
+    let scale = scale8();
+    let seed = 67;
+    let sinks: Vec<MemSink> = (0..2).map(|_| MemSink::new()).collect();
+    let mut engines = fresh_shards(scale, seed, 2);
+    ShardedServer::attach_shard_wals(&mut engines, 1, |i| Box::new(sinks[i].clone()));
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        engines,
+        ShardedConfig {
+            shards: 2,
+            coordinators: 1,
+            ..ShardedConfig::default()
+        },
+    );
+    let factory_sinks = sinks.clone();
+    srv.set_respawn_factory(move |s| {
+        let mut e = fresh_shards(scale, seed, 2).swap_remove(s);
+        e.recover(&factory_sinks[s].durable_bytes()).ok()?;
+        e.prepare("SELECT i_id FROM item WHERE i_id = ?").ok()?;
+        Some(e)
+    });
+    let wh = |shard: usize| {
+        (1..=8i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 2) == shard)
+            .expect("some warehouse routes to every shard")
+    };
+    let run_transfer = |srv: &mut ShardedServer, tag: u64| {
+        let req = TxnRequest {
+            entry: transfer,
+            args: vec![
+                pyx_runtime::ArgVal::Int(wh(0)),
+                pyx_runtime::ArgVal::Int(wh(1)),
+                pyx_runtime::ArgVal::Int(1),
+                pyx_runtime::ArgVal::Int(1),
+            ],
+            label: "transfer",
+            route: None,
+        };
+        assert_eq!(srv.submit(req, tag), Admit::Started);
+        let d = srv.recv_done().expect("the transfer retires");
+        assert!(d.error.is_none(), "txn {tag}: {:?}", d.error);
+        assert_eq!(d.participants, 2, "txn {tag}");
+        match d.result {
+            Some(pyx_lang::Value::Int(left)) => left,
+            other => panic!("txn {tag}: {other:?}"),
+        }
+    };
+
+    let first = run_transfer(&mut srv, 1);
+    srv.inject_worker_crash(0, 0);
+    let t0 = Instant::now();
+    while srv.recoveries().is_empty() {
+        assert!(t0.elapsed().as_secs() < 30, "respawn never completed");
+        std::thread::sleep(Duration::from_millis(1));
+        srv.reap_now();
+    }
+    assert_eq!(run_transfer(&mut srv, 2), first - 1);
     let (rest, _) = srv.shutdown();
     assert!(rest.is_empty());
 }
