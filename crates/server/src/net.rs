@@ -81,7 +81,10 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::{
+    fs::FileTypeExt,
+    net::{UnixListener, UnixStream},
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -136,14 +139,17 @@ pub enum Listener {
 
 impl Listener {
     /// Bind. `tcp:127.0.0.1:0` picks a free port — read it back with
-    /// [`Listener::local_addr`]. A UDS path is created fresh (any stale
-    /// socket file is removed first).
+    /// [`Listener::local_addr`]. A UDS path is created fresh: a stale
+    /// socket there is removed first, and anything else at the path makes
+    /// the bind fail.
     pub fn bind(addr: &NetAddr) -> io::Result<Listener> {
         match addr {
             NetAddr::Tcp(a) => Ok(Listener::Tcp(TcpListener::bind(a)?)),
             #[cfg(unix)]
             NetAddr::Uds(p) => {
-                let _ = std::fs::remove_file(p);
+                if std::fs::symlink_metadata(p).is_ok_and(|m| m.file_type().is_socket()) {
+                    std::fs::remove_file(p)?;
+                }
                 Ok(Listener::Uds(UnixListener::bind(p)?))
             }
         }

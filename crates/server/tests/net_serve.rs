@@ -256,6 +256,26 @@ fn uds_socket_path_matches_in_process_path() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `uds:` bind replaces only a stale socket: over a regular file it
+/// fails, and the file keeps its bytes.
+#[test]
+fn uds_bind_never_deletes_a_regular_file() {
+    let dir = std::env::temp_dir().join(format!("pyx-net-bind-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("data.txt");
+    std::fs::write(&file, b"keep me").expect("write the file");
+    assert!(
+        Listener::bind(&NetAddr::Uds(file.clone())).is_err(),
+        "a regular file is not a stale socket"
+    );
+    assert_eq!(std::fs::read(&file).expect("the file survives"), b"keep me");
+
+    let sock = NetAddr::Uds(dir.join("stale.sock"));
+    drop(Listener::bind(&sock).expect("first bind"));
+    drop(Listener::bind(&sock).expect("a stale socket is replaced"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tcp_socket_path_matches_in_process_path() {
     let (pyxis, part) = compile();
