@@ -86,7 +86,6 @@ fn bench_sharded_throughput(c: &mut Criterion) {
             engines,
             ShardedConfig {
                 shards,
-                channel_cap: BATCH,
                 dispatcher: DispatcherConfig {
                     max_sessions: per_shard,
                     queue_cap: BATCH,

@@ -318,8 +318,8 @@ impl Default for Engine {
 /// * [`Engine`] — one shard (or the whole database in single-shard
 ///   deployments); every method delegates to the inherent fast paths.
 /// * `pyx-server`'s 2PC coordinator façade (`Coord`), which routes each
-///   statement to the shard owning its rows over the shard workers'
-///   remote-op channels and runs two-phase commit across the shards a
+///   statement to the shard owning its rows, sending it to that shard
+///   worker's inbox, and runs two-phase commit across the shards a
 ///   transaction touched.
 ///
 /// Keeping the trait object-safe (and the session generic over it) is what

@@ -19,13 +19,13 @@ use pyx_pyxil::CompiledPartition;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
-/// Coordinator→worker remote operation: one statement, or one 2PC leg.
-/// Every op carries its own reply channel; a worker that dies drops the
-/// op, which the coordinator observes as a closed reply channel
-/// (participant death).
+/// Coordinator→worker remote operation: one statement, or one 2PC leg,
+/// sent in the shard's inbox as [`Msg::Remote`]. Every op carries its
+/// own reply channel; a worker that dies drops the op, which the
+/// coordinator observes as a closed reply channel (participant death).
 pub(crate) enum RemoteOp {
     /// Execute one statement on this shard's branch. With `txn: None`
     /// the statement opens the branch first: a local read-write
@@ -130,30 +130,13 @@ pub(crate) struct CoordStats {
     pub(crate) participant_deaths: u64,
 }
 
-/// Live channel endpoints for one shard worker. Coordinators (and the
-/// supervisor's own submits) read the *current* endpoints through the
-/// shared link table on every rpc, so a worker respawned after a death
-/// is reachable without restarting the coordinator pool — a dead
-/// incarnation's endpoints just error (closed channel), which is the
-/// participant-death signal.
-pub(crate) struct ShardLink {
-    pub(crate) msg: SyncSender<Msg>,
-    pub(crate) remote: Sender<RemoteOp>,
-}
-
-impl ShardLink {
-    /// Endpoints nobody serves (their receivers are gone), so an rpc
-    /// through them reports a dead participant. A shard's link holds
-    /// these only until its primary's first thread starts.
-    pub(crate) fn closed() -> ShardLink {
-        ShardLink {
-            msg: mpsc::sync_channel(0).0,
-            remote: mpsc::channel().0,
-        }
-    }
-}
-
-pub(crate) type ShardLinks = Arc<Vec<Mutex<ShardLink>>>;
+/// The live inbox of each shard's primary. Coordinators read the
+/// *current* inbox on every rpc, so a primary respawned after a death
+/// is reachable without restarting the coordinator pool; a dead
+/// incarnation's inbox is closed, which is the participant-death
+/// signal. A shard holds a closed sender until its first primary
+/// starts.
+pub(crate) type ShardLinks = Arc<Vec<Mutex<Sender<Msg>>>>;
 
 /// Decision state of one cross-shard transaction in the coordinator
 /// pool's registry ([`Decisions`]). The registry lock is the atomicity
@@ -300,8 +283,8 @@ const VIRTUAL_BIT: u64 = 1 << 63;
 /// thread; holds that coordinator's schema copy and site texts, the open
 /// branches of its (single) in-flight transaction, and its 2PC counters.
 pub(crate) struct Coord {
-    /// Shared link table: the *current* channel endpoints per shard
-    /// (rewritten by the supervisor on failover — see [`ShardLink`]).
+    /// Shared link table: the *current* inbox per shard (rewritten by
+    /// the supervisor on failover — see [`ShardLinks`]).
     links: ShardLinks,
     /// Commit-decision registry shared with the supervisor (see
     /// [`Decisions`]).
@@ -360,21 +343,18 @@ impl Coord {
         self.links.len()
     }
 
-    /// One remote round trip: ship the op, nudge the worker awake, wait
+    /// One remote round trip: put the op in shard `s`'s inbox and wait
     /// for the reply — `None` when a closed channel on either leg says
-    /// the worker is gone. Endpoints are re-read from the link table per
+    /// the worker is gone. The inbox is re-read from the link table per
     /// call, so rpcs reach a respawned worker without restarting this
     /// coordinator.
     fn rpc<R>(&self, s: usize, make: impl FnOnce(Sender<R>) -> RemoteOp) -> Option<R> {
-        let (remote, msg) = {
-            let l = self.links[s].lock().unwrap_or_else(PoisonError::into_inner);
-            (l.remote.clone(), l.msg.clone())
-        };
+        let inbox = self.links[s]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let (tx, rx) = mpsc::channel();
-        remote.send(make(tx)).ok()?;
-        // Sent after the op: a worker that consumes this nudge is
-        // guaranteed to see the op on its next remote-channel drain.
-        let _ = msg.try_send(Msg::Wake);
+        inbox.send(Msg::Remote(make(tx))).ok()?;
         rx.recv().ok()
     }
 

@@ -55,9 +55,9 @@
 //!   extending wait-die across shards. The coordinator lives in the
 //!   private `coord` module, the only code that decides a cross-shard
 //!   outcome; see [`shard`] for the protocol.
-//! * **Waiting and deaths:** an idle shard thread blocks on its request
-//!   channel; out-of-band work — a coordinator's remote op, or durable
-//!   log bytes a replica should tail — sends it a wake message. Results
+//! * **Waiting and deaths:** an idle shard thread blocks on its one
+//!   inbox, where submits and coordinators' remote ops arrive; durable
+//!   log bytes a replica should tail send it a wake message. Results
 //!   come back on one channel, and a thread's exit is its last message
 //!   there, sent by a drop guard even when it panics. Whichever reader
 //!   of the channel gets the exit reaps the worker and, if configured,
@@ -91,8 +91,7 @@
 //!   tag only rebinds the reply path. The client's `acked_below`
 //!   watermark bounds the dedup table's memory.
 //! * **Connection death / partition / stalled peer** triggers bounded
-//!   reconnect with jittered exponential backoff (the backoff
-//!   `ShardedServer::submit_by_deadline` retries admission with).
+//!   reconnect with jittered exponential backoff.
 //!   While the partition lasts, requests stay in flight; once it heals,
 //!   re-submits converge to exactly-once outcomes. If the reconnect budget is exhausted, every
 //!   in-flight request is retired with an explicit

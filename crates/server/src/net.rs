@@ -24,8 +24,7 @@
 //!   accept thread with a connection of its own; the owner ends a
 //!   connection's threads by shutting its socket down.
 //! * [`NetClient`] — the partition-tolerant APP-host client: bounded
-//!   reconnect with jittered exponential backoff (the backoff
-//!   [`ShardedServer::submit_by_deadline`] retries admission with),
+//!   reconnect with jittered exponential backoff,
 //!   automatic re-submit of in-flight requests after reconnect, and
 //!   explicit *outcome-unknown* error retirement once the reconnect
 //!   budget is exhausted — a network failure is loud, never a hang and
@@ -47,11 +46,12 @@
 //! guesswork).
 //!
 //! * `FrameKind::Entry` = **Submit**: stack slots carry
-//!   `(tag, entry, route, label, acked_below)`; each argument travels as
+//!   `(tag, entry, route, acked_below)`; each argument travels as
 //!   one `Native` sync entry `oid = arg index`, whose first element tags
-//!   the [`ArgVal`] variant.
+//!   the [`ArgVal`] variant. No label travels: the server never needs
+//!   one, and the client rebuilds each result from its own request.
 //! * `FrameKind::Return` = **Done**: stack slots carry
-//!   `(tag, flags, restarts, participants, error, label, timings)`; the
+//!   `(tag, flags, restarts, participants, error, timings)`; the
 //!   entry return value rides the frame's native result slot.
 //! * `FrameKind::Transfer` = **control**: hello/ack (client identity),
 //!   echo request/reply (measured pricing), bye. Stack slot 0 is the op
@@ -71,7 +71,7 @@
 
 use crate::dispatch::{Admit, TxnDone};
 use crate::env::Env;
-use crate::shard::{jittered, ShardedReport, ShardedServer, Waker};
+use crate::shard::{ShardedReport, ShardedServer, Waker};
 use crate::workload::TxnRequest;
 use pyx_lang::{MethodId, Oid, RtError, Value};
 use pyx_partition::Side;
@@ -667,7 +667,6 @@ struct NetSubmit {
     tag: u64,
     entry: MethodId,
     route: Option<i64>,
-    label: String,
     acked_below: u64,
     args: Vec<ArgVal>,
 }
@@ -683,8 +682,7 @@ fn submit_frame(tag: u64, acked_below: u64, req: &TxnRequest) -> Frame {
             None => Value::Null,
         },
     ));
-    f.stack.push(slot(3, Value::Str(req.label.into())));
-    f.stack.push(slot(4, Value::Int(acked_below as i64)));
+    f.stack.push(slot(3, Value::Int(acked_below as i64)));
     for (i, a) in req.args.iter().enumerate() {
         let mut elems = Vec::new();
         match a {
@@ -733,11 +731,7 @@ fn parse_submit(f: &Frame) -> Result<NetSubmit, RtError> {
         Some(Value::Int(k)) => Some(*k),
         _ => return Err(werr("bad route slot")),
     };
-    let label = match f.stack.get(3).map(|s| &s.value) {
-        Some(Value::Str(s)) => s.to_string(),
-        _ => return Err(werr("bad label slot")),
-    };
-    let acked_below = slot_i64(f, 4)? as u64;
+    let acked_below = slot_i64(f, 3)? as u64;
     let mut args = Vec::with_capacity(f.sync.len());
     for (i, e) in f.sync.iter().enumerate() {
         let SyncEntry::Native { oid, elems } = e else {
@@ -795,7 +789,6 @@ fn parse_submit(f: &Frame) -> Result<NetSubmit, RtError> {
         tag,
         entry,
         route,
-        label,
         acked_below,
         args,
     })
@@ -828,10 +821,9 @@ fn done_frame(tag: u64, d: &TxnDone) -> Frame {
             None => Value::Null,
         },
     ));
-    f.stack.push(slot(5, Value::Str(d.label.into())));
-    f.stack.push(slot(6, Value::Int(d.submitted_ns as i64)));
-    f.stack.push(slot(7, Value::Int(d.started_ns as i64)));
-    f.stack.push(slot(8, Value::Int(d.finished_ns as i64)));
+    f.stack.push(slot(5, Value::Int(d.submitted_ns as i64)));
+    f.stack.push(slot(6, Value::Int(d.started_ns as i64)));
+    f.stack.push(slot(7, Value::Int(d.finished_ns as i64)));
     f.result.clone_from(&d.result);
     f
 }
@@ -865,30 +857,17 @@ fn parse_done(f: &Frame) -> Result<NetDone, RtError> {
         restarts: slot_i64(f, 2)? as u32,
         participants: slot_i64(f, 3)? as u32,
         error,
-        submitted_ns: slot_i64(f, 6)? as u64,
-        started_ns: slot_i64(f, 7)? as u64,
-        finished_ns: slot_i64(f, 8)? as u64,
+        submitted_ns: slot_i64(f, 5)? as u64,
+        started_ns: slot_i64(f, 6)? as u64,
+        finished_ns: slot_i64(f, 7)? as u64,
         result: f.result.clone(),
     })
 }
 
-/// Intern a wire label into the `&'static str` the dispatcher types
-/// require. The table is bounded: past [`LABEL_CAP`] distinct labels
-/// (no honest workload has more than a handful) everything maps to one
-/// fallback, so a hostile client cannot leak unbounded memory.
-const LABEL_CAP: usize = 1024;
-
-fn intern_label(table: &mut HashMap<String, &'static str>, s: &str) -> &'static str {
-    if let Some(l) = table.get(s) {
-        return l;
-    }
-    if table.len() >= LABEL_CAP {
-        return "net-overflow";
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    table.insert(s.to_string(), leaked);
-    leaked
-}
+/// The label every socket request runs under on the server. The wire
+/// carries none: a label only names a class for the submitter's own
+/// reports, and the client keeps its request's.
+const NET_LABEL: &str = "net";
 
 // ---------------------------------------------------------------------
 // NetServer — the DB host
@@ -1203,7 +1182,6 @@ struct Owner {
     /// server tag → (client id, client tag).
     tag_map: HashMap<u64, (u64, u64)>,
     next_tag: u64,
-    labels: HashMap<String, &'static str>,
     shutting_down: bool,
 }
 
@@ -1220,7 +1198,6 @@ fn owner_loop(srv: ShardedServer, inbox: Receiver<ConnEvent>) -> ShardedReport {
         clients: HashMap::new(),
         tag_map: HashMap::new(),
         next_tag: 1,
-        labels: HashMap::new(),
         shutting_down: false,
     };
     loop {
@@ -1315,11 +1292,10 @@ impl Owner {
             // retires.
             return;
         }
-        let label = intern_label(&mut self.labels, &sub.label);
         let req = TxnRequest {
             entry: sub.entry,
             args: sub.args,
-            label,
+            label: NET_LABEL,
             route: sub.route,
         };
         let server_tag = self.next_tag;
@@ -1342,7 +1318,7 @@ impl Owner {
                     Admit::Rejected => "admission rejected: server overloaded",
                     _ => "admission failed: shard unavailable",
                 };
-                let d = TxnDone::failed(sub.tag, sub.entry, label, why.to_string());
+                let d = TxnDone::failed(sub.tag, sub.entry, NET_LABEL, why.to_string());
                 let bytes = done_frame(sub.tag, &d).encode();
                 self.clients
                     .get_mut(&client_id)
@@ -1422,10 +1398,23 @@ static NEXT_CLIENT_ID: AtomicU64 = AtomicU64::new(1);
 /// Deadline of one connection attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Reconnect backoff start and cap (jittered exponential, as
-/// [`ShardedServer::submit_by_deadline`] backs off).
+/// Reconnect backoff start and cap (exponential, [`jittered`]).
 const BACKOFF: Duration = Duration::from_micros(50);
 const BACKOFF_CAP: Duration = Duration::from_millis(50);
+
+/// Scale `d` by a deterministic pseudo-random fraction in `[0.5, 1.0)`,
+/// advancing the xorshift64* state `rng`. Jitters [`NetClient`]'s
+/// reconnect backoff.
+fn jittered(rng: &mut u64, d: Duration) -> Duration {
+    let mut x = *rng;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *rng = x;
+    let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+    let frac = 0.5 + (r >> 11) as f64 / (1u64 << 54) as f64;
+    d.mul_f64(frac)
+}
 
 impl Default for NetClientCfg {
     fn default() -> NetClientCfg {
@@ -1836,8 +1825,13 @@ mod tests {
         assert_eq!(back.acked_below, 4);
         assert_eq!(back.entry, MethodId(7));
         assert_eq!(back.route, Some(42));
-        assert_eq!(back.label, "t");
         assert_eq!(format!("{:?}", back.args), format!("{:?}", r.args));
+        // No label travels: a long one does not grow the frame.
+        let long = TxnRequest {
+            label: "a label far longer than the one above",
+            ..r.clone()
+        };
+        assert_eq!(submit_frame(9, 4, &long).encode().len(), bytes.len());
         // route: None maps to Null and back.
         let r2 = req(1, vec![], None);
         let back2 =
@@ -1909,19 +1903,6 @@ mod tests {
         assert!(s2.is_partitioned());
         s2.heal();
         assert!(!s.is_partitioned());
-    }
-
-    #[test]
-    fn label_interning_is_bounded() {
-        let mut t = HashMap::new();
-        let a = intern_label(&mut t, "alpha");
-        let b = intern_label(&mut t, "alpha");
-        assert!(std::ptr::eq(a, b));
-        for i in 0..LABEL_CAP + 10 {
-            intern_label(&mut t, &format!("l{i}"));
-        }
-        assert!(t.len() <= LABEL_CAP);
-        assert_eq!(intern_label(&mut t, "fresh-after-cap"), "net-overflow");
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! style) and gives each shard to a dedicated OS thread running its own
 //! single-threaded [`crate::Dispatcher`] — its own sessions, compiled
 //! partition, prepared plans, and admission queue. Partitionable requests
-//! ([`TxnRequest::route`]` == Some(k)`) are submitted over a bounded
-//! channel to the shard `shard_of(k, W)` and execute with zero cross-shard
-//! coordination, so throughput scales with cores on a partitionable mix.
+//! ([`TxnRequest::route`]` == Some(k)`) go to the inbox of shard
+//! `shard_of(k, W)` and execute with zero cross-shard coordination, so
+//! throughput scales with cores on a partitionable mix. Each shard
+//! thread reads one inbox — submits, coordinators' remote ops, feed
+//! wakes and control all arrive there — and the server bounds what it
+//! admits to each thread (see [`ShardedConfig`]).
 //!
 //! # Threading model
 //!
@@ -104,11 +107,11 @@
 //! ([`ShardedServer::attach_shard_wals_with_feeds`] +
 //! [`ShardedServer::spawn_replicas`]). A replica runs the same thread
 //! body as a primary, in a replica role: between polls it tails the
-//! feed incrementally ([`RedoTailer`] → [`Engine::apply_redo`]) where a
-//! primary serves coordinators' remote ops. Both roles block when idle:
-//! each publish of durable bytes wakes the shard's replicas (a waker
-//! registered on the feed sends them a `Msg::Wake`), as a coordinator's
-//! nudge wakes a primary. A replica serves
+//! feed incrementally ([`RedoTailer`] → [`Engine::apply_redo`]). Both
+//! roles block on their inbox when idle: a coordinator's op lands in its
+//! primary's inbox itself, and each publish of durable bytes wakes the
+//! shard's replicas (a waker registered on the feed sends them a
+//! `Msg::Wake`). A replica serves
 //! **read-only routable** requests as lock-free MVCC snapshots at its
 //! applied horizon — a committed durable prefix of the primary, so a
 //! replica answer is always one the primary itself would have given at
@@ -182,7 +185,7 @@
 //!   shard stays down (a [`HealFailure`]) with its vote in doubt and its
 //!   registry entry kept, until a replacement log exists.
 //! * **Availability**: the healed shard's new thread takes over the
-//!   shard's worker slot with fresh channels (coordinators reach it
+//!   shard's worker slot with a fresh inbox (coordinators reach it
 //!   through the shared link table) and the shard's horizon cell, and
 //!   the shard flips back to accepting writes. Callers ride through the
 //!   window with [`ShardedServer::submit_by_deadline`]; per-shard MTTR
@@ -201,8 +204,7 @@
 //! replicas keep answering reads.
 
 use crate::coord::{
-    coordinator, Coord, CoordJob, CoordStats, Decisions, HoldHook, HoldPoint, RemoteOp, ShardLink,
-    ShardLinks,
+    coordinator, Coord, CoordJob, CoordStats, Decisions, HoldHook, HoldPoint, RemoteOp, ShardLinks,
 };
 use crate::dispatch::{
     Admit, Deployment, Dispatcher, DispatcherConfig, DispatcherStats, Polled, TxnDone,
@@ -217,21 +219,21 @@ use pyx_pyxil::CompiledPartition;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Sharded-server tuning.
+/// Sharded-server tuning. One admission bound covers every thread: a
+/// shard thread holds at most `max_sessions + queue_cap` unretired
+/// requests, and the coordinator pool at most `coordinators +
+/// queue_cap`; a submit past its bound is [`Admit::Rejected`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
     /// Number of engine shards / worker threads.
     pub shards: usize,
     /// Per-worker dispatcher tuning (sessions, queue, snapshot reads).
     pub dispatcher: DispatcherConfig,
-    /// Bound of each worker's request channel. A full channel rejects the
-    /// submit (backpressure), mirroring the dispatcher's own queue cap.
-    pub channel_cap: usize,
     /// Coordinator threads — the number of cross-shard transactions in
     /// flight at once.
     pub coordinators: usize,
@@ -251,7 +253,6 @@ impl Default for ShardedConfig {
         ShardedConfig {
             shards: 2,
             dispatcher: DispatcherConfig::default(),
-            channel_cap: 4096,
             coordinators: 2,
         }
     }
@@ -277,7 +278,7 @@ pub struct ShardedReport {
     /// Read-only requests served by a replica.
     pub replica_reads: u64,
     /// Read-only requests that fell back to the primary (replica lag
-    /// over the bound, replica channel full, or replica dead).
+    /// over the bound, replica at its admission bound, or replica dead).
     pub replica_fallbacks: u64,
     /// One entry per shard failover the supervisor performed (empty
     /// unless self-healing was configured), in recovery order.
@@ -349,17 +350,18 @@ impl ShardedReport {
     }
 }
 
+/// One message in a shard thread's inbox, the only channel it reads.
 pub(crate) enum Msg {
     Submit {
         req: TxnRequest,
         tag: u64,
     },
-    /// Nudge: work arrived out of band — a coordinator put an op on this
-    /// primary's remote channel, or the shard's log published durable
-    /// bytes for this replica to tail (the waker [`ShardedServer`]
-    /// registers on the feed). Sent *after* the work, so a worker that
-    /// sees the nudge is guaranteed to see the work between its next
-    /// polls. A no-op when the worker is already awake.
+    /// A coordinator's statement or 2PC leg for this primary.
+    Remote(RemoteOp),
+    /// The shard's log published durable bytes for this replica to tail
+    /// (the waker [`ShardedServer`] registers on the feed). Sent *after*
+    /// the publish, so a replica that sees it finds the bytes on its
+    /// next catch-up. A no-op when the replica is already awake.
     Wake,
     Shutdown,
     /// Test hook: die abruptly after reporting `after_done` more results,
@@ -375,7 +377,7 @@ pub(crate) enum Msg {
 /// Results-channel index of coordinator-reported outcomes. Coordinators
 /// report for themselves — a participant death surfaces as an error on
 /// the coordinator's transaction — so no per-shard outstanding entry
-/// tracks them.
+/// tracks them, only the pool's admission count.
 pub(crate) const COORD: usize = usize::MAX;
 
 /// One message on the results channel, sent under the sender's worker
@@ -429,15 +431,17 @@ impl Drop for ExitGuard {
 struct Worker {
     /// The shard this thread serves (primary) or follows (replica).
     shard: usize,
-    tx: SyncSender<Msg>,
+    /// The thread's inbox.
+    tx: Sender<Msg>,
     /// `None` once a promotion consumed this replica.
     thread: Option<Thread>,
     /// The commit timestamp the thread publishes: a primary's durable
     /// horizon, a replica's applied one (the two inputs of
     /// bounded-staleness admission).
     horizon: Arc<AtomicU64>,
-    /// tag → (entry, label) of every submitted-but-unretired request, so
-    /// a dead worker's losses surface as error results.
+    /// tag → (entry, label) of every submitted request whose result has
+    /// not been filed, so a dead worker's losses surface as error
+    /// results. Its size is the thread's admission count.
     outstanding: HashMap<u64, (MethodId, &'static str)>,
     /// The thread's exit was reaped (its losses reported), or a
     /// promotion consumed it.
@@ -478,8 +482,8 @@ pub struct ShardedServer {
     /// Every shard thread: the primaries (worker `s` serves shard `s`),
     /// then the replicas.
     workers: Vec<Worker>,
-    /// Shared link table: the live channel endpoints per shard,
-    /// rewritten whenever a primary's thread starts.
+    /// Shared link table: the live inbox per shard, rewritten whenever a
+    /// primary's thread starts.
     links: ShardLinks,
     /// Commit-decision registry shared with the coordinator pool (see
     /// [`Decisions`]) — the in-doubt resolution source at failover.
@@ -488,12 +492,6 @@ pub struct ShardedServer {
     done_tx: Results,
     part: Arc<CompiledPartition>,
     cfg: ShardedConfig,
-    in_flight: u64,
-    /// xorshift64* state for retry-backoff jitter. Seeded from a fixed
-    /// constant, so a given submission schedule is still reproducible,
-    /// while concurrent retriers inside one run decorrelate instead of
-    /// hammering a recovering shard in lockstep.
-    retry_rng: u64,
     // -- self-healing supervision (opt-in) --
     /// Promote a replica when a primary dies (see module docs).
     self_heal: bool,
@@ -514,11 +512,13 @@ pub struct ShardedServer {
     replica_reads: u64,
     replica_fallbacks: u64,
     /// Results read off the channel and not yet delivered, plus the
-    /// synthesized error results of reaped workers. Counted in
-    /// `in_flight` until delivered.
+    /// synthesized error results of reaped workers.
     ready: VecDeque<TxnDone>,
     // -- 2PC coordinator pool --
-    job_tx: SyncSender<CoordJob>,
+    job_tx: Sender<CoordJob>,
+    /// Cross-shard submits whose result has not been filed: the pool's
+    /// admission count.
+    coord_outstanding: usize,
     coord_handles: Vec<JoinHandle<CoordStats>>,
     hold_next: Option<HoldHook>,
     multi_txns: u64,
@@ -539,12 +539,12 @@ impl ShardedServer {
         assert_eq!(engines.len(), cfg.shards, "one engine per shard");
         assert!(cfg.shards > 0, "at least one shard");
         let (done_tx, done_rx) = mpsc::channel();
-        let (job_tx, jrx) = mpsc::sync_channel(cfg.channel_cap);
+        let (job_tx, jrx) = mpsc::channel();
         let mut srv = ShardedServer {
             workers: Vec::with_capacity(cfg.shards),
             links: Arc::new(
                 (0..cfg.shards)
-                    .map(|_| Mutex::new(ShardLink::closed()))
+                    .map(|_| Mutex::new(mpsc::channel().0))
                     .collect(),
             ),
             decisions: Decisions::default(),
@@ -552,8 +552,6 @@ impl ShardedServer {
             done_tx,
             part,
             cfg,
-            in_flight: 0,
-            retry_rng: 0x9E37_79B9_7F4A_7C15,
             self_heal: false,
             respawn: None,
             recoveries: Vec::new(),
@@ -564,6 +562,7 @@ impl ShardedServer {
             replica_fallbacks: 0,
             ready: VecDeque::new(),
             job_tx,
+            coord_outstanding: 0,
             coord_handles: Vec::new(),
             hold_next: None,
             multi_txns: 0,
@@ -598,32 +597,23 @@ impl ShardedServer {
     /// Without a `feed` it is shard `shard`'s primary, taking worker slot
     /// `shard` (a healed primary replaces the dead one and keeps its
     /// horizon cell, so replica staleness admission carries over) and
-    /// publishing its remote-op endpoint in the link table, where
-    /// coordinators find it. With a `feed` it is a new replica of
-    /// `shard`, tailing that feed, which wakes it on every publish.
-    /// Returns the worker's index.
+    /// publishing its inbox in the link table, where coordinators find
+    /// it. With a `feed` it is a new replica of `shard`, tailing that
+    /// feed, which wakes it on every publish. Returns the worker's index.
     fn spawn(&mut self, shard: usize, engine: Engine, feed: Option<LogFeed>) -> usize {
-        let (tx, rx) = mpsc::sync_channel(self.cfg.channel_cap);
+        let (tx, rx) = mpsc::channel();
         let (idx, role, name) = match feed {
             None => {
-                let (remote, rrx) = mpsc::channel();
                 *self.links[shard]
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = ShardLink {
-                    msg: tx.clone(),
-                    remote,
-                };
-                let role = Role::Primary {
-                    remote: rrx,
-                    parked: Vec::new(),
-                };
-                (shard, role, format!("pyx-shard-{shard}"))
+                    .unwrap_or_else(PoisonError::into_inner) = tx.clone();
+                (shard, Role::Primary, format!("pyx-shard-{shard}"))
             }
             Some(feed) => {
                 let idx = self.workers.len();
                 let wake = tx.clone();
                 feed.on_publish(move || {
-                    let _ = wake.try_send(Msg::Wake);
+                    let _ = wake.send(Msg::Wake);
                 });
                 let role = Role::Replica {
                     feed,
@@ -809,22 +799,17 @@ impl ShardedServer {
     }
 
     /// [`ShardedServer::submit`], retried until admitted or `deadline`
-    /// passes. Retries [`Admit::Rejected`] (backpressure: draining
-    /// retirements is precisely what frees worker-channel capacity) and
-    /// [`Admit::Unavailable`] (a failover window: a dead shard's exit
-    /// report, read while waiting, heals it). The wait between attempts
-    /// is spent *working*: it blocks on the results channel for at most
-    /// the backoff, files each retirement on the ready queue, where the
-    /// next [`ShardedServer::recv_done`] /
-    /// [`ShardedServer::try_recv_done`] delivers it exactly once, and
-    /// reaps each exit it reads. Backoff is exponential from 50µs,
-    /// capped at 50ms, with deterministic multiplicative jitter in
-    /// `[0.5, 1.0)` drawn from a seeded xorshift — reproducible
-    /// schedules, but concurrent retriers fan out instead of stampeding
-    /// a recovering shard in phase. Returns the final admission (the
-    /// last failure once the deadline passed).
+    /// passes. Only a results-channel message can turn a refusal into an
+    /// admission: a filed retirement frees a slot under the admission
+    /// bound ([`Admit::Rejected`]), and a reaped exit heals a dead shard
+    /// ([`Admit::Unavailable`], a failover window). So after each
+    /// refusal it blocks, until the deadline at most, for the next
+    /// message, files it on the ready queue, where the next
+    /// [`ShardedServer::recv_done`] / [`ShardedServer::try_recv_done`]
+    /// delivers it exactly once, reaps whatever else is already there,
+    /// and tries again. Returns the final admission (the last failure
+    /// once the deadline passed).
     pub fn submit_by_deadline(&mut self, req: TxnRequest, tag: u64, deadline: Instant) -> Admit {
-        let mut backoff = std::time::Duration::from_micros(50);
         loop {
             match self.submit(req.clone(), tag) {
                 admit @ (Admit::Rejected | Admit::Unavailable) => {
@@ -832,12 +817,10 @@ impl ShardedServer {
                     if now >= deadline {
                         return admit;
                     }
-                    let wait = jittered(&mut self.retry_rng, backoff).min(deadline - now);
-                    if let Ok(msg) = self.done_rx.recv_timeout(wait) {
+                    if let Ok(msg) = self.done_rx.recv_timeout(deadline - now) {
                         self.file(msg);
                         self.reap_now();
                     }
-                    backoff = (backoff * 2).min(std::time::Duration::from_millis(50));
                 }
                 admit => return admit,
             }
@@ -910,16 +893,20 @@ impl ShardedServer {
         self.cfg.shards
     }
 
-    /// Requests submitted but not yet collected via [`ShardedServer::recv_done`].
+    /// Requests submitted but not yet collected via [`ShardedServer::recv_done`]:
+    /// the unfiled ones each thread and the coordinator pool hold, plus
+    /// the filed ones on the ready queue.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight
+        let unfiled: usize = self.workers.iter().map(|w| w.outstanding.len()).sum();
+        (unfiled + self.coord_outstanding + self.ready.len()) as u64
     }
 
-    /// Submit a request. `route: Some(k)` goes to shard `shard_of(k, W)`
-    /// over its bounded channel ([`Admit::Rejected`] on a full channel —
-    /// backpressure, retry after draining; [`Admit::Unavailable`] if that
-    /// shard's worker has died). `route: None` is a cross-shard
-    /// transaction: it queues to the coordinator pool.
+    /// Submit a request. `route: Some(k)` goes to shard `shard_of(k, W)`;
+    /// `route: None` is a cross-shard transaction and queues to the
+    /// coordinator pool. A thread past its admission bound (see
+    /// [`ShardedConfig`]) refuses with [`Admit::Rejected`] — backpressure:
+    /// retry once a retirement is filed. [`Admit::Unavailable`] means
+    /// the shard's worker has died.
     pub fn submit(&mut self, req: TxnRequest, tag: u64) -> Admit {
         match req.route {
             Some(k) => {
@@ -939,28 +926,43 @@ impl ShardedServer {
                 self.submit_primary(s, req, tag)
             }
             None => {
+                let pool = self.coord_handles.len();
+                if self.coord_outstanding >= pool.saturating_add(self.cfg.dispatcher.queue_cap) {
+                    return Admit::Rejected;
+                }
                 let hold = self.hold_next.take();
-                match self.job_tx.try_send(CoordJob { req, tag, hold }) {
+                match self.job_tx.send(CoordJob { req, tag, hold }) {
                     Ok(()) => {
-                        self.in_flight += 1;
+                        self.coord_outstanding += 1;
                         Admit::Started
                     }
-                    Err(TrySendError::Full(_)) => Admit::Rejected,
-                    Err(TrySendError::Disconnected(_)) => Admit::Unavailable,
+                    Err(_) => Admit::Unavailable,
                 }
             }
         }
     }
 
-    /// Send `req` to worker `i` and track it as outstanding there. A
-    /// full or closed channel hands the message back.
-    fn send_to(&mut self, i: usize, req: TxnRequest, tag: u64) -> Result<(), TrySendError<Msg>> {
-        let (entry, label) = (req.entry, req.label);
+    /// Send `req` to worker `i` and track it as outstanding there, unless
+    /// the thread already holds its bound of `max_sessions + queue_cap`
+    /// (`Err((req, Admit::Rejected))`) or its inbox is closed (`Err((req,
+    /// Admit::Unavailable))`: the thread stopped, its exit report is on
+    /// the results channel, and the next reader reaps it). The bound is
+    /// the dispatcher's own, so the thread's dispatcher never refuses.
+    fn send_to(&mut self, i: usize, req: TxnRequest, tag: u64) -> Result<(), (TxnRequest, Admit)> {
+        let d = self.cfg.dispatcher;
         let w = &mut self.workers[i];
-        w.tx.try_send(Msg::Submit { req, tag })?;
-        w.outstanding.insert(tag, (entry, label));
-        self.in_flight += 1;
-        Ok(())
+        if w.outstanding.len() >= d.max_sessions.saturating_add(d.queue_cap) {
+            return Err((req, Admit::Rejected));
+        }
+        let (entry, label) = (req.entry, req.label);
+        match w.tx.send(Msg::Submit { req, tag }) {
+            Ok(()) => {
+                w.outstanding.insert(tag, (entry, label));
+                Ok(())
+            }
+            Err(mpsc::SendError(Msg::Submit { req, .. })) => Err((req, Admit::Unavailable)),
+            Err(_) => unreachable!("send_to sends Msg::Submit"),
+        }
     }
 
     /// Submit a routed request to shard `s`'s primary worker.
@@ -970,10 +972,7 @@ impl ShardedServer {
         }
         match self.send_to(s, req, tag) {
             Ok(()) => Admit::Started,
-            Err(TrySendError::Full(_)) => Admit::Rejected,
-            // The thread stopped: its exit report is on the results
-            // channel, and the next reader reaps it.
-            Err(TrySendError::Disconnected(_)) => Admit::Unavailable,
+            Err((_, refused)) => refused,
         }
     }
 
@@ -1006,11 +1005,7 @@ impl ShardedServer {
                     self.replica_reads += 1;
                     return Ok(Admit::Started);
                 }
-                Err(TrySendError::Full(Msg::Submit { req: back, .. }))
-                | Err(TrySendError::Disconnected(Msg::Submit { req: back, .. })) => {
-                    req = back;
-                }
-                Err(_) => unreachable!("submit sends Msg::Submit"),
+                Err((back, _)) => req = back,
             }
         }
         self.replica_fallbacks += 1;
@@ -1037,24 +1032,25 @@ impl ShardedServer {
     /// else only taking what is already there.
     fn next_done(&mut self, block: bool) -> Option<TxnDone> {
         while self.ready.is_empty() {
-            let msg = if block && self.in_flight > 0 {
+            let msg = if block && self.in_flight() > 0 {
                 self.done_rx.recv().ok()
             } else {
                 self.done_rx.try_recv().ok()
             };
             self.file(msg?);
         }
-        self.in_flight -= 1;
         self.ready.pop_front()
     }
 
     /// Act on one results-channel message: file a result on the ready
-    /// queue, clearing its outstanding entry (coordinators track none),
-    /// or reap the worker an exit came from. A wake needs nothing.
+    /// queue, clearing its sender's admission count, or reap the worker
+    /// an exit came from. A wake needs nothing.
     fn file(&mut self, (i, report): (usize, Report)) {
         match report {
             Report::Done(d) => {
-                if i != COORD {
+                if i == COORD {
+                    self.coord_outstanding -= 1;
+                } else {
                     self.workers[i].outstanding.remove(&d.tag);
                 }
                 self.ready.push_back(d);
@@ -1107,7 +1103,7 @@ impl ShardedServer {
     /// Supervise newly dead shard `s`: steal its log, build a successor
     /// around it ([`ShardedServer::build_successor`]), resolve in-doubt
     /// branches against the coordinator decision registry, and start the
-    /// healed shard's thread under fresh channels. When no candidate
+    /// healed shard's thread with a fresh inbox. When no candidate
     /// succeeds the shard stays dead (submits keep reporting
     /// [`Admit::Unavailable`]) — healing never trades correctness for
     /// availability — with the stolen log stashed back on the dead
@@ -1147,8 +1143,8 @@ impl ShardedServer {
         };
         let (in_doubt, resolved_commit, resolved_abort) =
             self.decisions.settle_in_doubt(&mut engine);
-        // Swap the healed shard in: a fresh thread and channels (the link
-        // table points coordinators at them), same horizon cell.
+        // Swap the healed shard in: a fresh thread and inbox (the link
+        // table points coordinators at it), same horizon cell.
         self.spawn(s, engine, None);
         self.recoveries.push(ShardRecovery {
             shard: s,
@@ -1250,7 +1246,7 @@ impl ShardedServer {
 
     /// Collect every outstanding transaction.
     pub fn drain(&mut self) -> Vec<TxnDone> {
-        let mut out = Vec::with_capacity(self.in_flight as usize);
+        let mut out = Vec::with_capacity(self.in_flight() as usize);
         while let Some(d) = self.recv_done() {
             out.push(d);
         }
@@ -1316,21 +1312,6 @@ impl ShardedServer {
     }
 }
 
-/// Scale `d` by a deterministic pseudo-random fraction in `[0.5, 1.0)`,
-/// advancing the xorshift64* state `rng`. The retry backoff of
-/// [`ShardedServer::submit_by_deadline`] and the socket client's
-/// reconnect backoff share it.
-pub(crate) fn jittered(rng: &mut u64, d: std::time::Duration) -> std::time::Duration {
-    let mut x = *rng;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *rng = x;
-    let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    let frac = 0.5 + (r >> 11) as f64 / (1u64 << 54) as f64;
-    d.mul_f64(frac)
-}
-
 /// Retire every request in a dead worker's `outstanding` map (tag →
 /// entry, label) with `error`, in tag order, onto the `ready` queue.
 fn fail_outstanding(
@@ -1390,14 +1371,13 @@ fn flush_dones(
 
 /// Serve one remote op against this worker's engine. `Exec` ops that
 /// would block on a row lock are parked (no reply) and retried by
-/// [`remote_pump`]; everything else replies immediately. Returns `true`
-/// when the op completed (replied), `false` when it parked.
+/// [`retry_parked`]; everything else replies immediately.
 fn serve_remote(
     engine: &mut Engine,
     disp: &mut Dispatcher<'_>,
     op: RemoteOp,
     parked: &mut Vec<RemoteOp>,
-) -> bool {
+) {
     match op {
         RemoteOp::Exec {
             txn,
@@ -1412,16 +1392,13 @@ fn serve_remote(
                 // The branch is now a registered lock waiter; retry until
                 // the lock frees (the statement has mutated nothing yet)
                 // or a later wait-die check kills it.
-                Err(DbError::WouldBlock) => {
-                    parked.push(RemoteOp::Exec {
-                        txn: Some(txn),
-                        age,
-                        stmt,
-                        params,
-                        reply,
-                    });
-                    return false;
-                }
+                Err(DbError::WouldBlock) => parked.push(RemoteOp::Exec {
+                    txn: Some(txn),
+                    age,
+                    stmt,
+                    params,
+                    reply,
+                }),
                 res => {
                     let _ = reply.send((txn, res));
                 }
@@ -1462,45 +1439,23 @@ fn serve_remote(
             let _ = reply.send(engine.abort(txn).map(|(_, woken)| disp.wake_txns(&woken)));
         }
     }
-    true
 }
 
-/// Drain and serve the worker's remote-op channel, then retry parked
-/// statements (a commit/abort drained just now may have freed their
-/// locks). Returns `true` if any op completed — the worker should loop
-/// again rather than sleep, since a completion can have knock-on
-/// effects (a freed lock, a wake-up).
-fn remote_pump(
-    engine: &mut Engine,
-    disp: &mut Dispatcher<'_>,
-    rrx: &Receiver<RemoteOp>,
-    parked: &mut Vec<RemoteOp>,
-) -> bool {
-    let mut progress = false;
-    // Empty and Disconnected (every sender gone at shutdown) both mean
-    // "nothing to serve".
-    while let Ok(op) = rrx.try_recv() {
-        progress |= serve_remote(engine, disp, op, parked);
+/// Retry the statements parked on row locks: a commit or abort served
+/// since their last try may have freed them. A statement frees no lock,
+/// so one pass after the last release is enough.
+fn retry_parked(engine: &mut Engine, disp: &mut Dispatcher<'_>, parked: &mut Vec<RemoteOp>) {
+    for op in std::mem::take(parked) {
+        serve_remote(engine, disp, op, parked);
     }
-    if !parked.is_empty() {
-        let retry = std::mem::take(parked);
-        for op in retry {
-            progress |= serve_remote(engine, disp, op, parked);
-        }
-    }
-    progress
 }
 
 /// What sets a primary's thread apart from a replica's: the work
 /// between polls, how it waits when idle, and what it hands back.
 enum Role {
-    /// A shard primary: serves the coordinators' remote ops (parking
-    /// statements that would block) and publishes its durable commit
-    /// timestamp.
-    Primary {
-        remote: Receiver<RemoteOp>,
-        parked: Vec<RemoteOp>,
-    },
+    /// A shard primary: publishes its durable commit timestamp. Only a
+    /// primary is sent coordinators' remote ops.
+    Primary,
     /// A log-shipping replica: tails its shard's durable redo feed into
     /// its engine ([`Engine::apply_redo`]) and publishes its applied
     /// commit timestamp.
@@ -1515,14 +1470,9 @@ impl Role {
     /// The work between polls. `false` stops the thread: a replica
     /// whose feed is corrupt cannot converge, and must stop serving
     /// rather than answer from a frozen horizon forever.
-    fn between_polls(
-        &mut self,
-        engine: &mut Engine,
-        disp: &mut Dispatcher<'_>,
-        horizon: &AtomicU64,
-    ) -> bool {
+    fn between_polls(&mut self, engine: &mut Engine, horizon: &AtomicU64) -> bool {
         match self {
-            Role::Primary { remote, parked } => {
+            Role::Primary => {
                 // Volatile engines (no WAL) publish the commit counter
                 // itself — every in-memory commit is as "durable" as
                 // this deployment gets.
@@ -1531,7 +1481,6 @@ impl Role {
                     durable.unwrap_or_else(|| engine.current_commit_ts()),
                     Ordering::Release,
                 );
-                remote_pump(engine, disp, remote, parked);
             }
             Role::Replica { feed, tailer, buf } => {
                 // Apply whatever the primary has made durable since last
@@ -1549,42 +1498,39 @@ impl Role {
 
     /// Wait for the next message once the dispatcher is idle (nothing
     /// runnable: any live session waits on a lock); `None` when the
-    /// thread should loop instead. Both roles block: out-of-band work —
-    /// a coordinator's op, a published feed — sends a [`Msg::Wake`].
-    fn idle_wait(
-        &mut self,
-        engine: &mut Engine,
-        disp: &mut Dispatcher<'_>,
-        rx: &Receiver<Msg>,
-    ) -> Option<Msg> {
-        // A final check before sleeping: a Wake consumed by the admission
-        // drain may stand for work that arrived after this iteration's
-        // `between_polls` — a coordinator's op, or bytes the feed
-        // published (work is queued before its nudge, so seeing the nudge
-        // means the work is visible). Anything new can have knock-on
-        // effects — loop. Parked ops and blocked local sessions are safe
-        // to sleep on: nothing local is runnable, so each waits, directly
-        // or through a blocked local session, on a remote branch whose
-        // coordinator will send the releasing commit/abort — with a Wake
-        // nudge.
-        let fresh = match self {
-            Role::Primary { remote, parked } => remote_pump(engine, disp, remote, parked),
-            Role::Replica { feed, tailer, .. } => feed.durable_len() > tailer.offset(),
-        };
-        if fresh {
-            return None;
+    /// thread should loop instead. Every input arrives in the inbox it
+    /// blocks on, so only a replica checks first: a [`Msg::Wake`]
+    /// consumed by this iteration's drain may stand for bytes the feed
+    /// published after this iteration's catch-up. Parked ops and blocked
+    /// local sessions are safe to sleep on: nothing local is runnable,
+    /// so each waits, directly or through a blocked local session, on a
+    /// remote branch whose coordinator will send the releasing
+    /// commit/abort to the inbox.
+    fn idle_wait(&self, rx: &Receiver<Msg>) -> Option<Msg> {
+        if let Role::Replica { feed, tailer, .. } = self {
+            if feed.durable_len() > tailer.offset() {
+                return None;
+            }
         }
         Some(rx.recv().unwrap_or(Msg::Shutdown))
     }
 }
 
-/// Act on one request-channel message; `false` once it says stop.
-fn on_msg(msg: Msg, disp: &mut Dispatcher<'_>, crash_after: &mut Option<usize>) -> bool {
+/// Act on one inbox message; `false` once it says stop.
+fn on_msg(
+    msg: Msg,
+    engine: &mut Engine,
+    disp: &mut Dispatcher<'_>,
+    parked: &mut Vec<RemoteOp>,
+    crash_after: &mut Option<usize>,
+) -> bool {
     match msg {
         Msg::Submit { req, tag } => {
-            disp.submit(0, req, tag);
+            let admit = disp.submit(0, req, tag);
+            debug_assert_ne!(admit, Admit::Rejected, "the server admits what fits");
         }
-        Msg::Wake => {} // remote ops are pumped every iteration
+        Msg::Remote(op) => serve_remote(engine, disp, op, parked),
+        Msg::Wake => {} // the feed is tailed every iteration
         Msg::Crash { after_done: 0 } => crash(),
         Msg::Crash { after_done } => *crash_after = Some(after_done),
         Msg::Shutdown => return false,
@@ -1598,11 +1544,13 @@ fn crash() -> ! {
     std::panic::resume_unwind(Box::new("injected shard worker crash"))
 }
 
-/// The serving loop of one shard thread, whatever its role: admit
-/// requests while the dispatcher has room, do the role's work between
-/// polls, drive the dispatcher, and ship retirements to the results
-/// channel in batches through [`flush_dones`], the group-commit
-/// acknowledgement point. Returns whether the thread stopped cleanly.
+/// The serving loop of one shard thread, whatever its role: do the
+/// role's work between polls, drain the whole inbox (the server admits
+/// no more submits than the dispatcher holds, and each coordinator has
+/// one op in flight), retry parked statements, drive the dispatcher,
+/// and ship retirements to the results channel in batches through
+/// [`flush_dones`], the group-commit acknowledgement point. Returns
+/// whether the thread stopped cleanly.
 fn serve(
     idx: usize,
     engine: &mut Engine,
@@ -1612,24 +1560,25 @@ fn serve(
     done: &Results,
     horizon: &AtomicU64,
 ) -> bool {
-    let cfg = *disp.config();
     let mut open = true;
     let mut batch: Vec<TxnDone> = Vec::new();
+    let mut parked: Vec<RemoteOp> = Vec::new();
     let mut crash_after: Option<usize> = None;
     loop {
-        if !role.between_polls(engine, disp, horizon) {
+        if !role.between_polls(engine, horizon) {
             return false;
         }
-        while open
-            && (disp.active_sessions() < cfg.max_sessions || disp.queue_len() < cfg.queue_cap)
-        {
+        while open {
             let msg = match rx.try_recv() {
                 Ok(msg) => msg,
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => Msg::Shutdown,
             };
-            open = on_msg(msg, disp, &mut crash_after);
+            open = on_msg(msg, engine, disp, &mut parked, &mut crash_after);
         }
+        // After the drain, so a lock a drained commit or abort freed
+        // serves its parked statement before the thread can idle.
+        retry_parked(engine, disp, &mut parked);
         match disp.poll(engine, &mut InstantEnv) {
             // Consecutive retirements batch up; the next non-Done poll
             // flushes them behind one log sync.
@@ -1641,10 +1590,10 @@ fn serve(
                     // One last step on the way out: a replica's final
                     // catch-up (its primary has stopped, so the feed is
                     // complete) lands it on the durable prefix.
-                    return role.between_polls(engine, disp, horizon);
+                    return role.between_polls(engine, horizon);
                 }
-                if let Some(msg) = role.idle_wait(engine, disp, rx) {
-                    open = on_msg(msg, disp, &mut crash_after);
+                if let Some(msg) = role.idle_wait(rx) {
+                    open = on_msg(msg, engine, disp, &mut parked, &mut crash_after);
                 }
             }
         }
@@ -1653,12 +1602,12 @@ fn serve(
 
 /// The body of every shard thread, primary or replica by `role`. The
 /// thread owns its engine by value — nothing else touches a live
-/// shard's engine; coordinators go through the remote-op channel — and
-/// runs [`serve`] once under `catch_unwind`, so it hands the engine back
+/// shard's engine; coordinators send their ops to its inbox — and runs
+/// [`serve`] once under `catch_unwind`, so it hands the engine back
 /// however the loop ends: a shutdown, a failed feed, an injected kill or
-/// a panic. Its request and remote-op receivers close when it returns,
-/// which is how submitters and coordinators learn it stopped; the server
-/// learns it from the exit report its [`ExitGuard`] sends.
+/// a panic. Its inbox closes when it returns, which is how submitters
+/// and coordinators learn it stopped; the server learns it from the
+/// exit report its [`ExitGuard`] sends.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     idx: usize,

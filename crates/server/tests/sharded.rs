@@ -19,9 +19,12 @@
 //!   the sharded loader places every row of a shard-keyed table on
 //!   exactly the shard `shard_of` names — no loss, no duplication — and
 //!   keeps replicated tables byte-identical across shards.
-//! * **Backpressure**: full worker channels reject instead of blocking,
-//!   and `submit_by_deadline` waits out the saturation by draining
-//!   retirements, handing each one back exactly once.
+//! * **Backpressure**: a shard thread admits exactly `max_sessions +
+//!   queue_cap` unretired requests and the coordinator pool exactly
+//!   `coordinators + queue_cap`; past that a submit is rejected instead
+//!   of blocking, `submit_by_deadline` waits out the saturation by
+//!   filing retirements, handing each one back exactly once, and a
+//!   saturated shard still serves its coordinators' ops.
 //! * **One decider**: a participant that cannot log its commit decision
 //!   crash-stops instead of aborting the branch; a branch lost with its
 //!   shard's incarnation fails as a participant death; constant sites
@@ -416,7 +419,6 @@ fn sharded_backpressure_rejects_when_saturated() {
         engines,
         ShardedConfig {
             shards: 2,
-            channel_cap: 4,
             dispatcher: DispatcherConfig {
                 max_sessions: 1,
                 queue_cap: 2,
@@ -427,15 +429,16 @@ fn sharded_backpressure_rejects_when_saturated() {
     );
     let mut gen = tpcc::NewOrderGen::new(entry, scale, 9).with_lines(2, 4);
     let mut accepted = 0u64;
-    let mut rejected = 0u64;
     for i in 0..5_000usize {
         match srv.submit(pyx_server::Workload::next_txn(&mut gen, i), i as u64) {
             Admit::Started | Admit::Queued { .. } => accepted += 1,
-            Admit::Rejected => rejected += 1,
+            Admit::Rejected => {}
             Admit::Unavailable => panic!("no worker died in this test"),
         }
     }
-    assert!(rejected > 0, "tiny channels must push back under a burst");
+    // Nothing retires into the server while it only submits, so each
+    // shard admits exactly its bound: max_sessions + queue_cap = 1 + 2.
+    assert_eq!(accepted, 6, "2 shards × (1 + 2)");
     let done = srv.drain();
     assert_eq!(done.len() as u64, accepted, "accepted requests all retire");
     srv.shutdown();
@@ -472,7 +475,6 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
         engines,
         ShardedConfig {
             shards: 2,
-            channel_cap: 4,
             coordinators: 1,
             dispatcher: DispatcherConfig {
                 max_sessions: 1,
@@ -514,7 +516,7 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
     assert!(done.iter().all(|d| d.error.is_none()), "healthy run");
 
     // Nothing can drain: the only coordinator is parked mid-commit and
-    // its job queue is full, so a cross-shard submit is refused — but
+    // the pool holds its bound, so a cross-shard submit is refused — but
     // only once its deadline has passed.
     let mut cross = |i: usize| TxnRequest {
         route: None,
@@ -538,6 +540,11 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
         tag += 1;
         queued += 1;
     };
+    assert_eq!(
+        parked.len(),
+        3,
+        "the pool admits exactly coordinators + queue_cap = 1 + 2"
+    );
     let deadline = Instant::now() + Duration::from_millis(50);
     assert_eq!(
         srv.submit_by_deadline(blocked, tag, deadline),
@@ -551,6 +558,78 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
     assert_eq!(done.len(), parked.len());
     assert!(done.iter().all(|d| d.error.is_none()), "healthy run");
     srv.shutdown();
+}
+
+/// A coordinator's ops share a shard thread's one inbox with submits,
+/// and the thread drains the whole inbox every turn, so a cross-shard
+/// commit reaches a shard whose dispatcher is full. T1 (w0→w1) is held
+/// at its commit point with shard 0's stock row locked; routed transfers
+/// on that row fill shard 0's one session and one queue slot, and the
+/// next is refused. Released, T1 commits on the full shard, and all
+/// three retire.
+#[test]
+fn saturated_shard_still_serves_its_coordinators() {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        fresh_shards(scale8(), 79, 2),
+        ShardedConfig {
+            shards: 2,
+            coordinators: 1,
+            dispatcher: DispatcherConfig {
+                max_sessions: 1,
+                queue_cap: 1,
+                ..DispatcherConfig::default()
+            },
+        },
+    );
+    let wh = |shard: usize| {
+        (1..=8i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 2) == shard)
+            .expect("some warehouse routes to every shard")
+    };
+    let pair = |from: i64, to: i64, route: Option<i64>| TxnRequest {
+        entry: transfer,
+        args: vec![
+            pyx_runtime::ArgVal::Int(from),
+            pyx_runtime::ArgVal::Int(to),
+            pyx_runtime::ArgVal::Int(1),
+            pyx_runtime::ArgVal::Int(1),
+        ],
+        label: "transfer",
+        route,
+    };
+
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
+    assert_eq!(srv.submit(pair(wh(0), wh(1), None), 0), Admit::Started);
+    held.recv_timeout(Duration::from_secs(30))
+        .expect("T1 parks at its commit point with shard 0's row locked");
+    let mut routed: HashSet<u64> = HashSet::new();
+    for tag in 1..100u64 {
+        match srv.submit(pair(wh(0), wh(0), Some(wh(0))), tag) {
+            Admit::Started | Admit::Queued { .. } => assert!(routed.insert(tag)),
+            Admit::Rejected => break,
+            Admit::Unavailable => panic!("no worker died in this test"),
+        }
+    }
+    assert_eq!(
+        routed.len(),
+        2,
+        "shard 0 admits max_sessions + queue_cap = 1 + 1"
+    );
+
+    release.send(()).expect("release T1");
+    let done = collect_all(&mut srv, Duration::from_secs(30));
+    let tags: HashSet<u64> = done.iter().map(|d| d.tag).collect();
+    routed.insert(0);
+    assert_eq!(tags, routed, "T1 and both routed transfers retire");
+    assert_eq!(done.len(), 3);
+    for d in &done {
+        assert!(d.error.is_none(), "txn {}: {:?}", d.tag, d.error);
+    }
+    let (_, report) = srv.shutdown();
+    assert_eq!(report.multi_txns, 1);
 }
 
 #[test]

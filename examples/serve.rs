@@ -185,7 +185,6 @@ fn serve_sharded(shards: usize, clients: usize, total: u64) {
         engines,
         ShardedConfig {
             shards,
-            channel_cap: (per_shard * 4).max(16),
             dispatcher: DispatcherConfig {
                 max_sessions: per_shard,
                 queue_cap: per_shard * 4,
