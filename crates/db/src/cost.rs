@@ -20,7 +20,10 @@ pub const ROW_WRITE: u64 = 4_000;
 /// Per row examined during a scan that does not match.
 pub const ROW_SCAN: u64 = 300;
 
-/// Per row sorted (ORDER BY), charged n·log n style by the executor.
+/// Per row sorted (ORDER BY), charged n·log n over every match. The
+/// charge models the simulated server's full sort and is kept that way on
+/// purpose, even though the executor sorts only the kept rows under
+/// LIMIT: the simulator's prices and the profiler's inputs stay put.
 pub const ROW_SORT: u64 = 400;
 
 /// Per lock table operation.

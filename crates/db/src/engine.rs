@@ -1723,35 +1723,10 @@ impl Engine {
 
         let t = &self.tables[ti];
         let shared = |&r: &RowId| t.get_shared(r).expect("locked row exists");
-        let out = if order_by.is_some() || limit.is_some() {
-            let mut rows: Vec<&Arc<Vec<Scalar>>> = matched.iter().map(shared).collect();
-            // ORDER BY before projection (sort key need not be projected).
-            if let Some((ci, desc)) = order_by {
-                rows.sort_by(|a, b| a[ci].total_cmp(&b[ci]));
-                if desc {
-                    rows.reverse();
-                }
-                let n = rows.len().max(1) as u64;
-                c += cost::ROW_SORT * n * (64 - n.leading_zeros() as u64).max(1);
-            }
-            if let Some(limit) = limit {
-                rows.truncate(limit);
-            }
-            Self::project(rows.into_iter(), proj)
-        } else {
-            // Point/scan without sort: project straight off the match
-            // list, no intermediate row vector.
-            Self::project(matched.iter().map(shared), proj)
-        };
+        let out = Self::finish_select(matched.iter().map(shared), c, order_by, limit, proj);
         // Restore the scratch buffer on the error path too.
         self.rid_scratch = matched;
-        let out = out?;
-
-        Ok(QueryResult {
-            rows: out,
-            affected: 0,
-            cost: c,
-        })
+        out
     }
 
     /// Snapshot SELECT: resolve candidates through the same access paths
@@ -1787,51 +1762,100 @@ impl Engine {
             }
         });
 
-        let mut c = cost::STMT_BASE
+        let c = cost::STMT_BASE
             + cost::BTREE_STEP * cost::btree_depth(t.len())
             + cost::ROW_READ * rows.len() as u64
             + cost::ROW_SCAN * (examined - rows.len()) as u64;
-        if let Some((ci, desc)) = order_by {
-            rows.sort_by(|a, b| a[ci].total_cmp(&b[ci]));
-            if desc {
-                rows.reverse();
-            }
-            let n = rows.len().max(1) as u64;
-            c += cost::ROW_SORT * n * (64 - n.leading_zeros() as u64).max(1);
-        }
-        if let Some(limit) = limit {
-            rows.truncate(limit);
-        }
-        let out = Self::project(rows.into_iter(), proj);
+        let out = Self::finish_select(rows.into_iter(), c, order_by, limit, proj);
         self.key_scratch = scratch;
         self.stats.rows_examined += examined as u64;
         self.stats.snapshot_reads += 1;
-        Ok(QueryResult {
-            rows: out?,
-            affected: 0,
-            cost: c,
-        })
+        out
     }
 
-    /// Apply a resolved projection to a row stream.
+    /// The step both SELECT executors share once they have their matches
+    /// in scan order and the statement's cost so far (`base_cost`):
+    /// aggregate, or order, limit and project.
+    ///
+    /// An aggregate folds every match into one row, and LIMIT then applies
+    /// to that row (the planner refuses ORDER BY beside an aggregate).
+    /// Otherwise each match's sort key is read once. Under `LIMIT k` the k
+    /// best rows are partitioned out in linear time and only they are
+    /// sorted. Ties break by scan position, and DESC reverses the whole
+    /// order, so the rows equal a stable sort, reversed for DESC, then
+    /// truncated. The ORDER BY charge stays [`cost::ROW_SORT`]·n·log n
+    /// over every match.
+    fn finish_select<'a>(
+        matches: impl ExactSizeIterator<Item = &'a Arc<Vec<Scalar>>>,
+        base_cost: u64,
+        order_by: Option<(usize, bool)>,
+        limit: Option<usize>,
+        proj: &ProjP,
+    ) -> Result<QueryResult, DbError> {
+        let result = |rows, cost| {
+            Ok(QueryResult {
+                rows,
+                affected: 0,
+                cost,
+            })
+        };
+        let cols = match proj {
+            ProjP::All => None,
+            ProjP::Cols(idxs) => Some(&idxs[..]),
+            ProjP::Agg(f, ci) => {
+                let v = Self::aggregate(*f, *ci, matches)?;
+                let rows = match limit {
+                    Some(0) => Vec::new(),
+                    _ => vec![Arc::new(vec![v])],
+                };
+                return result(rows, base_cost);
+            }
+        };
+        let keep = limit.unwrap_or(usize::MAX);
+        let Some((ci, desc)) = order_by else {
+            return result(Self::project(matches.take(keep), cols), base_cost);
+        };
+        let n = matches.len().max(1) as u64;
+        let sort_cost = cost::ROW_SORT * n * (64 - n.leading_zeros() as u64).max(1);
+        let mut keyed: Vec<(&Scalar, usize, &Arc<Vec<Scalar>>)> = matches
+            .enumerate()
+            .map(|(pos, r)| (&r[ci], pos, r))
+            .collect();
+        let order = |a: &(&Scalar, usize, _), b: &(&Scalar, usize, _)| {
+            let o = a.0.total_cmp(b.0).then(a.1.cmp(&b.1));
+            if desc {
+                o.reverse()
+            } else {
+                o
+            }
+        };
+        if keep < keyed.len() {
+            keyed.select_nth_unstable_by(keep, order);
+            keyed.truncate(keep);
+        }
+        // (key, position) is unique, so an unstable sort is deterministic.
+        keyed.sort_unstable_by(order);
+        let rows = Self::project(keyed.into_iter().map(|(_, _, r)| r), cols);
+        result(rows, base_cost + sort_cost)
+    }
+
+    /// Project a row stream onto `cols`, or share the stored row images
+    /// (zero-copy) when every column is selected.
     fn project<'a>(
         rows: impl Iterator<Item = &'a Arc<Vec<Scalar>>>,
-        proj: &ProjP,
-    ) -> Result<Vec<Arc<Vec<Scalar>>>, DbError> {
-        Ok(match proj {
-            // Zero-copy: the result shares the stored row images.
-            ProjP::All => rows.map(Arc::clone).collect(),
-            ProjP::Cols(idxs) => rows
+        cols: Option<&[usize]>,
+    ) -> Vec<Arc<Vec<Scalar>>> {
+        match cols {
+            None => rows.map(Arc::clone).collect(),
+            Some(idxs) => rows
                 .map(|r| Arc::new(idxs.iter().map(|&i| r[i].clone()).collect()))
                 .collect(),
-            ProjP::Agg(f, ci) => {
-                let v = Self::aggregate(*f, *ci, rows)?;
-                vec![Arc::new(vec![v])]
-            }
-        })
+        }
     }
 
-    /// Single-pass aggregation over a row stream (NULLs skipped).
+    /// Single-pass aggregation over a row stream (NULLs skipped). An
+    /// integer SUM whose total does not fit 64 bits fails the statement;
+    /// AVG sums in f64 and always answers.
     fn aggregate<'a>(
         f: AggFn,
         ci: Option<usize>,
@@ -1842,7 +1866,7 @@ impl Engine {
         }
         let ci = ci.expect("parser enforces column for non-COUNT aggregates");
         let mut best: Option<&Scalar> = None; // MIN / MAX
-        let mut isum = 0i64;
+        let mut isum = 0i128; // cannot overflow before 2^64 rows
         let mut fsum = 0f64;
         let mut all_int = true;
         let mut n = 0u64;
@@ -1866,7 +1890,7 @@ impl Engine {
                 }
                 AggFn::Sum | AggFn::Avg => {
                     if let Scalar::Int(i) = v {
-                        isum += i;
+                        isum += i128::from(*i);
                         fsum += *i as f64;
                     } else {
                         all_int = false;
@@ -1883,7 +1907,11 @@ impl Engine {
         }
         Ok(match f {
             AggFn::Min | AggFn::Max => best.expect("nonempty").clone(),
-            AggFn::Sum if all_int => Scalar::Int(isum),
+            AggFn::Sum if all_int => {
+                Scalar::Int(i64::try_from(isum).map_err(|_| {
+                    DbError::Schema(format!("integer SUM {isum} overflows 64 bits"))
+                })?)
+            }
             AggFn::Sum => Scalar::Double(fsum),
             AggFn::Avg => Scalar::Double(fsum / n as f64),
             AggFn::Count => unreachable!(),
@@ -1992,12 +2020,23 @@ impl Engine {
         })
     }
 
+    /// Evaluate one SET expression against the row's old image. Integer
+    /// `c ± ?` that overflows 64 bits fails the statement.
     fn eval_set(se: &SetP, old: &[Scalar], params: &[Scalar]) -> Result<Scalar, DbError> {
-        let arith = |ci: usize, t: &prepared::PTerm, sign: f64| -> Result<Scalar, DbError> {
+        let arith = |ci: usize, t: &prepared::PTerm, minus: bool| -> Result<Scalar, DbError> {
             let base = &old[ci];
             let delta = t.resolve(params);
             match (base, delta) {
-                (Scalar::Int(a), Scalar::Int(b)) => Ok(Scalar::Int(a + (sign as i64) * b)),
+                (Scalar::Int(a), Scalar::Int(b)) => {
+                    let v = if minus {
+                        a.checked_sub(*b)
+                    } else {
+                        a.checked_add(*b)
+                    };
+                    v.map(Scalar::Int).ok_or_else(|| {
+                        DbError::Schema(format!("SET arithmetic overflows 64 bits on {a}"))
+                    })
+                }
                 _ => {
                     let a = base.as_double().ok_or_else(|| {
                         DbError::Schema(format!("non-numeric SET arithmetic on {base:?}"))
@@ -2005,14 +2044,14 @@ impl Engine {
                     let b = delta.as_double().ok_or_else(|| {
                         DbError::Schema(format!("non-numeric SET delta {delta:?}"))
                     })?;
-                    Ok(Scalar::Double(a + sign * b))
+                    Ok(Scalar::Double(if minus { a - b } else { a + b }))
                 }
             }
         };
         match se {
             SetP::Term(t) => Ok(t.resolve(params).clone()),
-            SetP::SelfPlus(ci, t) => arith(*ci, t, 1.0),
-            SetP::SelfMinus(ci, t) => arith(*ci, t, -1.0),
+            SetP::SelfPlus(ci, t) => arith(*ci, t, false),
+            SetP::SelfMinus(ci, t) => arith(*ci, t, true),
         }
     }
 

@@ -371,6 +371,11 @@ pub(crate) fn resolve_plan(
                         })
                     })
                     .transpose()?;
+            if order_by.is_some() && matches!(proj, ProjP::Agg(..)) {
+                return Err(DbError::Schema(
+                    "ORDER BY beside an aggregate: the aggregate is one row".into(),
+                ));
+            }
             Ok(Plan::Select(SelectP {
                 ti,
                 preds,

@@ -16,6 +16,9 @@
 //! ```
 //!
 //! `?` placeholders are positional, matching JDBC prepared statements.
+//! The parser accepts ORDER BY beside an aggregate; planning refuses it,
+//! since an aggregate folds every match into one row (LIMIT then caps
+//! that row).
 
 use pyx_lang::Scalar;
 

@@ -412,3 +412,131 @@ fn wire_size_accounts_for_rows() {
     let r2 = e.exec_auto("SELECT * FROM accounts", &[]).unwrap();
     assert!(r2.wire_size() > r1.wire_size());
 }
+
+#[test]
+fn aggregate_sees_every_match_and_limit_caps_its_one_row() {
+    let mut e = accounts_engine();
+    e.exec_auto(
+        "UPDATE accounts SET bal = ? WHERE cid = ?",
+        &[Scalar::Double(250.0), Scalar::Int(7)],
+    )
+    .unwrap();
+    let locking = e.begin();
+    let snapshot = e.begin_read_only();
+    for txn in [locking, snapshot] {
+        let one = |e: &mut Engine, sql: &str| {
+            let r = e.execute(txn, sql, &[]).unwrap();
+            assert_eq!(r.rows.len(), 1, "{sql}");
+            r.rows[0][0].clone()
+        };
+        assert_eq!(
+            one(&mut e, "SELECT COUNT(*) FROM accounts LIMIT 5"),
+            Scalar::Int(10)
+        );
+        assert_eq!(
+            one(&mut e, "SELECT MAX(bal) FROM accounts LIMIT 1"),
+            Scalar::Double(250.0)
+        );
+        assert_eq!(
+            one(
+                &mut e,
+                "SELECT SUM(cid) FROM accounts WHERE cid >= 1 LIMIT 3"
+            ),
+            Scalar::Int(45)
+        );
+        let none = e
+            .execute(txn, "SELECT COUNT(*) FROM accounts LIMIT 0", &[])
+            .unwrap();
+        assert!(none.rows.is_empty());
+    }
+    assert_eq!(e.stats.snapshot_reads, 4);
+    e.commit(locking).unwrap();
+    e.commit(snapshot).unwrap();
+}
+
+#[test]
+fn order_by_beside_an_aggregate_is_refused() {
+    let mut e = accounts_engine();
+    let sql = "SELECT MAX(bal) FROM accounts WHERE cid < ? ORDER BY bal LIMIT 1";
+    let id = e.prepare(sql).unwrap();
+    for txn in [e.begin(), e.begin_read_only()] {
+        let adhoc = e.execute(txn, sql, &[Scalar::Int(5)]);
+        assert!(matches!(adhoc, Err(DbError::Schema(_))), "{adhoc:?}");
+        let prepared = e.execute_prepared(txn, id, &[Scalar::Int(5)]);
+        assert!(matches!(prepared, Err(DbError::Schema(_))), "{prepared:?}");
+        e.abort(txn).unwrap();
+    }
+}
+
+fn ints_engine(vals: &[i64]) -> Engine {
+    let mut e = Engine::new();
+    e.create_table(TableDef::new(
+        "n",
+        vec![
+            ColumnDef::new("k", ColTy::Int),
+            ColumnDef::new("v", ColTy::Int),
+        ],
+        &["k"],
+    ));
+    for (k, &v) in vals.iter().enumerate() {
+        e.load_row("n", vec![Scalar::Int(k as i64), Scalar::Int(v)]);
+    }
+    e
+}
+
+#[test]
+fn integer_sum_overflow_fails_the_statement() {
+    let mut e = ints_engine(&[i64::MAX, 1]);
+    for txn in [e.begin(), e.begin_read_only()] {
+        let r = e.execute(txn, "SELECT SUM(v) FROM n", &[]);
+        assert!(matches!(r, Err(DbError::Schema(_))), "{r:?}");
+        e.abort(txn).unwrap();
+    }
+    let mut e = ints_engine(&[i64::MIN, -1]);
+    let r = e.exec_auto("SELECT SUM(v) FROM n", &[]);
+    assert!(matches!(r, Err(DbError::Schema(_))), "{r:?}");
+    // Only the total must fit: a partial sum past i64 is not an overflow.
+    let mut e = ints_engine(&[i64::MAX, 1, -1]);
+    let r = e.exec_auto("SELECT SUM(v) FROM n", &[]).unwrap();
+    assert_eq!(r.rows[0][0], Scalar::Int(i64::MAX));
+}
+
+#[test]
+fn avg_of_integers_past_i64_still_answers() {
+    let mut e = ints_engine(&[i64::MAX, i64::MAX]);
+    for txn in [e.begin(), e.begin_read_only()] {
+        let r = e.execute(txn, "SELECT AVG(v) FROM n", &[]).unwrap();
+        assert_eq!(r.rows[0][0], Scalar::Double(i64::MAX as f64));
+        e.commit(txn).unwrap();
+    }
+}
+
+#[test]
+fn overflowing_update_fails_and_leaves_the_row_unchanged() {
+    // Two rows, so the first is rewritten before the second overflows:
+    // the abort must undo it.
+    let mut e = ints_engine(&[5, i64::MAX - 1]);
+    let r = e.exec_auto(
+        "UPDATE n SET v = v + ? WHERE k >= ?",
+        &[Scalar::Int(2), Scalar::Int(0)],
+    );
+    assert!(matches!(r, Err(DbError::Schema(_))), "{r:?}");
+    let r = e.exec_auto(
+        "UPDATE n SET v = v - ? WHERE k = ?",
+        &[Scalar::Int(i64::MIN), Scalar::Int(0)],
+    );
+    assert!(matches!(r, Err(DbError::Schema(_))), "{r:?}");
+    let rows = e.exec_auto("SELECT k, v FROM n", &[]).unwrap().rows;
+    let vals: Vec<&Scalar> = rows.iter().map(|r| &r[1]).collect();
+    assert_eq!(vals, [&Scalar::Int(5), &Scalar::Int(i64::MAX - 1)]);
+    // In range, the same statements still apply.
+    e.exec_auto(
+        "UPDATE n SET v = v + ? WHERE k = ?",
+        &[Scalar::Int(1), Scalar::Int(1)],
+    )
+    .unwrap();
+    let r = e
+        .exec_auto("SELECT v FROM n WHERE k = ?", &[Scalar::Int(1)])
+        .unwrap();
+    assert_eq!(r.rows[0][0], Scalar::Int(i64::MAX));
+}
