@@ -118,7 +118,10 @@ fn bench_sharded_throughput(c: &mut Criterion) {
         });
         let (rest, report) = srv.shutdown();
         assert!(rest.is_empty());
-        assert_eq!(report.multi_txns, 0, "home mix never touches the lane");
+        assert_eq!(
+            report.multi_txns, 0,
+            "home mix runs no cross-shard transaction"
+        );
     }
 }
 

@@ -4,8 +4,8 @@
 //! Sweeps the fraction of cross-shard transactions in a TPC-C
 //! remote-warehouse mix (remote-supplier new-orders + remote-customer
 //! payments) over {0, 5, 10, 15, 25}% and runs each request stream
-//! through a 4-shard [`ShardedServer`], whose coordinator pool runs the
-//! cross-shard transactions under per-statement 2PC. Requests are
+//! through a 4-shard [`ShardedServer`], whose shard threads run the
+//! cross-shard transactions they home under per-statement 2PC. Requests are
 //! submitted concurrently (a full admission window, refilled as
 //! transactions retire), so cross-shard work competes with single-shard
 //! traffic the way it does in serving. Each sweep point asserts that

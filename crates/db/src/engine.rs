@@ -337,7 +337,10 @@ pub trait Database {
     }
     /// Start a read-only MVCC snapshot transaction.
     fn begin_read_only(&mut self) -> TxnId;
-    /// Commit; returns (virtual CPU cost, woken lock waiters).
+    /// Commit; returns (virtual CPU cost, woken lock waiters). A façade
+    /// whose commit waits on other threads may return
+    /// [`DbError::WouldBlock`] and be called again once the transaction
+    /// is woken; [`Engine::commit`] never does.
     fn commit(&mut self, txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError>;
     /// Abort and undo; returns (virtual CPU cost, woken lock waiters).
     fn abort(&mut self, txn: TxnId) -> Result<(u64, Vec<TxnId>), DbError>;

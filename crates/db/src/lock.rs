@@ -18,7 +18,7 @@
 //! real one.
 //!
 //! **Distributed wait-die.** Cross-shard (2PC) transactions get a
-//! globally unique age from the coordinator pool's shared counter and
+//! globally unique age from the sharded server's shared counter and
 //! carry it to every shard branch via [`crate::Engine::begin_aged`], so
 //! every shard's `(age, id)` order agrees on every pair of distributed
 //! transactions. The union of per-shard wait graphs therefore stays

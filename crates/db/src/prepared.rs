@@ -167,8 +167,8 @@ impl Plan {
 
 /// How a statement routes across engine shards, derived from its resolved
 /// plan and the target table's [`crate::schema::TableDef::shard_key`].
-/// The sharded serving tier's multi-partition lane uses this to send each
-/// statement of a cross-shard transaction to the shard(s) owning its rows.
+/// The sharded serving tier's cross-shard transactions use this to send
+/// each statement to the shard(s) owning its rows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StmtRoute {
     /// Table has no shard key: reads may use any replica, writes must be

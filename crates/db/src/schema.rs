@@ -119,7 +119,7 @@ impl TableDef {
 }
 
 /// The canonical shard-key → shard mapping, shared by loaders, the
-/// request router, and the multi-partition lane: every component that
+/// request router, and cross-shard statement routing: every component that
 /// places or finds a row MUST agree on this function. Integer keys (the
 /// common case — TPC-C warehouse ids, micro-bench keys) spread by
 /// `rem_euclid`; other scalar types hash their canonical bits through

@@ -9,7 +9,8 @@
 //!   sync + dirty stack), to be delayed by the network model,
 //! * [`Advance::DbOp`] — a database statement just executed; if issued
 //!   from the APP host this is a JDBC-style round trip,
-//! * [`Advance::Blocked`] — the transaction waits on a row lock,
+//! * [`Advance::Blocked`] — the transaction waits on a row lock (or on
+//!   another thread's answer, for a façade that returns `WouldBlock`),
 //! * [`Advance::Deadlocked`] — wait-die victim; the caller restarts the
 //!   whole transaction with a fresh session,
 //! * [`Advance::Finished`] / [`Advance::Error`].
@@ -100,6 +101,10 @@ pub struct SessionStats {
 
 enum State {
     Running,
+    /// Entry returned, and its commit waits on other threads (a
+    /// cross-shard commit's legs are out): `advance` retries the commit
+    /// once the transaction is woken.
+    Committing,
     /// Entry returned while control was on the DB: one reply transfer
     /// remains before the invocation completes.
     Returning,
@@ -426,6 +431,7 @@ impl<'a> Session<'a> {
             State::Finished => return Advance::Finished,
             State::Deadlocked => return Advance::Deadlocked,
             State::Failed(e) => return Advance::Error(e.clone()),
+            State::Committing => return self.commit_entry(engine),
             State::Returning => {
                 if let Some(cpu) = self.take_cpu() {
                     return cpu;
@@ -461,11 +467,23 @@ impl<'a> Session<'a> {
     /// (which ships the reply frame if control sits on the DB host).
     fn finish_entry(&mut self, engine: &mut dyn Database, v: Option<Value>) -> Advance {
         self.result = v;
+        self.commit_entry(engine)
+    }
+
+    /// Commit the entry's open transaction. A commit that must wait
+    /// ([`DbError::WouldBlock`]) parks the session in
+    /// [`State::Committing`] until it is woken.
+    fn commit_entry(&mut self, engine: &mut dyn Database) -> Advance {
         if let Some(t) = self.txn.take() {
             match engine.commit(t) {
                 Ok((c, woken)) => {
                     self.pending_cpu += c;
                     self.last_woken = woken;
+                }
+                Err(DbError::WouldBlock) => {
+                    self.txn = Some(t);
+                    self.state = State::Committing;
+                    return Advance::Blocked { txn: t };
                 }
                 // A failed commit (e.g. a durability failure) leaves the
                 // transaction open; hand it back so `fail` aborts it and

@@ -1,6 +1,6 @@
 //! The session dispatcher: the only session scheduler in the stack.
-//! The simulator, every shard worker and read replica, and every 2PC
-//! coordinator each drive their sessions through one.
+//! The simulator, every shard worker and read replica, and every shard
+//! primary's cross-shard sessions each drive their sessions through one.
 //!
 //! A [`Dispatcher`] multiplexes many concurrent transactions over one
 //! shared engine. Each admitted request becomes a [`pyx_runtime::Session`]
@@ -114,7 +114,7 @@ pub struct TxnDone {
     pub restarts: u32,
     /// Shards that executed statements for this transaction: 0 for
     /// single-shard (and single-engine) work, ≥1 for cross-shard
-    /// transactions run through the 2PC coordinator.
+    /// transactions run through their home's 2PC coordinator.
     pub participants: u32,
     /// The entry point's return value (differential tests compare it
     /// across deployments).
@@ -221,6 +221,7 @@ struct Queued {
     tag: u64,
     submitted_ns: u64,
     req: TxnRequest,
+    age: Option<u64>,
 }
 
 /// The multi-session scheduler. See module docs.
@@ -380,6 +381,19 @@ impl<'a> Dispatcher<'a> {
     /// A request no session can be built for (unknown entry, wrong
     /// argument count) retires at the next poll with the session's error.
     pub fn submit(&mut self, now: u64, req: TxnRequest, tag: u64) -> Admit {
+        self.submit_aged(now, req, tag, None)
+    }
+
+    /// [`Dispatcher::submit`] with the wait-die age every transaction of
+    /// the request begins under fixed at admission, as a cross-shard
+    /// home assigns it.
+    pub(crate) fn submit_aged(
+        &mut self,
+        now: u64,
+        req: TxnRequest,
+        tag: u64,
+        age: Option<u64>,
+    ) -> Admit {
         if self.active >= self.cfg.max_sessions {
             if self.queue.len() >= self.cfg.queue_cap {
                 self.stats.rejected += 1;
@@ -389,6 +403,7 @@ impl<'a> Dispatcher<'a> {
                 tag,
                 submitted_ns: now,
                 req,
+                age,
             });
             self.stats.submitted += 1;
             self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len());
@@ -397,7 +412,7 @@ impl<'a> Dispatcher<'a> {
             };
         }
         self.stats.submitted += 1;
-        self.start_session(now, now, req, tag, 0);
+        self.start_session(now, now, req, tag, age);
         Admit::Started
     }
 
@@ -426,10 +441,10 @@ impl<'a> Dispatcher<'a> {
         submitted_ns: u64,
         req: TxnRequest,
         tag: u64,
-        restarts: u32,
+        age: Option<u64>,
     ) {
         let scratch = self.scratch_pool.pop().unwrap_or_default();
-        let (sess, low_budget) = match self.new_session(&req, scratch, None) {
+        let (sess, low_budget) = match self.new_session(&req, scratch, age) {
             Ok(built) => built,
             Err(e) => {
                 // Requests come from outside (sockets): one that names an
@@ -453,7 +468,7 @@ impl<'a> Dispatcher<'a> {
             started_ns: now,
             req,
             low_budget,
-            restarts,
+            restarts: 0,
         };
         let sid = match self.free_slots.pop() {
             Some(s) => {
@@ -512,12 +527,14 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Wake local sessions blocked on locks a *remote* (cross-shard 2PC)
-    /// commit or abort just released. Wake-ups normally flow out of the
-    /// local session that released the lock (`last_woken`); a 2PC branch
-    /// releases locks outside any local session, so the shard worker
-    /// feeds that wake list in here. These two are the only wakes: a
-    /// blocked session waits for one, and nothing retries it meanwhile.
+    /// Wake sessions blocked on something outside this dispatcher: local
+    /// sessions whose locks a cross-shard branch's commit or abort just
+    /// released, or cross-shard sessions whose remote answers came in.
+    /// Wake-ups normally flow out of the local session that released the
+    /// lock (`last_woken`); a 2PC branch releases locks outside any local
+    /// session, so the shard worker feeds that wake list in here. These
+    /// two are the only wakes: a blocked session waits for one, and
+    /// nothing retries it meanwhile.
     pub fn wake_txns(&mut self, woken: &[TxnId]) {
         for txn in woken {
             if let Some(sid) = self.blocked.remove(txn) {
@@ -635,7 +652,7 @@ impl<'a> Dispatcher<'a> {
             let Some(q) = self.queue.pop_front() else {
                 break;
             };
-            self.start_session(now, q.submitted_ns, q.req, q.tag, 0);
+            self.start_session(now, q.submitted_ns, q.req, q.tag, q.age);
         }
         Polled::Done(done)
     }

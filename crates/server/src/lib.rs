@@ -27,9 +27,8 @@
 //! # Threading model
 //!
 //! The single-engine [`Dispatcher`] is strictly single-threaded. The
-//! shard-per-core tier ([`shard::ShardedServer`]) runs W of them in
-//! parallel, one OS thread per engine shard, plus one per read replica
-//! and one per 2PC coordinator:
+//! shard-per-core tier ([`shard::ShardedServer`]) runs them in parallel,
+//! one OS thread per engine shard and one per read replica:
 //!
 //! * **`Send` (crosses threads):** loaded [`pyx_db::Engine`] shards —
 //!   the `Rc`→`Arc` migration made every piece of engine state (row
@@ -46,27 +45,29 @@
 //!   is exactly the single-threaded one: no locks, no atomics beyond
 //!   `Arc` refcounts already present in engine row handles.
 //! * **Cross-shard transactions (2PC, the default):** a request with
-//!   `route == None` goes to a coordinator pool. Each coordinator runs
-//!   its transaction on its own one-session dispatcher, over a façade
-//!   engine that enlists only the shards its statements touch, executes
-//!   on the workers over a remote-op protocol concurrently with
-//!   single-shard traffic, then runs prepare/commit across just those
-//!   participants. Coordinator ages come from one shared counter,
-//!   extending wait-die across shards. The coordinator lives in the
-//!   private `coord` module, the only code that decides a cross-shard
-//!   outcome; see [`shard`] for the protocol.
+//!   `route == None` goes to a *home*, a primary shard thread chosen
+//!   round-robin, which runs it on a second dispatcher of its own over a
+//!   façade engine. The façade runs the home shard's statements on the
+//!   thread's own engine, sends the others to their shards' threads and
+//!   parks the session until their answers come back, then runs
+//!   prepare/commit across just the shards the transaction touched.
+//!   Wait-die ages come from one shared counter, extending wait-die
+//!   across shards. A transaction dies with its home; the reap ends the
+//!   branches it left on other shards. The private `coord` module is
+//!   the only code that decides a cross-shard outcome; see [`shard`]
+//!   for the protocol.
 //! * **Waiting and deaths:** an idle shard thread blocks on its one
-//!   inbox, where submits and coordinators' remote ops arrive; durable
-//!   log bytes a replica should tail send it a wake message. Results
-//!   come back on one channel, and a thread's exit is its last message
-//!   there, sent by a drop guard even when it panics. Whichever reader
-//!   of the channel gets the exit reaps the worker and, if configured,
-//!   heals its shard on the spot; nothing polls for liveness. An event
-//!   loop that also serves other inputs — the socket server's owner —
-//!   blocks on the same channel ([`shard::ShardedServer::wait`]), and
-//!   each producer of those inputs sends a [`shard::Waker`]'s wake there
-//!   after queueing its input. An idle server wakes no thread on a
-//!   timer.
+//!   inbox, where submits, other shards' remote ops and their answers
+//!   arrive; durable log bytes a replica should tail send it a wake
+//!   message. Results come back on one channel, and a thread's exit is
+//!   its last message there, sent by a drop guard even when it panics.
+//!   Whichever reader of the channel gets the exit reaps the worker and,
+//!   if configured, heals its shard on the spot; nothing polls for
+//!   liveness. An event loop that also serves other inputs — the socket
+//!   server's owner — blocks on the same channel
+//!   ([`shard::ShardedServer::wait`]), and each producer of those inputs
+//!   sends a [`shard::Waker`]'s wake there after queueing its input. An
+//!   idle server wakes no thread on a timer.
 //!
 //! # Network failure model (socket serving)
 //!

@@ -7,82 +7,106 @@
 //! ([`TxnRequest::route`]` == Some(k)`) go to the inbox of shard
 //! `shard_of(k, W)` and execute with zero cross-shard coordination, so
 //! throughput scales with cores on a partitionable mix. Each shard
-//! thread reads one inbox — submits, coordinators' remote ops, feed
-//! wakes and control all arrive there — and the server bounds what it
-//! admits to each thread (see [`ShardedConfig`]).
+//! thread reads one inbox — submits, other shards' remote ops and their
+//! answers, feed wakes and control all arrive there — and the server
+//! bounds what it admits to each thread (see [`ShardedConfig`]).
 //!
 //! # Threading model
 //!
 //! * **What crosses threads:** loaded [`Engine`] shards (everything an
 //!   engine owns is `Send` — rows, undo logs, plans), the shared
 //!   [`CompiledPartition`] (immutable, behind an `Arc`), [`TxnRequest`]s,
-//!   retired [`TxnDone`]s, and the cross-shard [`crate::coord::RemoteOp`] protocol
+//!   retired [`TxnDone`]s, and the cross-shard remote-op protocol
 //!   messages (SQL text, parameter vectors, `Arc`-backed result rows).
 //!   Compile-time assertions in `pyx-db` / `pyx-pyxil` keep these types
 //!   `Send`.
 //! * **What stays thread-local:** everything a running transaction
 //!   touches — `Session`s, their `Rc`-shared prepared-site tables,
 //!   session heaps, the dispatcher's scratch pools. No runtime `Rc` ever
-//!   crosses a thread boundary. Each coordinator thread builds its *own*
-//!   dispatcher, and with it its own prepared-site table, on its own
-//!   row-less copy of the shards' schema; no shard takes part.
+//!   crosses a thread boundary. A cross-shard session lives on its home
+//!   shard's thread from admission to retirement; only its statements'
+//!   text and results travel.
 //!
 //! # Cross-shard transactions: two-phase commit
 //!
-//! A cross-shard request (`route == None`) is handed to a small pool of
-//! **coordinator threads** (the `coord` module, the only code that
-//! decides a cross-shard outcome). Each coordinator runs one
-//! [`crate::Dispatcher`] with a single session slot over `Coord`, a
-//! [`Database`] façade that speaks a remote-op protocol to the shard
-//! workers, so a cross-shard session is scheduled, restarted and
-//! retired exactly as a local one is; shards the
-//! transaction never touches are never involved, so cross-shard
-//! transactions with disjoint shard sets overlap with each other *and*
-//! with single-shard traffic. The protocol, per transaction:
+//! A cross-shard request (`route == None`) goes to a *home*: a live
+//! primary chosen round-robin. Each primary thread runs a second
+//! [`crate::Dispatcher`] for the cross-shard sessions it homes (the
+//! `coord` module, the only code that decides a cross-shard outcome),
+//! over `Home`, a [`pyx_db::Database`] façade that borrows the thread's own
+//! engine, so a cross-shard session is scheduled, restarted and retired
+//! exactly as a local one is. Shards a transaction never touches are
+//! never involved, so cross-shard transactions with disjoint shard sets
+//! overlap with each other *and* with single-shard traffic. The
+//! protocol, per transaction:
 //!
 //! * **Participant selection** — each statement's shard route
-//!   ([`StmtRoute`]) names the shard(s) owning its rows. The coordinator
-//!   computes it on its copy of the schema (`Engine::prepared_route` for
-//!   a constant site, `Engine::route` for dynamic SQL), which every shard
-//!   shares, and ships the statement by its SQL text. The first
-//!   statement to reach shard *s* opens a *branch* there: a plain engine
-//!   transaction on *s*, begun by the worker just before it runs the
-//!   statement. The participant set is exactly the set of open branches.
-//! * **Statement execution** — the coordinator sends each statement to
-//!   its participant's worker, which executes it between local
-//!   dispatcher events on the engine it owns — single-shard sessions on
-//!   other shards never stall. A statement that would block
-//!   on a row lock is **parked** worker-side and retried until the lock
-//!   frees or wait-die kills it (the reply is then a deadlock, and the
-//!   coordinator's dispatcher restarts the whole transaction with its
-//!   age retained, after a 50µs real-time pause that lets the older
-//!   lock holder finish on its own thread).
-//! * **Prepare** — at commit, every participant is asked to
-//!   [`Engine::prepare_commit`]: a *prepared* branch keeps all its locks,
-//!   accepts no further statements, and has vetoed nothing — in
-//!   particular a shard whose WAL is degraded votes **no** here, before
-//!   the decision. Any veto (or worker death) aborts every branch and
-//!   the transaction reports the error. Single-participant transactions
-//!   skip straight to commit (no prepare round needed).
-//! * **Commit + WAL acknowledgement point** — the coordinator fans
-//!   commit to the participants; each worker commits the branch and
-//!   syncs **its own shard's log** before acknowledging, so only
-//!   *participating* shards pay an fsync. Participants never decide, so
-//!   a decided branch never aborts. A participant that *dies* after its
-//!   durable yes-vote is covered: its branch recovers in-doubt and heal
-//!   resolves it against the decision registry (see *Self-healing*
-//!   below). One whose `Decide` append fails — its log failed after
-//!   the vote — crash-stops the same way rather than abort.
-//! * **Distributed wait-die** — coordinators draw transaction ages from
-//!   one shared counter, so every shard's `(age, txn)` lock order agrees
-//!   on every pair of distributed transactions. Along any would-be wait
-//!   cycle, ages strictly increase through each distributed transaction
-//!   (a waiter must be strictly older than the holder) — two distinct
-//!   global ages cannot cycle, so the union of per-shard wait graphs
-//!   stays acyclic and the globally oldest distributed transaction
-//!   always progresses. Restarts retain their first age (the standard
-//!   no-starvation rule). A lock released by a remote commit/abort wakes
-//!   blocked *local* sessions through [`crate::Dispatcher::wake_txns`].
+//!   ([`pyx_db::StmtRoute`]) names the shard(s) owning its rows. The home
+//!   computes it on its own engine (`Engine::prepared_route` for a
+//!   constant site, `Engine::route` for dynamic SQL): every shard shares
+//!   the schema. The first statement to reach shard *s* opens a
+//!   *branch* there: a plain engine transaction on *s*, begun under the
+//!   transaction's global wait-die age. The participant set is exactly
+//!   the set of open branches, the home's own included.
+//! * **Statement execution** — a statement for the home shard, and any
+//!   replicated read, runs on the home engine with no hop. A statement
+//!   for another shard goes to that shard's inbox by its SQL text; the
+//!   shard runs it between its own dispatcher events, so single-shard
+//!   sessions never stall, and sends the answer back to the home's inbox.
+//!   A scatter or replicated write goes to every shard at once and the
+//!   answers merge in shard order. While an answer is out, the façade
+//!   returns [`pyx_db::DbError::WouldBlock`] and the session parks,
+//!   exactly as on a row lock; the answer wakes it, and the re-run takes
+//!   the result. A statement that would block on a row lock — on any
+//!   shard, the home included — is **parked** on that shard and retried
+//!   until the lock frees or wait-die kills it (the answer is then a
+//!   deadlock, and the home's dispatcher restarts the whole transaction
+//!   with its age retained).
+//! * **Prepare** — at commit, every participant is asked at once to
+//!   [`Engine::prepare_commit`], the home's own branch inline after the
+//!   others are sent: a *prepared* branch keeps all its locks, accepts
+//!   no further statements, and has vetoed nothing — in particular a
+//!   shard whose WAL is degraded votes **no** here, before the decision.
+//!   Once every vote is in, any veto (or participant death) aborts every
+//!   branch and the transaction reports the error. Single-participant
+//!   transactions skip straight to commit (no prepare round needed).
+//! * **Commit + WAL acknowledgement point** — the home sends commit to
+//!   every participant at once; each commits its branch and syncs **its
+//!   own shard's log** before acknowledging, so only *participating*
+//!   shards pay an fsync, and settles its leg in the decision registry.
+//!   The transaction's outcome is what its commit legs report; the
+//!   home's own result batch sync does not re-mark it. Participants never
+//!   decide, so a decided branch never aborts. A participant that *dies*
+//!   after its durable yes-vote is covered: its branch recovers in-doubt
+//!   and heal resolves it against the decision registry (see
+//!   *Self-healing* below). One whose `Decide` append fails — its log
+//!   failed after the vote — crash-stops the same way rather than abort.
+//! * **Distributed wait-die** — the server draws each cross-shard
+//!   request's age from one shared counter when it is submitted, so every
+//!   shard's `(age, txn)` lock order agrees on every pair of distributed
+//!   transactions.
+//!   Along any would-be wait cycle, ages strictly increase through each
+//!   distributed transaction (a waiter must be strictly older than the
+//!   holder) — two distinct global ages cannot cycle, so the union of
+//!   per-shard wait graphs stays acyclic and the globally oldest
+//!   distributed transaction always progresses. Restarts retain their
+//!   age (the standard no-starvation rule). Wait-die lets a younger
+//!   transaction share a lock an older one waits to upgrade, so while an
+//!   older transaction's statement is parked on a shard, a younger
+//!   transaction's first statement there dies at once instead of
+//!   running; otherwise younger transactions restarting at once could
+//!   keep the upgrade blocked indefinitely. A release retries the parked
+//!   statements before the shard reads its next message. A lock released
+//!   by a cross-shard commit or abort wakes blocked *local* sessions
+//!   through [`crate::Dispatcher::wake_txns`].
+//! * **A home's death** — a cross-shard transaction dies with its home.
+//!   When the server reaps a dead primary it first forgets every gtid
+//!   that primary opened and never decided (absence is presumed abort,
+//!   and a dead home can no longer decide), then tells every live
+//!   primary, before any successor starts: each ends the branches the
+//!   dead home left there — an unprepared one aborts, a prepared one
+//!   takes the registry's verdict. The dead home's own branch recovers
+//!   with its log, and its clients get "outcome unknown" errors.
 //!
 //! Cross-shard transactions run with snapshot reads **disabled**:
 //! per-shard snapshots taken at different instants are not one
@@ -95,9 +119,9 @@
 //! with one SQL-sanctioned exception: an *unordered* cross-shard scatter
 //! read returns its rows in shard-concatenation order rather than a
 //! single engine's scan order (row order without ORDER BY is
-//! unspecified; ordered scans are never scattered — see
-//! `Coord::exec_scatter`). `tests/sharded.rs` checks the 2PC path
-//! against one [`crate::Dispatcher`] over one engine.
+//! unspecified; ordered scans are never scattered — see the `coord`
+//! module's `merge`). `tests/sharded.rs` checks the 2PC path against one
+//! [`crate::Dispatcher`] over one engine.
 //!
 //! # Log-shipping read replicas
 //!
@@ -108,8 +132,8 @@
 //! [`ShardedServer::spawn_replicas`]). A replica runs the same thread
 //! body as a primary, in a replica role: between polls it tails the
 //! feed incrementally ([`RedoTailer`] → [`Engine::apply_redo`]). Both
-//! roles block on their inbox when idle: a coordinator's op lands in its
-//! primary's inbox itself, and each publish of durable bytes wakes the
+//! roles block on their inbox when idle: remote ops and answers land in
+//! a primary's inbox itself, and each publish of durable bytes wakes the
 //! shard's replicas (a waker registered on the feed sends them a
 //! `Msg::Wake`). A replica serves
 //! **read-only routable** requests as lock-free MVCC snapshots at its
@@ -136,12 +160,15 @@
 //! so every result it shipped is ahead of it. Whichever reader of the
 //! channel reads the exit reaps the worker on the spot: it synthesizes
 //! "outcome unknown" error results for the transactions still
-//! outstanding there and marks the shard (or replica) unavailable. What
-//! *survives* is exactly the shard log's durable prefix: every locally
-//! acknowledged commit, every cross-shard commit decision, and — because
+//! outstanding there — the cross-shard ones it homed included — and
+//! marks the shard (or replica) unavailable. A remote op the dead thread
+//! held, or that reached its closed inbox, answers its home as a
+//! participant death when it is dropped. What *survives* is exactly the
+//! shard log's durable prefix: every locally acknowledged commit, every
+//! cross-shard commit decision, and — because
 //! [`Engine::prepare_commit`] force-flushes a `Prepare` record before
-//! the participant acks its yes-vote — every vote a coordinator may
-//! have acted on.
+//! the participant acks its yes-vote — every vote a home may have acted
+//! on.
 //!
 //! ## Self-healing (opt-in supervision)
 //!
@@ -167,34 +194,34 @@
 //!   the same way. The log, and the transaction-id floor the successor
 //!   must not reuse, come from the engine the dead thread handed back.
 //! * **In-doubt resolution**: recovered prepared branches re-hold their
-//!   exclusive locks; the supervisor settles them against the
-//!   coordinator pool's decision registry — a globally-unique gtid (the
+//!   exclusive locks; the supervisor settles them against the decision
+//!   registry every home shares — a globally-unique gtid (the
 //!   transaction's wait-die age) maps to a `GtidState`: *voting* from
 //!   before the prepare fan-out, *commit* once all yes-votes are in
 //!   (recorded before the commit fan-out begins). Absent gtid ⇒
 //!   **presumed abort**, safe because a cross-shard transaction is only
 //!   ever acknowledged after every participant committed and synced.
-//!   The registry lock makes resolution atomic with the coordinator's
-//!   decision point: a branch recovered while its gtid is still
-//!   *voting* is presumed abort and the verdict is written into the
-//!   entry, so the coordinator — which may still collect the remaining
-//!   yes-votes — finds the veto and aborts the surviving branches
-//!   rather than committing a transaction one shard already aborted. A
-//!   participant that crash-stopped on a failed log is not healed:
+//!   The registry lock makes resolution atomic with the home's decision
+//!   point: a branch recovered while its gtid is still *voting* is
+//!   presumed abort and the verdict is written into the entry, so the
+//!   home — which may still collect the remaining yes-votes — finds the
+//!   veto and aborts the surviving branches rather than committing a
+//!   transaction one shard already aborted. A participant that
+//!   crash-stopped on a failed log is not healed:
 //!   [`pyx_db::Wal::discard_unsynced`] refuses a degraded log, so the
 //!   shard stays down (a [`HealFailure`]) with its vote in doubt and its
 //!   registry entry kept, until a replacement log exists.
 //! * **Availability**: the healed shard's new thread takes over the
-//!   shard's worker slot with a fresh inbox (coordinators reach it
-//!   through the shared link table) and the shard's horizon cell, and
-//!   the shard flips back to accepting writes. Callers ride through the
-//!   window with [`ShardedServer::submit_by_deadline`]; per-shard MTTR
-//!   and in-doubt counts land in [`ShardedReport::recoveries`]. Each
-//!   candidate that fails records a [`HealFailure`]. When every
-//!   candidate failed, the heal stashes the stolen log back on the dead
-//!   engine, which stays parked in the shard's worker slot (the durable
-//!   handle is never silently dropped), and the shard stays dead: no
-//!   timer retries it.
+//!   shard's worker slot with a fresh inbox (homes reach it through the
+//!   shared link table) and the shard's horizon cell, and the shard
+//!   flips back to accepting writes and homing cross-shard requests.
+//!   Callers ride through the window with
+//!   [`ShardedServer::submit_by_deadline`]; per-shard MTTR and in-doubt
+//!   counts land in [`ShardedReport::recoveries`]. Each candidate that
+//!   fails records a [`HealFailure`]. When every candidate failed, the
+//!   heal stashes the stolen log back on the dead engine, which stays
+//!   parked in the shard's worker slot (the durable handle is never
+//!   silently dropped), and the shard stays dead: no timer retries it.
 //!
 //! During failover, reads: bounded-staleness replica reads keep serving
 //! at their applied horizons (monotone, frozen at the durable watermark
@@ -204,7 +231,7 @@
 //! replicas keep answering reads.
 
 use crate::coord::{
-    coordinator, Coord, CoordJob, CoordStats, Decisions, HoldHook, HoldPoint, RemoteOp, ShardLinks,
+    Coord, CoordStats, Decisions, HoldHook, HoldPoint, Home, RemoteOp, Reply, ShardLinks,
 };
 use crate::dispatch::{
     Admit, Deployment, Dispatcher, DispatcherConfig, DispatcherStats, Polled, TxnDone,
@@ -213,7 +240,7 @@ use crate::env::InstantEnv;
 use crate::workload::TxnRequest;
 use pyx_db::replica::RedoTailer;
 use pyx_db::wal::{FeedSink, LogFeed, LogSink, Wal};
-use pyx_db::{shard_of, DbError, Engine, EngineStats, Scalar};
+use pyx_db::{shard_of, Engine, EngineStats, Scalar};
 use pyx_lang::MethodId;
 use pyx_pyxil::CompiledPartition;
 use std::collections::{HashMap, VecDeque};
@@ -226,16 +253,17 @@ use std::time::Instant;
 
 /// Sharded-server tuning. One admission bound covers every thread: a
 /// shard thread holds at most `max_sessions + queue_cap` unretired
-/// requests, and the coordinator pool at most `coordinators +
-/// queue_cap`; a submit past its bound is [`Admit::Rejected`].
+/// routed requests, and a primary at most `coordinators + queue_cap`
+/// unretired cross-shard requests besides; a submit past its bound is
+/// [`Admit::Rejected`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
-    /// Number of engine shards / worker threads.
+    /// Number of engine shards / primary threads.
     pub shards: usize,
     /// Per-worker dispatcher tuning (sessions, queue, snapshot reads).
     pub dispatcher: DispatcherConfig,
-    /// Coordinator threads — the number of cross-shard transactions in
-    /// flight at once.
+    /// Cross-shard sessions each shard thread runs at once (at least
+    /// one); more queue behind them.
     pub coordinators: usize,
 }
 
@@ -287,9 +315,9 @@ pub struct ShardedReport {
     /// order. A heal that walks past refused candidates records each of
     /// them, and may still succeed (also appearing in `recoveries`).
     pub heal_failures: Vec<HealFailure>,
-    /// Coordinator rpc legs that observed a dead participant worker
-    /// (counted per observation: a transaction whose cleanup also hits
-    /// the dead shard counts more than once).
+    /// Answers to a home's remote ops that showed a dead participant
+    /// worker (counted per observation: a transaction whose cleanup also
+    /// hits the dead shard counts more than once).
     pub participant_deaths: u64,
 }
 
@@ -352,12 +380,31 @@ impl ShardedReport {
 
 /// One message in a shard thread's inbox, the only channel it reads.
 pub(crate) enum Msg {
+    /// A routed request.
     Submit {
         req: TxnRequest,
         tag: u64,
     },
-    /// A coordinator's statement or 2PC leg for this primary.
+    /// A cross-shard request for this primary to home, with the global
+    /// wait-die age the server drew for it at submission and the hold
+    /// armed for it.
+    SubmitMulti {
+        req: TxnRequest,
+        tag: u64,
+        age: u64,
+        hold: Option<HoldHook>,
+    },
+    /// A home's statement or 2PC leg for this primary.
     Remote(RemoteOp),
+    /// A participant's answer to one of this home's remote ops.
+    Reply(Reply),
+    /// The hold on this home's transaction with this virtual id was
+    /// released (test instrumentation).
+    Release(u64),
+    /// Shard `s`'s primary died: end every branch it opened here. Sent
+    /// by the reaper before `s`'s successor starts, so no branch of the
+    /// successor is taken for an orphan.
+    HomeDied(usize),
     /// The shard's log published durable bytes for this replica to tail
     /// (the waker [`ShardedServer`] registers on the feed). Sent *after*
     /// the publish, so a replica that sees it finds the bytes on its
@@ -374,14 +421,11 @@ pub(crate) enum Msg {
     },
 }
 
-/// Results-channel index of coordinator-reported outcomes. Coordinators
-/// report for themselves — a participant death surfaces as an error on
-/// the coordinator's transaction — so no per-shard outstanding entry
-/// tracks them, only the pool's admission count.
-pub(crate) const COORD: usize = usize::MAX;
+/// Results-channel index of a [`Waker`]'s wakes, which no worker sends.
+const WAKER: usize = usize::MAX;
 
 /// One message on the results channel, sent under the sender's worker
-/// index ([`COORD`] for a coordinator or a [`Waker`]).
+/// index ([`WAKER`] for a [`Waker`]).
 pub(crate) enum Report {
     /// A retired transaction.
     Done(TxnDone),
@@ -407,7 +451,7 @@ impl Waker {
     /// End the server's current [`ShardedServer::wait`], or its next
     /// one if none is blocked. A no-op once the server is gone.
     pub fn wake(&self) {
-        let _ = self.0.send((COORD, Report::Wake));
+        let _ = self.0.send((WAKER, Report::Wake));
     }
 }
 
@@ -439,10 +483,13 @@ struct Worker {
     /// horizon, a replica's applied one (the two inputs of
     /// bounded-staleness admission).
     horizon: Arc<AtomicU64>,
-    /// tag → (entry, label) of every submitted request whose result has
-    /// not been filed, so a dead worker's losses surface as error
-    /// results. Its size is the thread's admission count.
-    outstanding: HashMap<u64, (MethodId, &'static str)>,
+    /// tag → (entry, label, cross-shard) of every submitted request whose
+    /// result has not been filed, so a dead worker's losses surface as
+    /// error results. Its size is the thread's admission count.
+    outstanding: HashMap<u64, (MethodId, &'static str, bool)>,
+    /// How many of `outstanding` are cross-shard requests this primary
+    /// homes: their admission count.
+    multi: usize,
     /// The thread's exit was reaped (its losses reported), or a
     /// promotion consumed it.
     dead: bool,
@@ -463,7 +510,10 @@ struct Exit {
     /// promoted replica's in-doubt branches. `None` for a primary, and
     /// for a replica whose feed failed or whose thread was killed.
     tailer: Option<RedoTailer>,
+    /// The local dispatcher's counters.
     stats: DispatcherStats,
+    /// A primary's counters for the cross-shard transactions it homed.
+    coord: CoordStats,
 }
 
 impl Worker {
@@ -485,9 +535,11 @@ pub struct ShardedServer {
     /// Shared link table: the live inbox per shard, rewritten whenever a
     /// primary's thread starts.
     links: ShardLinks,
-    /// Commit-decision registry shared with the coordinator pool (see
+    /// Commit-decision registry shared with every home (see
     /// [`Decisions`]) — the in-doubt resolution source at failover.
     decisions: Decisions,
+    /// The global wait-die age counter every home draws from.
+    ages: Arc<AtomicU64>,
     done_rx: Receiver<(usize, Report)>,
     done_tx: Results,
     part: Arc<CompiledPartition>,
@@ -514,23 +566,21 @@ pub struct ShardedServer {
     /// Results read off the channel and not yet delivered, plus the
     /// synthesized error results of reaped workers.
     ready: VecDeque<TxnDone>,
-    // -- 2PC coordinator pool --
-    job_tx: Sender<CoordJob>,
-    /// Cross-shard submits whose result has not been filed: the pool's
-    /// admission count.
-    coord_outstanding: usize,
-    coord_handles: Vec<JoinHandle<CoordStats>>,
+    // -- cross-shard transactions --
+    /// Round-robin cursor over the primaries that home cross-shard
+    /// requests.
+    home_rr: usize,
     hold_next: Option<HoldHook>,
-    multi_txns: u64,
-    multi_participants: u64,
+    /// Coordinator counters of primary incarnations a heal replaced.
+    coord: CoordStats,
 }
 
 impl ShardedServer {
     /// Spawn W workers, each owning one pre-loaded engine shard plus its
-    /// own dispatcher over the shared compiled partition. `engines` must
-    /// all carry the same schema, with rows already routed by
-    /// [`pyx_db::TableDef::shard_key`] (see `load_row_sharded`), plus
-    /// the coordinator pool that runs cross-shard requests.
+    /// own dispatchers over the shared compiled partition — one for
+    /// routed requests, one for the cross-shard requests it homes.
+    /// `engines` must all carry the same schema, with rows already routed
+    /// by [`pyx_db::TableDef::shard_key`] (see `load_row_sharded`).
     pub fn new(
         part: Arc<CompiledPartition>,
         engines: Vec<Engine>,
@@ -539,7 +589,6 @@ impl ShardedServer {
         assert_eq!(engines.len(), cfg.shards, "one engine per shard");
         assert!(cfg.shards > 0, "at least one shard");
         let (done_tx, done_rx) = mpsc::channel();
-        let (job_tx, jrx) = mpsc::channel();
         let mut srv = ShardedServer {
             workers: Vec::with_capacity(cfg.shards),
             links: Arc::new(
@@ -548,6 +597,7 @@ impl ShardedServer {
                     .collect(),
             ),
             decisions: Decisions::default(),
+            ages: Arc::new(AtomicU64::new(1)),
             done_rx,
             done_tx,
             part,
@@ -561,32 +611,10 @@ impl ShardedServer {
             replica_reads: 0,
             replica_fallbacks: 0,
             ready: VecDeque::new(),
-            job_tx,
-            coord_outstanding: 0,
-            coord_handles: Vec::new(),
+            home_rr: 0,
             hold_next: None,
-            multi_txns: 0,
-            multi_participants: 0,
+            coord: CoordStats::default(),
         };
-        let jrx = Arc::new(Mutex::new(jrx));
-        let ages = Arc::new(AtomicU64::new(1));
-        for c in 0..cfg.coordinators.max(1) {
-            let part = Arc::clone(&srv.part);
-            let dcfg = cfg.dispatcher;
-            let jobs = Arc::clone(&jrx);
-            let coord = Coord::new(
-                Arc::clone(&srv.links),
-                Arc::clone(&ages),
-                srv.decisions.clone(),
-                &engines[0],
-            );
-            let done = srv.done_tx.clone();
-            let h = std::thread::Builder::new()
-                .name(format!("pyx-coord-{c}"))
-                .spawn(move || coordinator(part, dcfg, jobs, coord, done))
-                .expect("spawn coordinator");
-            srv.coord_handles.push(h);
-        }
         for (s, engine) in engines.into_iter().enumerate() {
             srv.spawn(s, engine, None);
         }
@@ -597,9 +625,9 @@ impl ShardedServer {
     /// Without a `feed` it is shard `shard`'s primary, taking worker slot
     /// `shard` (a healed primary replaces the dead one and keeps its
     /// horizon cell, so replica staleness admission carries over) and
-    /// publishing its inbox in the link table, where coordinators find
-    /// it. With a `feed` it is a new replica of `shard`, tailing that
-    /// feed, which wakes it on every publish. Returns the worker's index.
+    /// publishing its inbox in the link table, where homes find it. With
+    /// a `feed` it is a new replica of `shard`, tailing that feed, which
+    /// wakes it on every publish. Returns the worker's index.
     fn spawn(&mut self, shard: usize, engine: Engine, feed: Option<LogFeed>) -> usize {
         let (tx, rx) = mpsc::channel();
         let (idx, role, name) = match feed {
@@ -607,7 +635,13 @@ impl ShardedServer {
                 *self.links[shard]
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner) = tx.clone();
-                (shard, Role::Primary, format!("pyx-shard-{shard}"))
+                let links = Arc::clone(&self.links);
+                let coord = Coord::new(shard, tx.clone(), links, self.decisions.clone());
+                (
+                    shard,
+                    Seed::Primary(Box::new(coord)),
+                    format!("pyx-shard-{shard}"),
+                )
             }
             Some(feed) => {
                 let idx = self.workers.len();
@@ -615,12 +649,11 @@ impl ShardedServer {
                 feed.on_publish(move || {
                     let _ = wake.send(Msg::Wake);
                 });
-                let role = Role::Replica {
-                    feed,
-                    tailer: RedoTailer::new(),
-                    buf: Vec::new(),
-                };
-                (idx, role, format!("pyx-replica-{shard}-{idx}"))
+                (
+                    idx,
+                    Seed::Replica(feed),
+                    format!("pyx-replica-{shard}-{idx}"),
+                )
             }
         };
         let horizon = match self.workers.get(idx) {
@@ -628,12 +661,12 @@ impl ShardedServer {
             None => Arc::new(AtomicU64::new(0)),
         };
         let part = Arc::clone(&self.part);
-        let dcfg = self.cfg.dispatcher;
+        let cfg = self.cfg;
         let done = self.done_tx.clone();
         let published = Arc::clone(&horizon);
         let handle = std::thread::Builder::new()
             .name(name)
-            .spawn(move || run_worker(idx, engine, role, part, dcfg, rx, done, published))
+            .spawn(move || run_worker(idx, engine, role, part, cfg, rx, done, published))
             .expect("spawn shard worker");
         let worker = Worker {
             shard,
@@ -641,6 +674,7 @@ impl ShardedServer {
             thread: Some(Thread::Running(handle)),
             horizon,
             outstanding: HashMap::new(),
+            multi: 0,
             dead: false,
         };
         if idx < self.workers.len() {
@@ -894,19 +928,20 @@ impl ShardedServer {
     }
 
     /// Requests submitted but not yet collected via [`ShardedServer::recv_done`]:
-    /// the unfiled ones each thread and the coordinator pool hold, plus
-    /// the filed ones on the ready queue.
+    /// the unfiled ones each thread holds, plus the filed ones on the
+    /// ready queue.
     pub fn in_flight(&self) -> u64 {
         let unfiled: usize = self.workers.iter().map(|w| w.outstanding.len()).sum();
-        (unfiled + self.coord_outstanding + self.ready.len()) as u64
+        (unfiled + self.ready.len()) as u64
     }
 
     /// Submit a request. `route: Some(k)` goes to shard `shard_of(k, W)`;
-    /// `route: None` is a cross-shard transaction and queues to the
-    /// coordinator pool. A thread past its admission bound (see
-    /// [`ShardedConfig`]) refuses with [`Admit::Rejected`] — backpressure:
-    /// retry once a retirement is filed. [`Admit::Unavailable`] means
-    /// the shard's worker has died.
+    /// `route: None` is a cross-shard transaction and goes to a live
+    /// primary, its home, chosen round-robin among those with room. A
+    /// thread past its admission bound (see [`ShardedConfig`]) refuses
+    /// with [`Admit::Rejected`] — backpressure: retry once a retirement
+    /// is filed. [`Admit::Unavailable`] means the shard's worker (for a
+    /// cross-shard request: every primary) has died.
     pub fn submit(&mut self, req: TxnRequest, tag: u64) -> Admit {
         match req.route {
             Some(k) => {
@@ -926,42 +961,74 @@ impl ShardedServer {
                 self.submit_primary(s, req, tag)
             }
             None => {
-                let pool = self.coord_handles.len();
-                if self.coord_outstanding >= pool.saturating_add(self.cfg.dispatcher.queue_cap) {
-                    return Admit::Rejected;
-                }
-                let hold = self.hold_next.take();
-                match self.job_tx.send(CoordJob { req, tag, hold }) {
-                    Ok(()) => {
-                        self.coord_outstanding += 1;
-                        Admit::Started
+                let n = self.cfg.shards;
+                let (mut req, mut refused) = (req, Admit::Unavailable);
+                for probe in 0..n {
+                    let s = (self.home_rr + probe) % n;
+                    if self.workers[s].dead {
+                        continue;
                     }
-                    Err(_) => Admit::Unavailable,
+                    match self.send_to(s, req, tag) {
+                        Ok(()) => {
+                            self.home_rr = (s + 1) % n;
+                            return Admit::Started;
+                        }
+                        Err((back, why)) => {
+                            req = back;
+                            if why == Admit::Rejected {
+                                refused = why;
+                            }
+                        }
+                    }
                 }
+                refused
             }
         }
     }
 
     /// Send `req` to worker `i` and track it as outstanding there, unless
-    /// the thread already holds its bound of `max_sessions + queue_cap`
+    /// the thread already holds its bound — `max_sessions + queue_cap`
+    /// routed requests, or `coordinators + queue_cap` cross-shard ones —
     /// (`Err((req, Admit::Rejected))`) or its inbox is closed (`Err((req,
     /// Admit::Unavailable))`: the thread stopped, its exit report is on
-    /// the results channel, and the next reader reaps it). The bound is
-    /// the dispatcher's own, so the thread's dispatcher never refuses.
+    /// the results channel, and the next reader reaps it). The bounds are
+    /// the dispatchers' own, so neither of the thread's dispatchers ever
+    /// refuses. A cross-shard request takes the armed hold along.
     fn send_to(&mut self, i: usize, req: TxnRequest, tag: u64) -> Result<(), (TxnRequest, Admit)> {
         let d = self.cfg.dispatcher;
+        let multi = req.route.is_none();
         let w = &mut self.workers[i];
-        if w.outstanding.len() >= d.max_sessions.saturating_add(d.queue_cap) {
+        let (held, bound) = match multi {
+            true => (w.multi, self.cfg.coordinators.max(1)),
+            false => (w.outstanding.len() - w.multi, d.max_sessions),
+        };
+        if held >= bound.saturating_add(d.queue_cap) {
             return Err((req, Admit::Rejected));
         }
         let (entry, label) = (req.entry, req.label);
-        match w.tx.send(Msg::Submit { req, tag }) {
+        let msg = match multi {
+            // Ages go out in submission order: the first submitted is
+            // the oldest.
+            true => Msg::SubmitMulti {
+                req,
+                tag,
+                age: self.ages.fetch_add(1, Ordering::Relaxed),
+                hold: self.hold_next.take(),
+            },
+            false => Msg::Submit { req, tag },
+        };
+        match w.tx.send(msg) {
             Ok(()) => {
-                w.outstanding.insert(tag, (entry, label));
+                w.outstanding.insert(tag, (entry, label, multi));
+                w.multi += usize::from(multi);
                 Ok(())
             }
             Err(mpsc::SendError(Msg::Submit { req, .. })) => Err((req, Admit::Unavailable)),
-            Err(_) => unreachable!("send_to sends Msg::Submit"),
+            Err(mpsc::SendError(Msg::SubmitMulti { req, hold, .. })) => {
+                self.hold_next = hold;
+                Err((req, Admit::Unavailable))
+            }
+            Err(_) => unreachable!("send_to sends a submit"),
         }
     }
 
@@ -1020,9 +1087,9 @@ impl ShardedServer {
     /// spot. A dead worker's lost transactions come back as **error
     /// results** (outcome unknown: the transaction may or may not have
     /// committed before the crash) and its shard is marked unavailable;
-    /// the server itself keeps serving.
-    /// (A worker death mid-2PC is reported by the coordinator itself —
-    /// it observes the closed reply channel and aborts the survivors.)
+    /// the server itself keeps serving. (A participant's death mid-2PC
+    /// is reported by the transaction's home: the op the dead thread
+    /// dropped answers as a death, and the home aborts the survivors.)
     pub fn recv_done(&mut self) -> Option<TxnDone> {
         self.next_done(true)
     }
@@ -1048,10 +1115,9 @@ impl ShardedServer {
     fn file(&mut self, (i, report): (usize, Report)) {
         match report {
             Report::Done(d) => {
-                if i == COORD {
-                    self.coord_outstanding -= 1;
-                } else {
-                    self.workers[i].outstanding.remove(&d.tag);
+                let w = &mut self.workers[i];
+                if w.outstanding.remove(&d.tag).is_some_and(|u| u.2) {
+                    w.multi -= 1;
                 }
                 self.ready.push_back(d);
             }
@@ -1063,9 +1129,9 @@ impl ShardedServer {
     /// Reap worker `i`, whose exit was read. Channel order filed every
     /// result it shipped before its exit, so what is still outstanding
     /// there will never report: retire each as an error, mark the worker
-    /// dead, and heal a dead primary (see [`ShardedServer::heal_shard`]).
-    /// A heal reads nothing off the channel, so it never runs inside
-    /// another.
+    /// dead, and — for a primary — end the cross-shard transactions it
+    /// homed, then heal it (see [`ShardedServer::heal_shard`]). A heal
+    /// reads nothing off the channel, so it never runs inside another.
     fn reap(&mut self, i: usize) {
         let primary = i < self.cfg.shards;
         let w = &mut self.workers[i];
@@ -1077,7 +1143,16 @@ impl ShardedServer {
             (false, Some(_)) => format!("shard {} replica died; read not served", w.shard),
         };
         fail_outstanding(&mut w.outstanding, !primary, &error, &mut self.ready);
+        w.multi = 0;
         if primary {
+            // The dead home can no longer decide: its undecided gtids
+            // become presumed aborts, and then every live primary ends
+            // the branches it left there — before a successor starts, so
+            // no branch of the successor is taken for an orphan.
+            self.decisions.forget_home(i);
+            for w in self.workers[..self.cfg.shards].iter().filter(|w| !w.dead) {
+                let _ = w.tx.send(Msg::HomeDied(i));
+            }
             self.heal_shard(i);
         }
     }
@@ -1102,7 +1177,7 @@ impl ShardedServer {
 
     /// Supervise newly dead shard `s`: steal its log, build a successor
     /// around it ([`ShardedServer::build_successor`]), resolve in-doubt
-    /// branches against the coordinator decision registry, and start the
+    /// branches against the decision registry, and start the
     /// healed shard's thread with a fresh inbox. When no candidate
     /// succeeds the shard stays dead (submits keep reporting
     /// [`Admit::Unavailable`]) — healing never trades correctness for
@@ -1119,6 +1194,7 @@ impl ShardedServer {
         let mut dead = self.workers[s]
             .take_exit()
             .expect("a primary is never consumed");
+        self.coord.merge(&dead.coord);
         let floor = dead.engine.txn_id_floor();
         let built = match dead.engine.take_wal() {
             None => {
@@ -1144,7 +1220,7 @@ impl ShardedServer {
         let (in_doubt, resolved_commit, resolved_abort) =
             self.decisions.settle_in_doubt(&mut engine);
         // Swap the healed shard in: a fresh thread and inbox (the link
-        // table points coordinators at it), same horizon cell.
+        // table points homes at it), same horizon cell.
         self.spawn(s, engine, None);
         self.recoveries.push(ShardRecovery {
             shard: s,
@@ -1209,8 +1285,8 @@ impl ShardedServer {
                 None => Err(lost.to_string()),
                 Some(mut engine) => {
                     // The successor must not reuse transaction ids the
-                    // dead incarnation handed to coordinators (stale
-                    // cleanup aborts).
+                    // dead incarnation named to homes (stale cleanup
+                    // aborts).
                     engine.reserve_txn_ids(txn_floor);
                     // Promotion-at-durable-watermark rule: refuse a
                     // successor whose applied horizon is not exactly the
@@ -1254,23 +1330,15 @@ impl ShardedServer {
     }
 
     /// Stop the workers and hand back the shard engines and counters.
-    /// Outstanding results are drained first, then coordinators are
-    /// joined (they need live workers for any in-flight 2PC ops), then
-    /// the primaries, then the replicas. Tolerates dead workers: every
-    /// shard thread hands its engine back however it stopped, with the
+    /// Outstanding results are drained first, then the primaries are
+    /// joined, then the replicas. Tolerates dead workers: every shard
+    /// thread hands its engine back however it stopped, with the
     /// dispatcher counters it had (the in-memory state of a dead one may
     /// hold uncommitted work — durable state lives in the write-ahead
     /// log, which is exactly what recovery replays).
     pub fn shutdown(mut self) -> (Vec<TxnDone>, ShardedReport) {
         let rest = self.drain();
-        drop(self.job_tx); // coordinators drain their queue and exit
-        let mut participant_deaths = 0u64;
-        for h in self.coord_handles.drain(..) {
-            let s = h.join().unwrap_or_default();
-            self.multi_txns += s.jobs;
-            self.multi_participants += s.participants;
-            participant_deaths += s.participant_deaths;
-        }
+        let mut coord = self.coord;
         // Replicas stop only after every primary has joined (all WAL
         // syncs done, feeds final): each replica's final catch-up then
         // lands exactly on the primary's durable prefix.
@@ -1289,6 +1357,7 @@ impl ShardedServer {
                 if i < shards {
                     engines.push(exit.engine);
                     dispatchers.push(exit.stats);
+                    coord.merge(&exit.coord);
                 } else {
                     replica_engines.push((self.workers[i].shard, exit.engine));
                 }
@@ -1299,35 +1368,62 @@ impl ShardedServer {
             ShardedReport {
                 engines,
                 dispatchers,
-                multi_txns: self.multi_txns,
-                multi_participants: self.multi_participants,
+                multi_txns: coord.txns,
+                multi_participants: coord.participants,
                 replica_engines,
                 replica_reads: self.replica_reads,
                 replica_fallbacks: self.replica_fallbacks,
                 recoveries: std::mem::take(&mut self.recoveries),
                 heal_failures: std::mem::take(&mut self.heal_failures),
-                participant_deaths,
+                participant_deaths: coord.participant_deaths,
             },
         )
     }
 }
 
-/// Retire every request in a dead worker's `outstanding` map (tag →
-/// entry, label) with `error`, in tag order, onto the `ready` queue.
+/// A server dropped without [`ShardedServer::shutdown`] still stops its
+/// threads: each running one is told to shut down, and none is joined.
+/// Threads hold each other's inboxes (homes and participants, a replica
+/// its feed's waker), so none would ever see its inbox close.
+impl Drop for ShardedServer {
+    fn drop(&mut self) {
+        for w in &self.workers {
+            if matches!(w.thread, Some(Thread::Running(_))) {
+                let _ = w.tx.send(Msg::Shutdown);
+            }
+        }
+    }
+}
+
+/// Retire every request in a dead worker's `outstanding` map with
+/// `error`, in tag order, onto the `ready` queue.
 fn fail_outstanding(
-    outstanding: &mut HashMap<u64, (MethodId, &'static str)>,
+    outstanding: &mut HashMap<u64, (MethodId, &'static str, bool)>,
     read_only: bool,
     error: &str,
     ready: &mut VecDeque<TxnDone>,
 ) {
-    let mut lost: Vec<(u64, (MethodId, &'static str))> = outstanding.drain().collect();
+    let mut lost: Vec<_> = outstanding.drain().collect();
     lost.sort_unstable_by_key(|&(tag, _)| tag);
-    for (tag, (entry, label)) in lost {
+    for (tag, (entry, label, _)) in lost {
         ready.push_back(TxnDone {
             read_only,
             ..TxnDone::failed(tag, entry, label, error.to_string())
         });
     }
+}
+
+/// Report one retired transaction on the results channel under worker
+/// id `idx`. When an injected crash countdown expires, the worker dies
+/// on the spot ([`crash`]) instead.
+fn report(idx: usize, d: TxnDone, done: &Results, crash_after: &mut Option<usize>) {
+    if let Some(n) = crash_after {
+        if *n == 0 {
+            crash();
+        }
+        *n -= 1;
+    }
+    let _ = done.send((idx, Report::Done(d)));
 }
 
 /// Flush retired transactions to the results channel, syncing the
@@ -1338,10 +1434,8 @@ fn fail_outstanding(
 /// durability errors (conservatively — some may have been flushed by an
 /// earlier sync; the log cannot say which without per-commit
 /// bookkeeping, and under-acknowledging is the safe direction). A
-/// replica has no log, so for it this only reports the batch. Results go
-/// out under worker id `idx`. When an injected crash countdown expires
-/// mid-flush, the worker dies on the spot ([`crash`]), dropping the rest
-/// of the batch.
+/// replica has no log, so for it this only reports the batch. A crash
+/// countdown that expires mid-flush drops the rest of the batch.
 fn flush_dones(
     idx: usize,
     engine: &mut Engine,
@@ -1354,108 +1448,69 @@ fn flush_dones(
     }
     let sync_err = engine.wal_sync().err();
     for mut d in batch.drain(..) {
-        if let Some(n) = crash_after {
-            if *n == 0 {
-                crash();
-            }
-            *n -= 1;
-        }
         if let Some(e) = &sync_err {
             if !d.read_only && !d.rolled_back && d.error.is_none() {
                 d.error = Some(e.to_string());
             }
         }
-        let _ = done.send((idx, Report::Done(d)));
+        report(idx, d, done, crash_after);
     }
 }
 
-/// Serve one remote op against this worker's engine. `Exec` ops that
-/// would block on a row lock are parked (no reply) and retried by
-/// [`retry_parked`]; everything else replies immediately.
-fn serve_remote(
-    engine: &mut Engine,
-    disp: &mut Dispatcher<'_>,
-    op: RemoteOp,
-    parked: &mut Vec<RemoteOp>,
-) {
-    match op {
-        RemoteOp::Exec {
-            txn,
-            age,
-            stmt,
-            params,
-            reply,
-        } => {
-            // The coordinator's first statement here opens its branch.
-            let txn = txn.unwrap_or_else(|| engine.begin_aged(age));
-            match stmt.execute(engine, txn, &params) {
-                // The branch is now a registered lock waiter; retry until
-                // the lock frees (the statement has mutated nothing yet)
-                // or a later wait-die check kills it.
-                Err(DbError::WouldBlock) => parked.push(RemoteOp::Exec {
-                    txn: Some(txn),
-                    age,
-                    stmt,
-                    params,
-                    reply,
-                }),
-                res => {
-                    let _ = reply.send((txn, res));
-                }
+/// What sets a primary's thread apart: its part in cross-shard
+/// transactions, and the dispatcher that runs the ones it homes.
+struct Primary<'a> {
+    coord: Coord,
+    cdisp: Dispatcher<'a>,
+}
+
+impl Primary<'_> {
+    /// Hand on the wakes the coordinator collected: local sessions whose
+    /// locks its legs released, and its own sessions whose waits
+    /// completed.
+    fn wake(&mut self, disp: &mut Dispatcher<'_>) {
+        let (woken, ready) = self.coord.take_wakes();
+        disp.wake_txns(&woken);
+        self.cdisp.wake_txns(&ready);
+    }
+
+    /// Step the coordinator dispatcher once; `false` when it had nothing
+    /// to do. A retired cross-shard transaction is reported at once: its
+    /// outcome is what its commit legs reported, each after its
+    /// participant's log sync, so the home's batch sync must not re-mark
+    /// it.
+    fn poll(
+        &mut self,
+        idx: usize,
+        engine: &mut Engine,
+        disp: &mut Dispatcher<'_>,
+        done: &Results,
+        crash_after: &mut Option<usize>,
+    ) -> bool {
+        let mut home = Home {
+            coord: &mut self.coord,
+            engine,
+        };
+        let polled = self.cdisp.poll(&mut home, &mut InstantEnv);
+        self.wake(disp);
+        match polled {
+            Polled::Done(mut d) => {
+                d.participants = self.coord.retire(d.tag);
+                report(idx, d, done, crash_after);
+                true
             }
+            Polled::Progress => true,
+            Polled::Idle => false,
         }
-        RemoteOp::PrepareCommit { txn, gtid, reply } => {
-            // The yes-vote is durable before the reply: prepare_commit
-            // force-flushes a `Prepare` record under `gtid`, so a crash
-            // after this ack recovers the branch as in-doubt instead of
-            // losing a vote the coordinator acted on.
-            let _ = reply.send(engine.prepare_commit(txn, gtid));
-        }
-        RemoteOp::Commit { txn, reply } => {
-            let res = match engine.commit(txn) {
-                Ok((_, woken)) => {
-                    disp.wake_txns(&woken);
-                    // Participant-local acknowledgement point: this
-                    // shard's log is durable before the coordinator may
-                    // acknowledge the cross-shard commit.
-                    engine.wal_sync()
-                }
-                // Only the coordinator decides: a prepared branch whose
-                // decision cannot be logged crash-stops rather than abort,
-                // leaving its vote in doubt in the durable log.
-                Err(DbError::Durability(_)) if engine.is_prepared(txn) => crash(),
-                Err(e) => {
-                    // An unprepared branch's failed commit leaves it open
-                    // (locks held); abort to release them before reporting.
-                    if let Ok((_, woken)) = engine.abort(txn) {
-                        disp.wake_txns(&woken);
-                    }
-                    Err(e)
-                }
-            };
-            let _ = reply.send(res);
-        }
-        RemoteOp::Abort { txn, reply } => {
-            let _ = reply.send(engine.abort(txn).map(|(_, woken)| disp.wake_txns(&woken)));
-        }
-    }
-}
-
-/// Retry the statements parked on row locks: a commit or abort served
-/// since their last try may have freed them. A statement frees no lock,
-/// so one pass after the last release is enough.
-fn retry_parked(engine: &mut Engine, disp: &mut Dispatcher<'_>, parked: &mut Vec<RemoteOp>) {
-    for op in std::mem::take(parked) {
-        serve_remote(engine, disp, op, parked);
     }
 }
 
 /// What sets a primary's thread apart from a replica's: the work
 /// between polls, how it waits when idle, and what it hands back.
-enum Role {
-    /// A shard primary: publishes its durable commit timestamp. Only a
-    /// primary is sent coordinators' remote ops.
-    Primary,
+enum Role<'a> {
+    /// A shard primary: publishes its durable commit timestamp, homes
+    /// cross-shard transactions and serves other homes' remote ops.
+    Primary(Box<Primary<'a>>),
     /// A log-shipping replica: tails its shard's durable redo feed into
     /// its engine ([`Engine::apply_redo`]) and publishes its applied
     /// commit timestamp.
@@ -1466,13 +1521,20 @@ enum Role {
     },
 }
 
-impl Role {
+/// A shard thread's role as [`ShardedServer::spawn`] hands it over: a
+/// primary's coordinator, or a replica's feed.
+enum Seed {
+    Primary(Box<Coord>),
+    Replica(LogFeed),
+}
+
+impl Role<'_> {
     /// The work between polls. `false` stops the thread: a replica
     /// whose feed is corrupt cannot converge, and must stop serving
     /// rather than answer from a frozen horizon forever.
     fn between_polls(&mut self, engine: &mut Engine, horizon: &AtomicU64) -> bool {
         match self {
-            Role::Primary => {
+            Role::Primary(_) => {
                 // Volatile engines (no WAL) publish the commit counter
                 // itself — every in-memory commit is as "durable" as
                 // this deployment gets.
@@ -1496,16 +1558,16 @@ impl Role {
         true
     }
 
-    /// Wait for the next message once the dispatcher is idle (nothing
-    /// runnable: any live session waits on a lock); `None` when the
-    /// thread should loop instead. Every input arrives in the inbox it
-    /// blocks on, so only a replica checks first: a [`Msg::Wake`]
-    /// consumed by this iteration's drain may stand for bytes the feed
-    /// published after this iteration's catch-up. Parked ops and blocked
-    /// local sessions are safe to sleep on: nothing local is runnable,
-    /// so each waits, directly or through a blocked local session, on a
-    /// remote branch whose coordinator will send the releasing
-    /// commit/abort to the inbox.
+    /// Wait for the next message once both dispatchers are idle (nothing
+    /// runnable: any live session waits on a lock, an answer or a
+    /// release); `None` when the thread should loop instead. Every input
+    /// arrives in the inbox it blocks on, so only a replica checks first:
+    /// a [`Msg::Wake`] consumed by this iteration's drain may stand for
+    /// bytes the feed published after this iteration's catch-up. Parked
+    /// statements and blocked sessions are safe to sleep on: nothing here
+    /// is runnable, so each waits, directly or through another blocked
+    /// session, on a message — an answer, a release, or another home's
+    /// releasing commit or abort.
     fn idle_wait(&self, rx: &Receiver<Msg>) -> Option<Msg> {
         if let Role::Replica { feed, tailer, .. } = self {
             if feed.durable_len() > tailer.offset() {
@@ -1516,57 +1578,104 @@ impl Role {
     }
 }
 
-/// Act on one inbox message; `false` once it says stop.
+/// Act on one inbox message; `false` once it says stop. Only a primary
+/// is sent cross-shard requests, remote ops, answers and deaths.
 fn on_msg(
     msg: Msg,
     engine: &mut Engine,
     disp: &mut Dispatcher<'_>,
-    parked: &mut Vec<RemoteOp>,
+    role: &mut Role<'_>,
     crash_after: &mut Option<usize>,
 ) -> bool {
-    match msg {
-        Msg::Submit { req, tag } => {
+    let primary = match role {
+        Role::Primary(p) => Some(&mut **p),
+        Role::Replica { .. } => None,
+    };
+    match (msg, primary) {
+        (
+            Msg::SubmitMulti {
+                req,
+                tag,
+                age,
+                hold,
+            },
+            Some(p),
+        ) => {
+            p.coord.admit(tag, age, hold);
+            let admit = p.cdisp.submit_aged(0, req, tag, Some(age));
+            debug_assert_ne!(admit, Admit::Rejected, "the server admits what fits");
+        }
+        (Msg::Submit { req, tag }, _) => {
             let admit = disp.submit(0, req, tag);
             debug_assert_ne!(admit, Admit::Rejected, "the server admits what fits");
         }
-        Msg::Remote(op) => serve_remote(engine, disp, op, parked),
-        Msg::Wake => {} // the feed is tailed every iteration
-        Msg::Crash { after_done: 0 } => crash(),
-        Msg::Crash { after_done } => *crash_after = Some(after_done),
-        Msg::Shutdown => return false,
+        (Msg::Remote(op), Some(p)) => {
+            p.coord.serve(engine, op);
+            p.wake(disp);
+        }
+        (Msg::Reply(reply), Some(p)) => {
+            p.coord.on_reply(engine, reply);
+            p.wake(disp);
+        }
+        (Msg::Release(vid), Some(p)) => {
+            p.coord.release(engine, vid);
+            p.wake(disp);
+        }
+        (Msg::HomeDied(dead), Some(p)) => {
+            p.coord.end_orphans(engine, dead);
+            p.wake(disp);
+        }
+        (
+            Msg::SubmitMulti { .. }
+            | Msg::Remote(_)
+            | Msg::Reply(_)
+            | Msg::Release(_)
+            | Msg::HomeDied(_),
+            None,
+        ) => {}
+        (Msg::Wake, _) => {} // the feed is tailed every iteration
+        (Msg::Crash { after_done: 0 }, _) => crash(),
+        (Msg::Crash { after_done }, _) => *crash_after = Some(after_done),
+        (Msg::Shutdown, _) => return false,
     }
     true
 }
 
 /// Kill this shard thread the way a panic would, minus the panic hook's
 /// report: unwind to [`run_worker`]'s `catch_unwind`.
-fn crash() -> ! {
+pub(crate) fn crash() -> ! {
     std::panic::resume_unwind(Box::new("injected shard worker crash"))
 }
 
 /// The serving loop of one shard thread, whatever its role: do the
 /// role's work between polls, drain the whole inbox (the server admits
-/// no more submits than the dispatcher holds, and each coordinator has
-/// one op in flight), retry parked statements, drive the dispatcher,
-/// and ship retirements to the results channel in batches through
+/// no more submits than the dispatchers hold), retry parked statements,
+/// drive the local dispatcher and — on a primary — the coordinator one,
+/// and ship local retirements to the results channel in batches through
 /// [`flush_dones`], the group-commit acknowledgement point. Returns
 /// whether the thread stopped cleanly.
 fn serve(
     idx: usize,
     engine: &mut Engine,
     disp: &mut Dispatcher<'_>,
-    role: &mut Role,
+    role: &mut Role<'_>,
     rx: &Receiver<Msg>,
     done: &Results,
     horizon: &AtomicU64,
 ) -> bool {
     let mut open = true;
     let mut batch: Vec<TxnDone> = Vec::new();
-    let mut parked: Vec<RemoteOp> = Vec::new();
     let mut crash_after: Option<usize> = None;
     loop {
         if !role.between_polls(engine, horizon) {
             return false;
+        }
+        if let Role::Primary(p) = role {
+            // Before the drain, so a lock the last turn's polls freed
+            // serves its parked statement first (a release inside the
+            // drain retries them on the spot).
+            p.coord.retry_parked(engine);
+            p.wake(disp);
         }
         while open {
             let msg = match rx.try_recv() {
@@ -1574,11 +1683,12 @@ fn serve(
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => Msg::Shutdown,
             };
-            open = on_msg(msg, engine, disp, &mut parked, &mut crash_after);
+            open = on_msg(msg, engine, disp, role, &mut crash_after);
         }
-        // After the drain, so a lock a drained commit or abort freed
-        // serves its parked statement before the thread can idle.
-        retry_parked(engine, disp, &mut parked);
+        let busy = match role {
+            Role::Primary(p) => p.poll(idx, engine, disp, done, &mut crash_after),
+            Role::Replica { .. } => false,
+        };
         match disp.poll(engine, &mut InstantEnv) {
             // Consecutive retirements batch up; the next non-Done poll
             // flushes them behind one log sync.
@@ -1586,6 +1696,9 @@ fn serve(
             Polled::Progress => flush_dones(idx, engine, &mut batch, done, &mut crash_after),
             Polled::Idle => {
                 flush_dones(idx, engine, &mut batch, done, &mut crash_after);
+                if busy {
+                    continue;
+                }
                 if !open {
                     // One last step on the way out: a replica's final
                     // catch-up (its primary has stopped, so the feed is
@@ -1593,28 +1706,29 @@ fn serve(
                     return role.between_polls(engine, horizon);
                 }
                 if let Some(msg) = role.idle_wait(rx) {
-                    open = on_msg(msg, engine, disp, &mut parked, &mut crash_after);
+                    open = on_msg(msg, engine, disp, role, &mut crash_after);
                 }
             }
         }
     }
 }
 
-/// The body of every shard thread, primary or replica by `role`. The
-/// thread owns its engine by value — nothing else touches a live
-/// shard's engine; coordinators send their ops to its inbox — and runs
-/// [`serve`] once under `catch_unwind`, so it hands the engine back
-/// however the loop ends: a shutdown, a failed feed, an injected kill or
-/// a panic. Its inbox closes when it returns, which is how submitters
-/// and coordinators learn it stopped; the server learns it from the
-/// exit report its [`ExitGuard`] sends.
+/// The body of every shard thread, primary or replica by `seed`. The
+/// thread owns its engine by value — nothing else touches a live shard's
+/// engine; other homes send their ops to its inbox — and runs [`serve`]
+/// once under `catch_unwind`, so it hands the engine back however the
+/// loop ends: a shutdown, a failed feed, an injected kill or a panic.
+/// Its inbox closes when it returns, which drops what is still queued
+/// there (a dropped remote op answers its home as a participant death);
+/// the server learns of the stop from the exit report its [`ExitGuard`]
+/// sends.
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     idx: usize,
     mut engine: Engine,
-    mut role: Role,
+    seed: Seed,
     part: Arc<CompiledPartition>,
-    cfg: DispatcherConfig,
+    cfg: ShardedConfig,
     rx: Receiver<Msg>,
     done: Results,
     horizon: Arc<AtomicU64>,
@@ -1623,19 +1737,47 @@ fn run_worker(
         idx,
         done: done.clone(),
     };
-    let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut engine, cfg);
+    let mut disp = Dispatcher::new(Deployment::Fixed(&part), &mut engine, cfg.dispatcher);
+    let mut role = match seed {
+        Seed::Primary(mut coord) => {
+            // Cross-shard reads must lock — per-shard snapshots taken at
+            // different instants are not one consistent cut (module
+            // docs).
+            let ccfg = DispatcherConfig {
+                max_sessions: cfg.coordinators.max(1),
+                snapshot_reads: false,
+                ..cfg.dispatcher
+            };
+            let mut home = Home {
+                coord: &mut coord,
+                engine: &mut engine,
+            };
+            let cdisp = Dispatcher::new(Deployment::Fixed(&part), &mut home, ccfg);
+            Role::Primary(Box::new(Primary {
+                coord: *coord,
+                cdisp,
+            }))
+        }
+        Seed::Replica(feed) => Role::Replica {
+            feed,
+            tailer: RedoTailer::new(),
+            buf: Vec::new(),
+        },
+    };
     let clean = catch_unwind(AssertUnwindSafe(|| {
         serve(idx, &mut engine, &mut disp, &mut role, &rx, &done, &horizon)
     }))
     .unwrap_or(false);
-    let tailer = match role {
-        Role::Replica { tailer, .. } if clean => Some(tailer),
-        _ => None,
+    let (tailer, coord) = match role {
+        Role::Replica { tailer, .. } if clean => (Some(tailer), CoordStats::default()),
+        Role::Replica { .. } => (None, CoordStats::default()),
+        Role::Primary(p) => (None, p.coord.stats),
     };
     Exit {
         engine,
         tailer,
         stats: disp.stats(),
+        coord,
     }
 }
 

@@ -20,9 +20,9 @@ pub struct TxnRequest {
     /// update only its own shard's copy and silently diverge the
     /// replicas. The sharded server sends it to `shard_of(k, W)`.
     /// `None` means the transaction may span shards (or write a
-    /// replicated table, which fans out to every replica): it runs on
-    /// the serialized multi-partition lane. Ignored by the single-engine
-    /// [`crate::Dispatcher`].
+    /// replicated table, which fans out to every replica): it runs under
+    /// two-phase commit on a home shard's thread. Ignored by the
+    /// single-engine [`crate::Dispatcher`].
     pub route: Option<i64>,
 }
 

@@ -15,7 +15,7 @@
 //!   replica promotion while a replica exists and via WAL respawn once
 //!   it is consumed, with a measured MTTR;
 //! * the targeted kill's prepared branch is adopted in-doubt and
-//!   resolved to COMMIT from the coordinator's decision registry;
+//!   resolved to COMMIT from the decision registry;
 //! * **durability differential**: for every shard, a fresh engine
 //!   recovered from that shard's durable log bytes is row-for-row and
 //!   timestamp-identical to the survivor — every acked commit is
@@ -228,8 +228,8 @@ fn kill_anywhere_chaos_preserves_every_acked_commit() {
     // between its unanimous prepare acknowledgement and the commit
     // fan-out, then kill a participant. Its durably-prepared branch
     // must be adopted in-doubt by the successor and resolved to COMMIT
-    // from the coordinator's decision registry. (Shard 1 is the victim:
-    // coordinators discover uncached routes via shard 0.)
+    // from the decision registry. (Shard 1 is the victim: the transfer's
+    // home, shard 0, would take the transaction down with it.)
     let healed_before = srv.recoveries().len();
     let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
     let parked = TxnRequest {
@@ -255,7 +255,7 @@ fn kill_anywhere_chaos_preserves_every_acked_commit() {
     assert_eq!(rec.in_doubt, 1, "the prepared branch was adopted in-doubt");
     assert_eq!(rec.resolved_commit, 1, "registry says COMMIT — applied");
     assert_eq!(rec.resolved_abort, 0);
-    release.send(()).expect("release the parked coordinator");
+    release.send(()).expect("release the parked home");
     // The commit leg raced the kill: either outcome is a valid ack, and
     // the durability differential below holds regardless.
     let _ = srv.recv_done().expect("the parked transfer retires");
@@ -326,12 +326,12 @@ fn kill_anywhere_chaos_preserves_every_acked_commit() {
     }
 }
 
-/// A prepared participant dies while the coordinator is still
-/// collecting the remaining votes. The registry entry is still
-/// *voting*, so the supervisor's heal pass must presume abort, write
-/// the veto into the entry, and the coordinator — whose remaining
-/// votes all succeed — must honor it and abort the survivors instead
-/// of committing a transaction one shard already rolled back.
+/// A prepared participant dies while the home is still collecting the
+/// remaining votes. The registry entry is still *voting*, so the
+/// supervisor's heal pass must presume abort, write the veto into the
+/// entry, and the home — whose remaining votes all succeed — must honor
+/// it and abort the survivors instead of committing a transaction one
+/// shard already rolled back.
 #[test]
 fn mid_vote_participant_death_presumed_aborts_atomically() {
     let (pyxis, part) = compile();
@@ -357,8 +357,9 @@ fn mid_vote_participant_death_presumed_aborts_atomically() {
     srv.spawn_replicas(&feeds, replicas);
     srv.enable_self_healing();
 
-    // Park the transfer right after shard 0 acknowledged its durable
-    // prepare, with shard 1's vote still out...
+    // Park the transfer right after its home, shard 0, prepared inline,
+    // with shard 1's vote unread — shard 1 received its prepare first,
+    // so it prepares before anything sent later reaches it...
     let (held, release) = srv.hold_next_multi(HoldPoint::Vote);
     let mut tag = 0u64;
     let parked = TxnRequest {
@@ -377,13 +378,13 @@ fn mid_vote_participant_death_presumed_aborts_atomically() {
     held.recv_timeout(Duration::from_secs(30))
         .expect("transfer parked mid-vote");
 
-    // ...and kill the prepared participant. Its successor adopts the
+    // ...and kill that prepared participant. Its successor adopts the
     // branch in-doubt; the gtid is still voting, so the heal pass
     // presumed-aborts it and records the veto.
-    srv.inject_worker_crash(0, 0);
+    srv.inject_worker_crash(1, 0);
     wait_heal(&mut srv, 1);
-    let rec = *srv.recoveries().last().expect("shard 0 healed");
-    assert_eq!(rec.shard, 0);
+    let rec = *srv.recoveries().last().expect("shard 1 healed");
+    assert_eq!(rec.shard, 1);
     assert_eq!(rec.in_doubt, 1, "the durable prepare came back in-doubt");
     assert_eq!(
         rec.resolved_abort, 1,
@@ -391,17 +392,17 @@ fn mid_vote_participant_death_presumed_aborts_atomically() {
     );
     assert_eq!(rec.resolved_commit, 0);
 
-    // Release the coordinator: its remaining vote succeeds, but the
-    // decision point must find the veto — the transfer fails, and the
-    // settled registry entry is reclaimed.
-    release.send(()).expect("release the parked coordinator");
+    // Release the home: its remaining vote succeeds, but the decision
+    // point must find the veto — the transfer fails, and the settled
+    // registry entry is reclaimed.
+    release.send(()).expect("release the parked home");
     let done = srv.recv_done().expect("the vetoed transfer retires");
     assert!(
         done.error.is_some(),
         "a transaction with a presumed-aborted branch must not ack success"
     );
     assert_eq!(srv.pending_decisions(), 0, "the vetoed entry is reclaimed");
-    assert!(srv.dead_shards().is_empty(), "shard 0 healed");
+    assert!(srv.dead_shards().is_empty(), "shard 1 healed");
     assert!(srv.heal_failures().is_empty());
 
     // Full availability, through the healed participant: a qty-0

@@ -316,8 +316,8 @@ fn idle_replica_reaches_the_primary_durable_horizon() {
         let d = c.srv.recv_done().expect("one in flight");
         assert!(d.error.is_none(), "write {tag}: {:?}", d.error);
     }
-    // An unrouted read runs on the primary through a coordinator, which
-    // never touches a replica; waking the primary makes it publish its
+    // An unrouted read runs on a primary, its home, and never touches a
+    // replica; waking the primary makes it publish its
     // final durable horizon.
     let read = tpcw::ReadMostlyMix::new(c.entries, scale(), 0, 77).next_txn(0);
     assert_eq!(read.route, None);

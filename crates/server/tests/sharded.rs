@@ -8,8 +8,8 @@
 //!   purely partitionable mix, for a mix with cross-shard transactions
 //!   (including writes to a replicated table, which must fan out to every
 //!   replica), and for a remote-warehouse TPC-C mix at ≥10%
-//!   multi-partition fraction. Cross-shard transactions run through the
-//!   2PC coordinator pool and must agree with the single engine.
+//!   multi-partition fraction. Cross-shard transactions run through 2PC
+//!   on their home shard and must agree with the single engine.
 //! * **2PC concurrency**: two cross-shard transactions with disjoint
 //!   participant sets commit concurrently (one parked mid-commit while
 //!   the other completes), a younger transaction blocked by a parked
@@ -20,15 +20,19 @@
 //!   exactly the shard `shard_of` names — no loss, no duplication — and
 //!   keeps replicated tables byte-identical across shards.
 //! * **Backpressure**: a shard thread admits exactly `max_sessions +
-//!   queue_cap` unretired requests and the coordinator pool exactly
-//!   `coordinators + queue_cap`; past that a submit is rejected instead
-//!   of blocking, `submit_by_deadline` waits out the saturation by
-//!   filing retirements, handing each one back exactly once, and a
-//!   saturated shard still serves its coordinators' ops.
+//!   queue_cap` unretired routed requests and, as a home, exactly
+//!   `coordinators + queue_cap` cross-shard ones; past that a submit is
+//!   rejected instead of blocking, `submit_by_deadline` waits out the
+//!   saturation by filing retirements, handing each one back exactly
+//!   once, and a saturated shard still serves other homes' ops.
 //! * **One decider**: a participant that cannot log its commit decision
 //!   crash-stops instead of aborting the branch; a branch lost with its
 //!   shard's incarnation fails as a participant death; constant sites
 //!   and dynamic SQL reach a respawned shard as text.
+//! * **A home's death**: killed with a branch open on another shard, at
+//!   its vote, or after its decision, the home takes its transaction
+//!   down with it — every branch ends, all of them committed or none,
+//!   and the registry drains.
 
 use proptest::prelude::*;
 use pyx_db::{shard_of, DbError, Engine, FaultPlan, FaultySink, LogSink, MemSink, Scalar, Wal};
@@ -515,12 +519,17 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
     assert_eq!(tags, admitted, "each retirement comes back exactly once");
     assert!(done.iter().all(|d| d.error.is_none()), "healthy run");
 
-    // Nothing can drain: the only coordinator is parked mid-commit and
-    // the pool holds its bound, so a cross-shard submit is refused — but
-    // only once its deadline has passed.
-    let mut cross = |i: usize| TxnRequest {
-        route: None,
-        ..next(20_000 + i)
+    // Nothing can drain: each home runs one cross-shard session, and
+    // every cross-shard new-order hits the same district row, which the
+    // first holds while parked mid-commit. Its younger peers die on that
+    // lock and restart, or queue behind them, so each home holds its
+    // bound and a cross-shard submit is refused — but only once its
+    // deadline has passed.
+    let mut cross = |i: usize| {
+        let mut r = next(20_000 + i);
+        r.args[0] = pyx_runtime::ArgVal::Int(1);
+        r.args[1] = pyx_runtime::ArgVal::Int(1);
+        TxnRequest { route: None, ..r }
     };
     let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
     let mut parked: HashSet<u64> = HashSet::new();
@@ -542,8 +551,8 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
     };
     assert_eq!(
         parked.len(),
-        3,
-        "the pool admits exactly coordinators + queue_cap = 1 + 2"
+        6,
+        "each of the 2 homes admits exactly coordinators + queue_cap = 1 + 2"
     );
     let deadline = Instant::now() + Duration::from_millis(50);
     assert_eq!(
@@ -560,9 +569,9 @@ fn submit_by_deadline_waits_out_saturation_and_hands_back_retirements() {
     srv.shutdown();
 }
 
-/// A coordinator's ops share a shard thread's one inbox with submits,
-/// and the thread drains the whole inbox every turn, so a cross-shard
-/// commit reaches a shard whose dispatcher is full. T1 (w0→w1) is held
+/// A home's ops share a shard thread's one inbox with submits, and the
+/// thread drains the whole inbox every turn, so a cross-shard commit
+/// reaches a shard whose dispatcher is full. T1 (w0→w1) is held
 /// at its commit point with shard 0's stock row locked; routed transfers
 /// on that row fill shard 0's one session and one queue slot, and the
 /// next is refused. Released, T1 commits on the full shard, and all
@@ -1024,7 +1033,7 @@ fn remote_warehouse_mix_matches_single_under_2pc() {
 
 /// Cross-shard transfers submitted concurrently over a handful of hot
 /// items and overlapping participant sets: every transaction retires
-/// without error, the coordinator pool runs all of them, at least one
+/// without error, their homes run all of them, at least one
 /// goes through a prepare round, and total stock is conserved exactly.
 /// Whether two transfers actually conflict depends on thread timing, so
 /// this does not prove the restart path runs; see
@@ -1159,6 +1168,54 @@ fn cross_shard_wait_die_victim_restarts_and_retires_once() {
     assert_eq!(report.engines[1].stats.aborts, u64::from(done[1].restarts));
 }
 
+/// Ten transfers of one item between the same two warehouses, all in
+/// flight at once on 4 shards with 2 cross-shard sessions per home. Each
+/// reads its source row, then updates it: under wait-die younger ones
+/// die on the upgrade and restart at once, and while they keep sharing
+/// the row the oldest one's upgrade would wait indefinitely. A younger
+/// transaction's first statement on a shard where an older one's
+/// statement is parked dies instead, so the burst retires with a
+/// bounded number of restarts (a few thousand at most on a 2-core host,
+/// against up to 1.8 million without the rule).
+#[test]
+fn hot_row_transfers_retire_without_a_restart_storm() {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
+    let part = Arc::new(part);
+    let wh = |shard: usize| {
+        (1..=64i64)
+            .find(|&k| shard_of(&Scalar::Int(k), 4) == shard)
+            .expect("some warehouse routes to every shard")
+    };
+    for round in 0..3u64 {
+        let mut srv = ShardedServer::new(
+            Arc::clone(&part),
+            fresh_shards(scale8(), 83 + round, 4),
+            ShardedConfig {
+                shards: 4,
+                coordinators: 2,
+                ..ShardedConfig::default()
+            },
+        );
+        for tag in 0..10 {
+            let int = pyx_runtime::ArgVal::Int;
+            let req = TxnRequest {
+                entry: transfer,
+                args: vec![int(wh(0)), int(wh(1)), int(1), int(1)],
+                label: "transfer",
+                route: None,
+            };
+            assert_eq!(srv.submit(req, tag), Admit::Started);
+        }
+        let done = collect_all(&mut srv, Duration::from_secs(60));
+        assert_eq!(done.len(), 10, "round {round}: every transfer retires");
+        assert!(done.iter().all(|d| d.error.is_none()), "round {round}");
+        let restarts: u32 = done.iter().map(|d| d.restarts).sum();
+        assert!(restarts < 100_000, "round {round}: {restarts} restarts");
+        srv.shutdown();
+    }
+}
+
 /// The headline 2PC property: two cross-shard transactions with disjoint
 /// participant sets commit *concurrently*. T1 (shards {0,1}) is parked
 /// between its prepare and commit phases — locks held on both
@@ -1259,13 +1316,12 @@ proptest! {
     }
 }
 
-/// Satellite: a participant worker dying mid-2PC must not wedge the
-/// coordinator. T1 is parked between its prepare and commit phases on
-/// shards {0,1}; shard 0's worker is killed while the outcome is
-/// pending. The transaction must retire with an error (outcome
-/// unknown), the survivor's branch must abort cleanly (its locks
-/// free), the death is counted, and the coordinator pool keeps serving
-/// cross-shard work.
+/// Satellite: a participant worker dying mid-2PC must not wedge its
+/// home. T1 is parked between its prepare and commit phases on shards
+/// {0,1}; shard 1's worker is killed while the outcome is pending. The
+/// transaction must retire with an error (outcome unknown), the
+/// survivor's branch must end cleanly (its locks free), the death is
+/// counted, and the live homes keep serving cross-shard work.
 #[test]
 fn participant_death_mid_2pc_aborts_cleanly_and_coordinator_survives() {
     let (pyxis, part) = compile_jdbc(MIXED_SRC);
@@ -1299,9 +1355,8 @@ fn participant_death_mid_2pc_aborts_cleanly_and_coordinator_survives() {
         route: None,
     };
 
-    // Coordinators discover uncached statement routes via an rpc to
-    // shard 0, and replicated reads pin there too — so shard 1 is the
-    // victim, keeping shard 0 free to serve later transfers.
+    // T1's home is shard 0, which would take T1 down with it — so shard
+    // 1 is the victim.
     let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
     assert_eq!(srv.submit(pair(wh(0), wh(1)), 1), Admit::Started);
     held.recv_timeout(std::time::Duration::from_secs(30))
@@ -1320,8 +1375,8 @@ fn participant_death_mid_2pc_aborts_cleanly_and_coordinator_survives() {
     let err = d1.error.expect("unknown outcome must surface as an error");
     assert!(err.contains("worker died"), "{err}");
 
-    // The coordinator pool keeps serving cross-shard work that avoids
-    // the dead shard…
+    // The live homes keep serving cross-shard work that avoids the dead
+    // shard…
     assert_eq!(srv.submit(pair(wh(2), wh(3)), 2), Admit::Started);
     let d2 = srv.recv_done().expect("T2 retires");
     assert!(d2.error.is_none(), "{:?}", d2.error);
@@ -1470,12 +1525,14 @@ fn participant_that_cannot_log_its_decision_crash_stops() {
     );
 }
 
-/// A branch dies with its shard's incarnation. T1 is held mid-vote:
-/// shard 0 has prepared, and shard 1's branch is still open when shard 1
-/// is killed and respawned from its log. The coordinator's next op for
-/// that branch reaches the new incarnation, which never heard of it: the
-/// transaction must fail as a participant death, not as an unknown
-/// transaction, and the shards must serve the next transfer.
+/// A branch dies with its shard's incarnation. T1 is held mid-vote: its
+/// home, shard 0, has prepared, and its prepare went out to shard 1 with
+/// it, so shard 1 prepares before it is killed and respawned from its
+/// log. The respawn recovers that vote in doubt and vetoes the
+/// still-voting gtid; released, the home finds the veto and aborts. Its
+/// abort reaches the new incarnation, which never heard of the branch:
+/// that counts as a participant death, not an unknown transaction, the
+/// registry drains, and the shards serve the next transfer.
 #[test]
 fn branch_on_a_respawned_shard_fails_as_a_participant_death() {
     let (pyxis, part) = compile_jdbc(MIXED_SRC);
@@ -1527,11 +1584,13 @@ fn branch_on_a_respawned_shard_fails_as_a_participant_death() {
         std::thread::sleep(Duration::from_millis(1));
         srv.reap_now();
     }
-    assert_eq!(srv.recoveries()[0].in_doubt, 0, "shard 1 never prepared");
+    let rec = srv.recoveries()[0];
+    assert_eq!(rec.in_doubt, 1, "shard 1 prepared with shard 0");
+    assert_eq!(rec.resolved_abort, 1, "a still-voting gtid is vetoed");
     release.send(()).expect("release T1");
     let d = srv.recv_done().expect("T1 retires");
     let err = d.error.expect("T1 lost a branch");
-    assert!(err.contains("worker died"), "{err}");
+    assert!(err.contains("presumed aborted"), "{err}");
     assert_eq!(srv.pending_decisions(), 0, "the vetoed gtid is forgotten");
 
     assert_eq!(srv.submit(pair(wh(0), wh(1)), 2), Admit::Started);
@@ -1540,6 +1599,211 @@ fn branch_on_a_respawned_shard_fails_as_a_participant_death() {
     let (rest, report) = srv.shutdown();
     assert!(rest.is_empty());
     assert!(report.participant_deaths > 0);
+}
+
+// ---- a home's death: the cross-shard transactions it homed end ----
+
+/// A two-shard server over durable logs (group size 1) that respawns a
+/// dead shard from its log, one cross-shard session per home, plus the
+/// logs and the transfer entry.
+fn durable_two_shard_server(seed: u64) -> (ShardedServer, Vec<MemSink>, pyx_lang::MethodId) {
+    let (pyxis, part) = compile_jdbc(MIXED_SRC);
+    let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
+    let sinks: Vec<MemSink> = (0..2).map(|_| MemSink::new()).collect();
+    let mut engines = fresh_shards(scale8(), seed, 2);
+    ShardedServer::attach_shard_wals(&mut engines, 1, |i| Box::new(sinks[i].clone()));
+    let mut srv = ShardedServer::new(
+        Arc::new(part),
+        engines,
+        ShardedConfig {
+            shards: 2,
+            coordinators: 1,
+            ..ShardedConfig::default()
+        },
+    );
+    let factory_sinks = sinks.clone();
+    srv.set_respawn_factory(move |s| {
+        let mut e = fresh_shards(scale8(), seed, 2).swap_remove(s);
+        e.recover(&factory_sinks[s].durable_bytes()).ok()?;
+        Some(e)
+    });
+    (srv, sinks, transfer)
+}
+
+/// The `n`th warehouse (from 0) that routes to `shard` of 2.
+fn nth_wh(shard: usize, n: usize) -> i64 {
+    (1..=8i64)
+        .filter(|&k| shard_of(&Scalar::Int(k), 2) == shard)
+        .nth(n)
+        .expect("warehouses enough on every shard")
+}
+
+/// A cross-shard stock transfer of `qty` units of `item`.
+fn transfer_req(entry: pyx_lang::MethodId, from: i64, to: i64, item: i64, qty: i64) -> TxnRequest {
+    let int = pyx_runtime::ArgVal::Int;
+    TxnRequest {
+        entry,
+        args: vec![int(from), int(to), int(item), int(qty)],
+        label: "transfer",
+        route: None,
+    }
+}
+
+/// The next retirement, failing the test past `limit`: a transaction
+/// that waits on an orphaned lock fails instead of hanging the test.
+fn retire_within(srv: &mut ShardedServer, limit: Duration) -> TxnDone {
+    let t0 = Instant::now();
+    loop {
+        if let Some(d) = srv.try_recv_done() {
+            return d;
+        }
+        assert!(t0.elapsed() < limit, "no retirement within {limit:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Kill shard 0's primary and wait out its respawn from the log.
+fn kill_and_respawn_home(srv: &mut ShardedServer) {
+    srv.inject_worker_crash(0, 0);
+    let t0 = Instant::now();
+    while srv.recoveries().is_empty() {
+        assert!(t0.elapsed().as_secs() < 30, "respawn never completed");
+        std::thread::sleep(Duration::from_millis(1));
+        srv.reap_now();
+    }
+}
+
+/// `item`'s stock in warehouse `w` after replaying each shard's durable
+/// log into a fresh engine.
+fn recovered_stock(sinks: &[MemSink], seed: u64, w: i64, item: i64) -> i64 {
+    let s = shard_of(&Scalar::Int(w), 2);
+    let mut e = fresh_shards(scale8(), seed, 2).swap_remove(s);
+    e.recover(&sinks[s].durable_bytes())
+        .expect("the durable log replays");
+    stock_of(&e, w, item)
+}
+
+/// A transaction dies with its home. T1, homed on shard 0, moves stock
+/// between two warehouses of shard 1: its branch there holds the first
+/// row, and its last statement is parked behind a younger transaction T2
+/// (homed on shard 1, held at its commit point) holding the second.
+/// Shard 0 dies: T1's client hears "outcome unknown", shard 1 aborts the
+/// orphaned branch and drops its parked statement, and once T2 commits
+/// a later transaction on T1's rows commits too. No log holds any write
+/// of T1's.
+#[test]
+fn home_death_aborts_its_open_branch_on_another_shard() {
+    let seed = 139;
+    let (mut srv, sinks, transfer) = durable_two_shard_server(seed);
+    let (w0, w0b) = (nth_wh(0, 0), nth_wh(0, 1));
+    let (w1, w1b, w1c) = (nth_wh(1, 0), nth_wh(1, 1), nth_wh(1, 2));
+    let fresh = fresh_shards(scale8(), seed, 2);
+    let (from0, to0) = (stock_of(&fresh[1], w1, 7), stock_of(&fresh[1], w1b, 7));
+    let limit = Duration::from_secs(30);
+    let submit = |srv: &mut ShardedServer, tag, from, to, item, qty| {
+        let req = transfer_req(transfer, from, to, item, qty);
+        assert_eq!(srv.submit(req, tag), Admit::Started);
+    };
+
+    // T0 fills home 0's one cross-shard session, held at its commit;
+    // F runs on home 1; T1 queues on home 0 behind T0, older than T2.
+    let (held_t0, release_t0) = srv.hold_next_multi(HoldPoint::Commit);
+    submit(&mut srv, 0, w0, w0b, 3, 1);
+    held_t0.recv_timeout(limit).expect("T0 parks on home 0");
+    submit(&mut srv, 1, w1, w0b, 5, 1);
+    submit(&mut srv, 2, w1, w1b, 7, 2);
+    // T2, homed on shard 1, takes T1's second row and holds it.
+    let (held_t2, release_t2) = srv.hold_next_multi(HoldPoint::Commit);
+    submit(&mut srv, 3, w1b, w1c, 7, 1);
+    held_t2.recv_timeout(limit).expect("T2 parks on home 1");
+    assert_eq!(retire_within(&mut srv, limit).tag, 1, "F retires");
+    // Released, T0 commits and T1 starts: its branch on shard 1 takes
+    // the first row, and its last statement parks behind T2.
+    release_t0.send(()).expect("release T0");
+    let d = retire_within(&mut srv, limit);
+    assert_eq!((d.tag, d.error), (0, None));
+    std::thread::sleep(Duration::from_millis(200));
+
+    kill_and_respawn_home(&mut srv);
+    let d = retire_within(&mut srv, limit);
+    assert_eq!(d.tag, 2);
+    let err = d.error.expect("T1 died with its home");
+    assert!(err.contains("outcome unknown"), "{err}");
+    release_t2.send(()).expect("release T2");
+    let d = retire_within(&mut srv, limit);
+    assert_eq!((d.tag, d.error), (3, None));
+    // A later transaction on T1's rows: an orphaned branch holding the
+    // first would make it die and restart for ever.
+    submit(&mut srv, 4, w1, w1b, 7, 4);
+    let d = retire_within(&mut srv, limit);
+    assert_eq!((d.tag, d.error), (4, None));
+    assert_eq!(srv.pending_decisions(), 0);
+    let (rest, _) = srv.shutdown();
+    assert!(rest.is_empty());
+    assert_eq!(recovered_stock(&sinks, seed, w1, 7), from0 - 4, "T3 only");
+    assert_eq!(recovered_stock(&sinks, seed, w1b, 7), to0 - 1 + 4, "T2, T3");
+}
+
+/// A home dies at `at` with a transfer of 2 units from shard 0 to shard
+/// 1 in flight. Its client hears "outcome unknown", the registry
+/// drains, a later transfer on the same rows commits, and the durable
+/// logs hold the transfer on both shards (`committed`) or on neither.
+fn home_death_at(at: HoldPoint, committed: bool) {
+    let seed = 149;
+    let (mut srv, sinks, transfer) = durable_two_shard_server(seed);
+    let (w0, w1) = (nth_wh(0, 0), nth_wh(1, 0));
+    let fresh = fresh_shards(scale8(), seed, 2);
+    let (from0, to0) = (stock_of(&fresh[0], w0, 1), stock_of(&fresh[1], w1, 1));
+    let limit = Duration::from_secs(30);
+
+    let (held, release) = srv.hold_next_multi(at);
+    assert_eq!(
+        srv.submit(transfer_req(transfer, w0, w1, 1, 2), 1),
+        Admit::Started
+    );
+    held.recv_timeout(limit)
+        .expect("the transfer parks on home 0");
+    kill_and_respawn_home(&mut srv);
+    let d = retire_within(&mut srv, limit);
+    assert_eq!(d.tag, 1);
+    let err = d.error.expect("the transfer died with its home");
+    assert!(err.contains("outcome unknown"), "{err}");
+    drop(release);
+    let t0 = Instant::now();
+    while srv.pending_decisions() > 0 {
+        assert!(t0.elapsed() < limit, "the registry never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Shard 1's branch holds its row until it is ended: the later
+    // transfer, younger, would die on it and restart for ever.
+    assert_eq!(
+        srv.submit(transfer_req(transfer, w0, w1, 1, 4), 2),
+        Admit::Started
+    );
+    let d = retire_within(&mut srv, limit);
+    assert_eq!((d.tag, d.error), (2, None));
+    assert_eq!(srv.pending_decisions(), 0);
+    let (rest, _) = srv.shutdown();
+    assert!(rest.is_empty());
+    let moved = if committed { 2 + 4 } else { 4 };
+    assert_eq!(recovered_stock(&sinks, seed, w0, 1), from0 - moved);
+    assert_eq!(recovered_stock(&sinks, seed, w1, 1), to0 + moved);
+}
+
+/// Killed mid-vote, the home's undecided gtid is forgotten: both
+/// prepared branches — shard 1's on the live shard, shard 0's recovered
+/// in doubt — abort.
+#[test]
+fn home_death_mid_vote_aborts_every_branch() {
+    home_death_at(HoldPoint::Vote, false);
+}
+
+/// Killed after deciding commit, the home's decided gtid stands: shard
+/// 1 commits its prepared branch, and shard 0's respawn commits the one
+/// it recovered in doubt.
+#[test]
+fn home_death_after_the_decision_commits_every_branch() {
+    home_death_at(HoldPoint::Commit, true);
 }
 
 /// Tentpole: with self-healing enabled and a log-shipping replica per

@@ -141,7 +141,9 @@ fn separate_process_db_host_over_uds_matches_in_process_state() {
     let served_fp = fp_line
         .strip_prefix("FINGERPRINT ")
         .unwrap_or_else(|| panic!("unexpected dbhost output: {fp_line}"));
-    assert!(completed_line.starts_with("COMPLETED "), "{completed_line}");
+    // 30 routed new-orders on the shards' own dispatchers plus 10
+    // cross-shard transfers on their homes': each counted exactly once.
+    assert_eq!(completed_line, "COMPLETED 40");
     assert_eq!(committed, 40);
 
     // Oracle: identical workload, identical order, in process.
