@@ -12,10 +12,17 @@
 //!
 //! Deadlock avoidance uses **wait-die**: on conflict, an older requester
 //! (smaller [`TxnId`]) waits; a younger one "dies" ([`Acquire::Die`]) and
-//! must abort and restart. This guarantees no wait cycles, which matters
-//! because the simulator models lock waits as suspended virtual-time
-//! sessions — a deadlock would hang the simulated workload exactly like a
-//! real one.
+//! must abort and restart. A request compatible with every holder dies
+//! too if an older transaction waits on the key, so younger readers that
+//! restart at once cannot keep an older one's upgrade waiting for ever.
+//! This guarantees no wait cycles, which matters because the simulator
+//! models lock waits as suspended virtual-time sessions — a deadlock
+//! would hang the simulated workload exactly like a real one. A release
+//! empties the key's queue, so its caller retries the woken waiters
+//! before it serves a younger request. A waiter that leaves unwoken (an
+//! aborted branch whose parked statement was dropped) stays queued until
+//! a holder of the key releases, and younger shared requests die there
+//! meanwhile.
 //!
 //! **Distributed wait-die.** Cross-shard (2PC) transactions get a
 //! globally unique age from the sharded server's shared counter and
@@ -118,54 +125,46 @@ impl LockTable {
         let mut conflicting: Vec<TxnId> = Vec::new();
         for (i, &(h, hmode)) in entry.holders.iter().enumerate() {
             if h == txn {
-                self_idx = Some((i, hmode));
+                self_idx = Some(i);
             } else if mode == LockMode::Exclusive || hmode == LockMode::Exclusive {
                 conflicting.push(h);
             }
         }
 
-        let result = if let Some((i, hmode)) = self_idx {
-            // Re-entrant; possibly an upgrade.
-            if hmode == LockMode::Exclusive || mode == LockMode::Shared {
-                Acquire::Granted
-            } else if conflicting.is_empty() {
-                entry.holders[i].1 = LockMode::Exclusive;
-                Acquire::Granted
+        // Wait-die order, oldest first: a restarted transaction's
+        // retained first id, else its own, with ties (impossible between
+        // distinct transactions) broken on the id so the order is strictly
+        // total, as deadlock freedom needs.
+        let age = |t: TxnId| (self.ages.get(&t).copied().unwrap_or(t.0), t);
+        let older = |t: TxnId| age(t) < age(txn);
+        let result = if !conflicting.is_empty() {
+            // A new request or an upgrade that conflicts: wait only if
+            // older than every conflicting holder.
+            if conflicting.iter().any(|&h| older(h)) {
+                Acquire::Die
             } else {
-                // Upgrade blocked by other shared holders.
-                Self::wait_or_die(txn, entry, &conflicting, &self.ages)
+                if !entry.waiters.contains(&txn) {
+                    entry.waiters.push(txn);
+                }
+                Acquire::Wait
             }
-        } else if conflicting.is_empty() {
+        } else if let Some(i) = self_idx {
+            // Re-entrant, or an upgrade with no other holder.
+            if mode == LockMode::Exclusive {
+                entry.holders[i].1 = mode;
+            }
+            Acquire::Granted
+        } else if entry.waiters.iter().any(|&w| older(w)) {
+            // Compatible with every holder, but an older transaction
+            // waits here.
+            Acquire::Die
+        } else {
             entry.holders.push((txn, mode));
             self.held.entry(txn).or_default().push(lk.clone());
             Acquire::Granted
-        } else {
-            Self::wait_or_die(txn, entry, &conflicting, &self.ages)
         };
         self.probe = lk.1 .0;
         result
-    }
-
-    /// Wait-die: wait only if older than every conflicting holder. Age is
-    /// the retained original id for restarted transactions, the own id
-    /// otherwise; ties (impossible between distinct logical transactions)
-    /// break on the id so the order stays strictly total — the guarantee
-    /// wait-die's deadlock freedom rests on.
-    fn wait_or_die(
-        txn: TxnId,
-        entry: &mut Entry,
-        conflicting: &[TxnId],
-        ages: &FxHashMap<TxnId, u64>,
-    ) -> Acquire {
-        let age = |t: TxnId| (ages.get(&t).copied().unwrap_or(t.0), t);
-        if conflicting.iter().all(|&h| age(txn) < age(h)) {
-            if !entry.waiters.contains(&txn) {
-                entry.waiters.push(txn);
-            }
-            Acquire::Wait
-        } else {
-            Acquire::Die
-        }
     }
 
     /// Release all locks held by `txn` (commit or abort). Returns the
@@ -178,21 +177,16 @@ impl LockTable {
         for lk in keys {
             if let Some(entry) = self.entries.get_mut(&lk) {
                 entry.holders.retain(|&(h, _)| h != txn);
-                entry.waiters.retain(|&w| w != txn);
-                for &w in &entry.waiters {
-                    if !woken.contains(&w) {
+                for w in entry.waiters.drain(..) {
+                    if w != txn && !woken.contains(&w) {
                         woken.push(w);
                     }
                 }
-                entry.waiters.clear();
-                if entry.holders.is_empty() && entry.waiters.is_empty() {
+                if entry.holders.is_empty() {
                     self.entries.remove(&lk);
                 }
             }
         }
-        // A waiter registered on keys this txn didn't hold can't exist:
-        // waiters are only registered against conflicting holders.
-        woken.retain(|&w| w != txn);
         woken
     }
 
@@ -277,6 +271,39 @@ mod tests {
             lt.acquire(TxnId(2), 0, &k(1), LockMode::Exclusive),
             Acquire::Die
         );
+    }
+
+    #[test]
+    fn younger_shared_request_dies_behind_an_older_waiting_upgrade() {
+        let mut lt = LockTable::new();
+        let (s, x) = (LockMode::Shared, LockMode::Exclusive);
+        for (txn, mode, want) in [
+            (1, s, Acquire::Granted),
+            (2, s, Acquire::Granted),
+            (1, x, Acquire::Wait),
+            // Compatible with both readers, but younger than the upgrade
+            // that sharing the row would keep waiting.
+            (3, s, Acquire::Die),
+            // A holder's re-entry is not a new request.
+            (2, s, Acquire::Granted),
+        ] {
+            assert_eq!(lt.acquire(TxnId(txn), 0, &k(1), mode), want, "txn {txn}");
+        }
+        assert_eq!(lt.release_all(TxnId(2)), vec![TxnId(1)]);
+        assert_eq!(lt.acquire(TxnId(1), 0, &k(1), x), Acquire::Granted);
+    }
+
+    #[test]
+    fn older_shared_request_is_granted_past_a_younger_waiter() {
+        let mut lt = LockTable::new();
+        let (s, x) = (LockMode::Shared, LockMode::Exclusive);
+        lt.acquire(TxnId(5), 0, &k(1), s);
+        lt.acquire(TxnId(6), 0, &k(1), s);
+        assert_eq!(lt.acquire(TxnId(5), 0, &k(1), x), Acquire::Wait);
+        // A restart of the oldest transaction: a fresh id, its first age.
+        lt.set_age(TxnId(9), 1);
+        assert_eq!(lt.acquire(TxnId(9), 0, &k(1), s), Acquire::Granted);
+        assert_eq!(lt.held_by(TxnId(9)), 1);
     }
 
     #[test]

@@ -197,7 +197,7 @@ pub enum HoldPoint {
 
 /// Test hook plumbing: pause one cross-shard transaction at `at`.
 /// `held_tx` fires when the transaction parks there; it resumes when
-/// `release_rx` yields (or its sender drops). The session parks, and a
+/// `release_rx` receives (or its sender drops). The session parks, and a
 /// helper thread blocked on `release_rx` wakes the home, so a hold never
 /// blocks a shard thread.
 pub(crate) struct HoldHook {
@@ -354,24 +354,28 @@ impl Decisions {
     /// Settle every in-doubt branch a healed shard's `engine` recovered
     /// with [`Decisions::resolve`]'s verdict: a gtid still voting is
     /// presumed abort and vetoed, so its home aborts the survivors when
-    /// its votes complete instead of committing. A branch committed here
-    /// settles its leg. Returns how many branches were in doubt,
-    /// committed and aborted.
-    pub(crate) fn settle_in_doubt(&self, engine: &mut Engine) -> (u64, u64, u64) {
+    /// its votes complete instead of committing. The committed legs
+    /// settle only once one sync has made their decide records durable,
+    /// as [`serve_leg`]'s do: a leg settled sooner would be presumed
+    /// aborted if the shard died again and lost the record. Returns how
+    /// many branches were in doubt, committed and aborted, or the error
+    /// that kept a verdict from the log — then nothing is settled.
+    pub(crate) fn settle_in_doubt(&self, engine: &mut Engine) -> Result<(u64, u64, u64), DbError> {
         let gtids = engine.in_doubt_gtids();
-        let (mut committed, mut aborted) = (0, 0);
+        let mut committed = Vec::new();
         for &gtid in &gtids {
             let commit = self.resolve(gtid);
-            if engine.resolve_prepared(gtid, commit).is_ok() {
-                if commit {
-                    committed += 1;
-                    self.settle(gtid, 1);
-                } else {
-                    aborted += 1;
-                }
+            engine.resolve_prepared(gtid, commit)?;
+            if commit {
+                committed.push(gtid);
             }
         }
-        (gtids.len() as u64, committed, aborted)
+        engine.wal_sync()?;
+        for &gtid in &committed {
+            self.settle(gtid, 1);
+        }
+        let (n, c) = (gtids.len() as u64, committed.len() as u64);
+        Ok((n, c, n - c))
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -682,23 +686,14 @@ impl Coord {
                 stmt,
                 params,
             } => {
-                // A home's first statement here opens its branch — and
-                // dies at once behind an older parked statement.
-                let (txn, r) = match txn {
-                    Some(t) => (t, None),
-                    None => {
-                        let t = engine.begin_aged(age);
-                        self.branches.insert(
-                            t,
-                            Branch {
-                                home: to.home,
-                                gtid: None,
-                            },
-                        );
-                        (t, self.yields(age).then_some(Err(DbError::Deadlock)))
-                    }
-                };
-                match r.unwrap_or_else(|| stmt.execute(engine, txn, &params)) {
+                // A home's first statement here opens its branch.
+                let txn = txn.unwrap_or_else(|| {
+                    let t = engine.begin_aged(age);
+                    let home = to.home;
+                    self.branches.insert(t, Branch { home, gtid: None });
+                    t
+                });
+                match stmt.execute(engine, txn, &params) {
                     // The branch is now a registered lock waiter; retry
                     // until the lock frees (the statement has mutated
                     // nothing yet) or a later wait-die check kills it.
@@ -744,22 +739,13 @@ impl Coord {
 
     /// Retry the statements parked on row locks: a commit or abort since
     /// their last try may have freed them. A statement frees no lock, so
-    /// one pass after the last release is enough.
+    /// one pass after the last release is enough. A release empties the
+    /// lock's wait queue, so until the retry queues them again a younger
+    /// request could take the lock: retry before the next message.
     pub(crate) fn retry_parked(&mut self, engine: &mut Engine) {
         for op in std::mem::take(&mut self.parked) {
             self.serve(engine, op);
         }
-    }
-
-    /// Whether a transaction of wait-die age `age` must die instead of
-    /// opening a branch on this shard: an older transaction's statement
-    /// is parked here. Wait-die lets a younger transaction share a lock
-    /// an older one waits to upgrade, so younger ones restarting at once
-    /// could keep that upgrade blocked indefinitely; dying is always
-    /// safe, with the parked statement counted as a holder.
-    fn yields(&self, age: u64) -> bool {
-        let older = |op: &RemoteOp| matches!(op.kind, OpKind::Exec { age: a, .. } if a < age);
-        self.parked.iter().any(older)
     }
 
     /// Shard `dead`'s primary died: end every branch it opened here. An
@@ -877,12 +863,9 @@ impl Coord {
         }
         let mut results: Vec<_> = (0..n).map(|_| None).collect();
         if targets.contains(&me) {
-            let yields = self.yields(age);
             let t = self.txns.get_mut(&vid).expect("open");
-            let fresh = t.branches[me].is_none();
             let branch = *t.branches[me].get_or_insert_with(|| engine.begin_aged(age));
             let r = match site {
-                _ if fresh && yields => Err(DbError::Deadlock),
                 Some(id) => engine.execute_prepared(branch, id, params),
                 None => stmt.execute(engine, branch, params),
             };
@@ -1073,17 +1056,25 @@ impl Coord {
 
     /// Apply shard `shard`'s answer to what `vid` has out there: a
     /// statement part, or a commit leg. A lost op, or a branch the
-    /// shard's successor never knew, is a participant death.
+    /// shard's successor never knew, is a participant death; one that
+    /// answers a commit leg leaves the outcome unknown, since the shard
+    /// may have committed its branch before it died.
     fn apply(&mut self, engine: &mut Engine, vid: u64, shard: usize, answer: Answer) {
         let (branch, r) = match answer {
             Answer::Stmt(branch, r) => (Some(branch), r.map(Some)),
             Answer::Leg(r) => (None, r.map(|()| None)),
             Answer::Lost => (None, Err(DbError::UnknownTxn)),
         };
+        let committing = matches!(self.txns[&vid].commit, Some(Commit::Committing { .. }));
         let r = r.map_err(|e| match e {
             DbError::UnknownTxn => {
                 self.stats.participant_deaths += 1;
-                death(shard)
+                match death(shard) {
+                    DbError::Durability(m) if committing => {
+                        DbError::Durability(format!("{m}; transaction outcome unknown"))
+                    }
+                    e => e,
+                }
             }
             e => e,
         });

@@ -82,23 +82,15 @@
 //!   *Self-healing* below). One whose `Decide` append fails — its log
 //!   failed after the vote — crash-stops the same way rather than abort.
 //! * **Distributed wait-die** — the server draws each cross-shard
-//!   request's age from one shared counter when it is submitted, so every
-//!   shard's `(age, txn)` lock order agrees on every pair of distributed
-//!   transactions.
-//!   Along any would-be wait cycle, ages strictly increase through each
-//!   distributed transaction (a waiter must be strictly older than the
-//!   holder) — two distinct global ages cannot cycle, so the union of
-//!   per-shard wait graphs stays acyclic and the globally oldest
-//!   distributed transaction always progresses. Restarts retain their
-//!   age (the standard no-starvation rule). Wait-die lets a younger
-//!   transaction share a lock an older one waits to upgrade, so while an
-//!   older transaction's statement is parked on a shard, a younger
-//!   transaction's first statement there dies at once instead of
-//!   running; otherwise younger transactions restarting at once could
-//!   keep the upgrade blocked indefinitely. A release retries the parked
-//!   statements before the shard reads its next message. A lock released
-//!   by a cross-shard commit or abort wakes blocked *local* sessions
-//!   through [`crate::Dispatcher::wake_txns`].
+//!   request's age from one shared counter when it is submitted, and a
+//!   restart keeps it, so every shard's lock table orders every pair of
+//!   distributed transactions alike. The lock table alone grants, queues
+//!   or kills each request (`pyx_db`'s `lock` module gives the rules,
+//!   and why the shards' wait graphs stay acyclic). A release empties
+//!   the lock's wait queue, so it retries the parked statements before
+//!   the shard reads its next message. A lock released by a cross-shard
+//!   commit or abort wakes blocked *local* sessions through
+//!   [`crate::Dispatcher::wake_txns`].
 //! * **A home's death** — a cross-shard transaction dies with its home.
 //!   When the server reaps a dead primary it first forgets every gtid
 //!   that primary opened and never decided (absence is presumed abort,
@@ -206,7 +198,11 @@
 //!   presumed abort and the verdict is written into the entry, so the
 //!   home — which may still collect the remaining yes-votes — finds the
 //!   veto and aborts the surviving branches rather than committing a
-//!   transaction one shard already aborted. A participant that
+//!   transaction one shard already aborted. A committed verdict settles
+//!   its registry leg only once a sync of the successor's log has made
+//!   its decide record durable; a successor that cannot log or sync its
+//!   verdicts is parked in the shard's worker slot, log attached, and
+//!   the shard stays down (a [`HealFailure`]). A participant that
 //!   crash-stopped on a failed log is not healed:
 //!   [`pyx_db::Wal::discard_unsynced`] refuses a degraded log, so the
 //!   shard stays down (a [`HealFailure`]) with its vote in doubt and its
@@ -1182,7 +1178,8 @@ impl ShardedServer {
     /// succeeds the shard stays dead (submits keep reporting
     /// [`Admit::Unavailable`]) — healing never trades correctness for
     /// availability — with the stolen log stashed back on the dead
-    /// engine.
+    /// engine; when the successor cannot make its in-doubt verdicts
+    /// durable, it stays parked in the slot, log attached.
     fn heal_shard(&mut self, s: usize) {
         if !self.self_heal && self.respawn.is_none() {
             return; // supervision not configured: the shard stays dead
@@ -1194,7 +1191,7 @@ impl ShardedServer {
         let mut dead = self.workers[s]
             .take_exit()
             .expect("a primary is never consumed");
-        self.coord.merge(&dead.coord);
+        self.coord.merge(&std::mem::take(&mut dead.coord));
         let floor = dead.engine.txn_id_floor();
         let built = match dead.engine.take_wal() {
             None => {
@@ -1211,14 +1208,25 @@ impl ShardedServer {
                 .build_successor(s, wal, floor)
                 .map_err(|wal| dead.engine.set_wal(*wal)),
         };
-        let Ok((mut engine, promoted)) = built else {
+        let Ok((mut engine, promoted, attempt)) = built else {
             // The dead engine, log and all, stays parked in the slot for
             // `ShardedReport::engines`.
             self.workers[s].thread = Some(Thread::Stopped(Box::new(dead)));
             return;
         };
         let (in_doubt, resolved_commit, resolved_abort) =
-            self.decisions.settle_in_doubt(&mut engine);
+            match self.decisions.settle_in_doubt(&mut engine) {
+                Ok(counts) => counts,
+                Err(e) => {
+                    // A verdict its log cannot keep: the successor, log
+                    // attached, takes the slot instead, and the registry
+                    // keeps the legs it did not settle.
+                    self.heal_failed(s, attempt, format!("shard {s}: in-doubt verdicts: {e}"));
+                    let exit = Exit { engine, ..dead };
+                    self.workers[s].thread = Some(Thread::Stopped(Box::new(exit)));
+                    return;
+                }
+            };
         // Swap the healed shard in: a fresh thread and inbox (the link
         // table points homes at it), same horizon cell.
         self.spawn(s, engine, None);
@@ -1238,14 +1246,14 @@ impl ShardedServer {
     /// the respawn factory — and re-anchor the log on the first one
     /// whose applied horizon is the durable watermark. Each candidate
     /// lost records a [`HealFailure`]. Returns the successor, log
-    /// attached, and whether it was a promotion; on failure the log
-    /// comes back for stashing.
+    /// attached, whether it was a promotion and its place in the walk;
+    /// on failure the log comes back for stashing.
     fn build_successor(
         &mut self,
         s: usize,
         mut wal: Wal,
         txn_floor: u64,
-    ) -> Result<(Engine, bool), Box<Wal>> {
+    ) -> Result<(Engine, bool, u32), Box<Wal>> {
         // Drop the dead incarnation's unsynced tail from the medium
         // BEFORE any successor reads it: with a file sink, appended-
         // but-unsynced bytes are already visible to a file reader
@@ -1297,7 +1305,7 @@ impl ShardedServer {
             match accepted {
                 Ok(mut engine) => {
                     engine.set_wal(wal);
-                    return Ok((engine, replica.is_some()));
+                    return Ok((engine, replica.is_some(), attempt));
                 }
                 Err(why) => self.heal_failed(s, attempt, format!("shard {s}: {candidate}: {why}")),
             }

@@ -1172,11 +1172,11 @@ fn cross_shard_wait_die_victim_restarts_and_retires_once() {
 /// flight at once on 4 shards with 2 cross-shard sessions per home. Each
 /// reads its source row, then updates it: under wait-die younger ones
 /// die on the upgrade and restart at once, and while they keep sharing
-/// the row the oldest one's upgrade would wait indefinitely. A younger
-/// transaction's first statement on a shard where an older one's
-/// statement is parked dies instead, so the burst retires with a
-/// bounded number of restarts (a few thousand at most on a 2-core host,
-/// against up to 1.8 million without the rule).
+/// the row the oldest one's upgrade would wait indefinitely. The lock
+/// table kills a younger shared request while an older transaction waits
+/// on the row instead, so the burst retires with a bounded number of
+/// restarts (at most about 11,000 per round over 60 rounds on a 2-core
+/// host, against 0.3–1 million without the rule).
 #[test]
 fn hot_row_transfers_retire_without_a_restart_storm() {
     let (pyxis, part) = compile_jdbc(MIXED_SRC);
@@ -1317,11 +1317,12 @@ proptest! {
 }
 
 /// Satellite: a participant worker dying mid-2PC must not wedge its
-/// home. T1 is parked between its prepare and commit phases on shards
-/// {0,1}; shard 1's worker is killed while the outcome is pending. The
-/// transaction must retire with an error (outcome unknown), the
-/// survivor's branch must end cleanly (its locks free), the death is
-/// counted, and the live homes keep serving cross-shard work.
+/// home. T1 is parked between its commit decision and its commit legs
+/// on shards {0,1}; shard 1's worker is killed before its leg arrives.
+/// The transaction must retire with an error (outcome unknown: shard 1
+/// holds its vote in doubt, and the decision was commit), the survivor's
+/// branch must end cleanly (it commits, and its locks free), the death
+/// is counted, and the live homes keep serving cross-shard work.
 #[test]
 fn participant_death_mid_2pc_aborts_cleanly_and_coordinator_survives() {
     let (pyxis, part) = compile_jdbc(MIXED_SRC);
@@ -1374,13 +1375,14 @@ fn participant_death_mid_2pc_aborts_cleanly_and_coordinator_survives() {
     assert_eq!(d1.tag, 1);
     let err = d1.error.expect("unknown outcome must surface as an error");
     assert!(err.contains("worker died"), "{err}");
+    assert!(err.contains("outcome unknown"), "{err}");
 
     // The live homes keep serving cross-shard work that avoids the dead
     // shard…
     assert_eq!(srv.submit(pair(wh(2), wh(3)), 2), Admit::Started);
     let d2 = srv.recv_done().expect("T2 retires");
     assert!(d2.error.is_none(), "{:?}", d2.error);
-    // …and the survivor shard 0, whose branch was aborted — its stock
+    // …and the survivor shard 0, whose branch committed — its stock
     // row is unlocked, so a new transaction through it commits.
     assert_eq!(srv.submit(pair(wh(0), wh(0)), 3), Admit::Started);
     let d3 = srv.recv_done().expect("T3 retires");
@@ -1603,15 +1605,23 @@ fn branch_on_a_respawned_shard_fails_as_a_participant_death() {
 
 // ---- a home's death: the cross-shard transactions it homed end ----
 
-/// A two-shard server over durable logs (group size 1) that respawns a
-/// dead shard from its log, one cross-shard session per home, plus the
-/// logs and the transfer entry.
-fn durable_two_shard_server(seed: u64) -> (ShardedServer, Vec<MemSink>, pyx_lang::MethodId) {
+/// A two-shard server over durable logs (group commit of `group`
+/// records, shard 1's with `faults`) that respawns a dead shard from its
+/// log, one cross-shard session per home, plus the logs and the transfer
+/// entry.
+fn durable_two_shard_server(
+    seed: u64,
+    group: usize,
+    faults: FaultPlan,
+) -> (ShardedServer, Vec<MemSink>, pyx_lang::MethodId) {
     let (pyxis, part) = compile_jdbc(MIXED_SRC);
     let transfer = pyxis.entry("Mixed", "transfer").expect("transfer");
     let sinks: Vec<MemSink> = (0..2).map(|_| MemSink::new()).collect();
     let mut engines = fresh_shards(scale8(), seed, 2);
-    ShardedServer::attach_shard_wals(&mut engines, 1, |i| Box::new(sinks[i].clone()));
+    ShardedServer::attach_shard_wals(&mut engines, group, |i| {
+        let plan = if i == 1 { faults } else { FaultPlan::default() };
+        Box::new(FaultySink::new(sinks[i].clone(), plan))
+    });
     let mut srv = ShardedServer::new(
         Arc::new(part),
         engines,
@@ -1664,9 +1674,15 @@ fn retire_within(srv: &mut ShardedServer, limit: Duration) -> TxnDone {
 
 /// Kill shard 0's primary and wait out its respawn from the log.
 fn kill_and_respawn_home(srv: &mut ShardedServer) {
-    srv.inject_worker_crash(0, 0);
+    kill_and_respawn(srv, 0);
+}
+
+/// Kill shard `s`'s primary and wait out its respawn from the log.
+fn kill_and_respawn(srv: &mut ShardedServer, s: usize) {
+    let healed = srv.recoveries().len() + 1;
+    srv.inject_worker_crash(s, 0);
     let t0 = Instant::now();
-    while srv.recoveries().is_empty() {
+    while srv.recoveries().len() < healed {
         assert!(t0.elapsed().as_secs() < 30, "respawn never completed");
         std::thread::sleep(Duration::from_millis(1));
         srv.reap_now();
@@ -1694,7 +1710,7 @@ fn recovered_stock(sinks: &[MemSink], seed: u64, w: i64, item: i64) -> i64 {
 #[test]
 fn home_death_aborts_its_open_branch_on_another_shard() {
     let seed = 139;
-    let (mut srv, sinks, transfer) = durable_two_shard_server(seed);
+    let (mut srv, sinks, transfer) = durable_two_shard_server(seed, 1, FaultPlan::default());
     let (w0, w0b) = (nth_wh(0, 0), nth_wh(0, 1));
     let (w1, w1b, w1c) = (nth_wh(1, 0), nth_wh(1, 1), nth_wh(1, 2));
     let fresh = fresh_shards(scale8(), seed, 2);
@@ -1750,7 +1766,7 @@ fn home_death_aborts_its_open_branch_on_another_shard() {
 /// logs hold the transfer on both shards (`committed`) or on neither.
 fn home_death_at(at: HoldPoint, committed: bool) {
     let seed = 149;
-    let (mut srv, sinks, transfer) = durable_two_shard_server(seed);
+    let (mut srv, sinks, transfer) = durable_two_shard_server(seed, 1, FaultPlan::default());
     let (w0, w1) = (nth_wh(0, 0), nth_wh(1, 0));
     let fresh = fresh_shards(scale8(), seed, 2);
     let (from0, to0) = (stock_of(&fresh[0], w0, 1), stock_of(&fresh[1], w1, 1));
@@ -1788,6 +1804,97 @@ fn home_death_at(at: HoldPoint, committed: bool) {
     let moved = if committed { 2 + 4 } else { 4 };
     assert_eq!(recovered_stock(&sinks, seed, w0, 1), from0 - moved);
     assert_eq!(recovered_stock(&sinks, seed, w1, 1), to0 + moved);
+}
+
+/// A heal settles a recovered branch's commit leg only once the commit
+/// is durable in the successor's log. Under group commit of 16, a
+/// transfer from shard 0 to shard 1, homed on shard 0, is held after its
+/// commit decision. Shard 1 dies, and its respawn commits the branch it
+/// recovered in doubt. Released, the transfer commits on shard 0, and
+/// the registry drains. Shard 1 then dies again before it syncs anything
+/// else: had the heal settled its leg before the commit was durable, its
+/// second respawn would find the branch in doubt with no registry entry
+/// and presume it aborted, while shard 0 committed it.
+#[test]
+fn heal_settles_a_recovered_commit_only_once_it_is_durable() {
+    let seed = 157;
+    let (mut srv, sinks, transfer) = durable_two_shard_server(seed, 16, FaultPlan::default());
+    let (w0, w1) = (nth_wh(0, 0), nth_wh(1, 0));
+    let fresh = fresh_shards(scale8(), seed, 2);
+    let (from0, to0) = (stock_of(&fresh[0], w0, 1), stock_of(&fresh[1], w1, 1));
+    let limit = Duration::from_secs(30);
+
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
+    assert_eq!(
+        srv.submit(transfer_req(transfer, w0, w1, 1, 2), 1),
+        Admit::Started
+    );
+    held.recv_timeout(limit)
+        .expect("the transfer parks on home 0 after its decision");
+    kill_and_respawn(&mut srv, 1);
+    assert_eq!(srv.recoveries()[0].resolved_commit, 1);
+    release.send(()).expect("release the transfer");
+    let d = retire_within(&mut srv, limit);
+    assert_eq!(d.tag, 1);
+    let err = d.error.expect("shard 1's successor never knew the branch");
+    assert!(err.contains("outcome unknown"), "{err}");
+    let t0 = Instant::now();
+    while srv.pending_decisions() > 0 {
+        assert!(t0.elapsed() < limit, "the registry never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    kill_and_respawn(&mut srv, 1);
+    let (rest, _) = srv.shutdown();
+    assert!(rest.is_empty());
+    let moved = (
+        from0 - recovered_stock(&sinks, seed, w0, 1),
+        recovered_stock(&sinks, seed, w1, 1) - to0,
+    );
+    assert_eq!(moved, (2, 2), "the logs must agree on the commit");
+}
+
+/// A heal whose successor cannot make its in-doubt verdicts durable
+/// fails instead of serving. Shard 1's log fails every sync after the
+/// first, its transfer branch's prepare. With the transfer held after
+/// its commit decision, shard 1 dies; its respawn recovers the branch in
+/// doubt and commits it, but cannot sync the decide record. The shard
+/// stays down with one heal failure, the registry keeps shard 1's leg
+/// for a later heal, and the transfer's client hears "outcome unknown".
+#[test]
+fn heal_that_cannot_sync_its_verdicts_keeps_the_shard_down() {
+    let faults = FaultPlan {
+        fail_sync_from: Some(1),
+        ..FaultPlan::default()
+    };
+    let (mut srv, _, transfer) = durable_two_shard_server(163, 1, faults);
+    let limit = Duration::from_secs(30);
+
+    let (held, release) = srv.hold_next_multi(HoldPoint::Commit);
+    let req = transfer_req(transfer, nth_wh(0, 0), nth_wh(1, 0), 1, 2);
+    assert_eq!(srv.submit(req, 1), Admit::Started);
+    held.recv_timeout(limit)
+        .expect("the transfer parks on home 0 after its decision");
+    srv.inject_worker_crash(1, 0);
+    let t0 = Instant::now();
+    while srv.heal_failures().is_empty() {
+        assert!(t0.elapsed() < limit, "the heal never failed");
+        std::thread::sleep(Duration::from_millis(1));
+        srv.reap_now();
+    }
+    let failure = &srv.heal_failures()[0];
+    assert_eq!(failure.shard, 1);
+    assert!(failure.reason.contains("in-doubt verdicts"), "{failure:?}");
+    assert!(srv.recoveries().is_empty());
+    assert_eq!(srv.dead_shards(), vec![1]);
+    release.send(()).expect("release the transfer");
+    let d = retire_within(&mut srv, limit);
+    assert_eq!(d.tag, 1);
+    let err = d.error.expect("shard 1 died after the decision");
+    assert!(err.contains("outcome unknown"), "{err}");
+    assert_eq!(srv.pending_decisions(), 1, "shard 1's leg stays unsettled");
+    let (rest, report) = srv.shutdown();
+    assert!(rest.is_empty());
+    assert_eq!(report.heal_failures.len(), 1);
 }
 
 /// Killed mid-vote, the home's undecided gtid is forgotten: both
